@@ -1,9 +1,15 @@
 type obj = Proc of int | Msg of int
 
+(* Processes before messages, then by id: the order of polymorphic
+   compare on these constructors, without its generic traversal. *)
 module Oset = Set.Make (struct
   type t = obj
 
-  let compare = compare
+  let compare a b =
+    match (a, b) with
+    | Proc x, Proc y | Msg x, Msg y -> Int.compare x y
+    | Proc _, Msg _ -> -1
+    | Msg _, Proc _ -> 1
 end)
 
 type t = Oset.t

@@ -39,10 +39,9 @@ let get_exn t ~pid ~nid =
 let allowed t ~pid ~nid = get t ~pid ~nid <> None
 
 let allowed_nodes t ~pid =
-  List.filteri (fun _ _ -> true)
-    (List.filter_map
-       (fun nid -> if allowed t ~pid ~nid then Some nid else None)
-       (List.init (node_count t) (fun i -> i)))
+  List.filter_map
+    (fun nid -> if allowed t ~pid ~nid then Some nid else None)
+    (List.init (node_count t) (fun i -> i))
 
 let fastest_node t ~pid =
   List.fold_left

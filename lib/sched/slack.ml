@@ -35,6 +35,12 @@ type result = {
   penalties : float array;
 }
 
+(* Stdlib [max]/[min] at type float: the same comparisons (so the same
+   result bit for bit, ties and signed zeros included), without the
+   polymorphic compare call. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 (* Downstream critical-path priorities over the application graph,
    using average WCETs (mapping-independent, computed once). *)
 let priorities g wcet bus =
@@ -46,13 +52,119 @@ let priorities g wcet bus =
         List.fold_left
           (fun acc mid ->
             let m = Graph.message g mid in
-            max acc
+            fmax acc
               (Bus.tx_time bus ~size:m.Graph.size +. prio.(m.Graph.dst)))
           0. (Graph.out_messages g pid)
       in
       prio.(pid) <- Wcet.average_wcet wcet ~pid +. down)
     (List.rev (Graph.topological_order g));
   prio
+
+(* Evaluation-local reservation lane of one resource (a node, or one
+   lane of the bus): the [Timeline] of a single evaluation, as two
+   growable arrays of ascending [start]/[finish]. It keeps [Timeline]'s
+   semantics to the comparison — same eps, zero-length reservations
+   dropped, touching intervals kept apart — so the schedule is the one
+   the persistent structures produce. Stored intervals are non-empty
+   ([finish > start + eps]) and each starts no earlier than eps before
+   the previous one ends; both arrays are therefore strictly ascending,
+   which is what lets a binary search replace the prefix of each walk
+   that cannot change its outcome. *)
+module Lane = struct
+  type t = {
+    mutable starts : float array;
+    mutable finishes : float array;
+    mutable len : int;
+  }
+
+  let eps = 1e-9
+
+  let create () = { starts = [||]; finishes = [||]; len = 0 }
+
+  (* Length of the prefix of [0, len) on which [skip] holds; [skip]
+     must hold on a prefix and fail on the rest. *)
+  let prefix t skip =
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if skip mid then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* [Timeline.earliest_gap]. The walk over the reservations starts at
+     [pos = from_] and, while [pos] is still [from_], steps past
+     reservation [i] unchanged exactly when [i] ends at or before
+     [from_] and the request does not fit before it. Both conditions
+     hold on a prefix of the ascending arrays, so that prefix is skipped
+     by binary search and the walk resumes where it would first act. *)
+  let earliest_gap t ~from_ ~duration =
+    if duration <= eps then from_
+    else begin
+      let i =
+        ref
+          (prefix t (fun i ->
+               t.finishes.(i) <= from_
+               && not (from_ +. duration <= t.starts.(i) +. eps)))
+      in
+      let pos = ref from_ in
+      while !i < t.len && not (!pos +. duration <= t.starts.(!i) +. eps) do
+        pos := fmax !pos t.finishes.(!i);
+        incr i
+      done;
+      !pos
+    end
+
+  (* [Busalloc.find_window] on this lane. The walk keeps the candidate
+     window [(s, f)] of the current [t0] and steps past reservation [i]
+     with [t0] unchanged exactly when the window neither fits before it
+     nor overlaps it. While [t0] is still [earliest] the window is the
+     same at every step, so those steps cover a prefix of the ascending
+     arrays, skipped by binary search as above. *)
+  let find_window t bus ~src ~size ~earliest =
+    let window t0 = Bus.next_window bus ~node:src ~size ~earliest:t0 in
+    let s0, f0 = window earliest in
+    let rec go t0 ((s, f) as w) i =
+      if i >= t.len || f <= t.starts.(i) +. eps then w
+      else if s >= t.finishes.(i) -. eps then go t0 w (i + 1)
+      else
+        let t0 = fmax t0 t.finishes.(i) in
+        go t0 (window t0) (i + 1)
+    in
+    go earliest (s0, f0)
+      (prefix t (fun i ->
+           (not (f0 <= t.starts.(i) +. eps)) && s0 >= t.finishes.(i) -. eps))
+
+  (* [Timeline.reserve]: the new interval goes after every reservation
+     ending at or before [start + eps] and must end by eps after the
+     next one starts. *)
+  let reserve t ~start ~finish =
+    if finish <= start +. eps then begin
+      if finish < start then invalid_arg "Timeline.reserve: negative interval"
+    end
+    else begin
+      let p = prefix t (fun i -> t.finishes.(i) <= start +. eps) in
+      if p < t.len && not (finish <= t.starts.(p) +. eps) then
+        invalid_arg "Timeline.reserve: overlapping reservation";
+      if t.len = Array.length t.starts then begin
+        let cap = max 8 (2 * t.len) in
+        let grow a =
+          let b = Array.make cap 0. in
+          Array.blit a 0 b 0 t.len;
+          b
+        in
+        t.starts <- grow t.starts;
+        t.finishes <- grow t.finishes
+      end;
+      Array.blit t.starts p t.starts (p + 1) (t.len - p);
+      Array.blit t.finishes p t.finishes (p + 1) (t.len - p);
+      t.starts.(p) <- start;
+      t.finishes.(p) <- finish;
+      t.len <- t.len + 1
+    end
+end
+
+let unplaced_msg =
+  { mid = -1; copy = -1; start = 0.; finish = 0.; on_bus = false }
 
 let evaluate ?(ft = true) (problem : Problem.t) =
   let g = Problem.graph problem in
@@ -63,6 +175,7 @@ let evaluate ?(ft = true) (problem : Problem.t) =
   let bus = Arch.bus arch in
   let mapping = problem.Problem.mapping in
   let nprocs = Graph.process_count g in
+  let nmsgs = Graph.message_count g in
   let prio = priorities g problem.Problem.wcet bus in
   let copies pid =
     if ft then Policy.replica_count problem.Problem.policies.(pid) else 1
@@ -82,43 +195,47 @@ let evaluate ?(ft = true) (problem : Problem.t) =
       in
       (e0, w)
   in
-  let node_tl = Array.make (Arch.node_count arch) Timeline.empty in
-  let busa = ref (Busalloc.create bus ~nodes:(Arch.node_count arch)) in
-  let placements = Array.make nprocs [] in
-  (* Copy-indexed views, filled once when a process (or its outgoing
-     transmissions) is placed: every consumer then reads its producers
-     by direct indexing instead of List.find / hashing per copy. *)
-  let by_copy : placement array array = Array.make nprocs [||] in
-  let msg_by_copy : msg_placement option array array =
-    Array.make (Array.length (Graph.messages g)) [||]
+  let node_lane =
+    Array.init (Arch.node_count arch) (fun _ -> Lane.create ())
   in
-  (* msg transmissions: (mid, producer copy) -> msg_placement *)
-  let msgs : (int * int, msg_placement) Hashtbl.t = Hashtbl.create 64 in
+  (* One bus lane per sender on TDMA (senders never collide), one shared
+     lane otherwise — the layout of [Busalloc]. *)
+  let tdma = Bus.is_tdma bus in
+  let bus_lane =
+    Array.init
+      (if tdma then max (Arch.node_count arch) 1 else 1)
+      (fun _ -> Lane.create ())
+  in
   let place_on_bus ~src ~size ~earliest =
-    let busa', w = Busalloc.place !busa ~src ~size ~earliest in
-    busa := busa';
-    w
+    let lane = bus_lane.(if tdma then src else 0) in
+    let s, f = Lane.find_window lane bus ~src ~size ~earliest in
+    Lane.reserve lane ~start:s ~finish:f;
+    (s, f)
   in
+  (* Copy-indexed placements of every placed process, and of the
+     transmissions of every placed producer: consumers read their
+     producers by direct indexing. *)
+  let by_copy : placement array array = Array.make nprocs [||] in
+  let msg_by_copy : msg_placement array array = Array.make nmsgs [||] in
   (* Arrival of message [mid] at a consumer copy running on [cnode] in
      the fault-free root schedule. With active replication every copy
      delivers a valid input when no fault occurs, so the consumer
      proceeds with the earliest one; waiting for a later replica is a
      fault-scenario cost accounted in the slack term. *)
   let arrival_at mid cnode =
-    let m = Graph.message g mid in
-    let src_pid = m.Graph.src in
+    let src_pid = (Graph.message g mid).Graph.src in
     let mps = msg_by_copy.(mid) in
+    let at copy =
+      let mp = mps.(copy) in
+      if Mapping.node_of mapping ~pid:src_pid ~copy = cnode then mp.start
+      else mp.finish
+    in
     let n = Array.length mps in
     if n = 0 then 0.
     else begin
-      let at copy =
-        let mp = Option.get mps.(copy) in
-        let src_node = Mapping.node_of mapping ~pid:src_pid ~copy in
-        if src_node = cnode then mp.start else mp.finish
-      in
       let acc = ref (at 0) in
       for copy = 1 to n - 1 do
-        acc := min !acc (at copy)
+        acc := fmin !acc (at copy)
       done;
       !acc
     end
@@ -136,37 +253,37 @@ let evaluate ?(ft = true) (problem : Problem.t) =
       let tx =
         if src_node = cnode then 0. else Bus.tx_time bus ~size:m.Graph.size
       in
-      acc := max !acc (p.worst_finish +. tx)
+      acc := fmax !acc (p.worst_finish +. tx)
     done;
     !acc
   in
   let place_process pid =
     let proc = Graph.process g pid in
     let frozen_p = ft && Transparency.is_frozen_proc transparency pid in
-    for copy = 0 to copies pid - 1 do
-      let node = Mapping.node_of mapping ~pid ~copy in
-      let e0, w = lengths pid copy in
-      let arrival =
-        List.fold_left
-          (fun acc mid ->
-            let a = arrival_at mid node in
-            let a =
-              if frozen_p then max a (worst_arrival_at mid node) else a
-            in
-            max acc a)
-          0. (Graph.in_messages g pid)
-      in
-      let from_ = max arrival proc.Graph.release in
-      let start = Timeline.earliest_gap node_tl.(node) ~from_ ~duration:e0 in
-      node_tl.(node) <- Timeline.reserve node_tl.(node) ~start ~finish:(start +. e0);
-      placements.(pid) <-
-        { pid; copy; node; start; finish = start +. e0;
-          worst_finish = start +. w }
-        :: placements.(pid)
-    done;
-    (* [placements.(pid)] lists copies in descending order; the
-       copy-indexed view inverts that once. *)
-    by_copy.(pid) <- Array.of_list (List.rev placements.(pid));
+    let ncopies = copies pid in
+    (* [Array.init] fills in ascending copy order: each copy sees the
+       node lanes as the previous copies left them. *)
+    let pls =
+      Array.init ncopies (fun copy ->
+          let node = Mapping.node_of mapping ~pid ~copy in
+          let e0, w = lengths pid copy in
+          let arrival =
+            List.fold_left
+              (fun acc mid ->
+                let a = arrival_at mid node in
+                let a =
+                  if frozen_p then fmax a (worst_arrival_at mid node) else a
+                in
+                fmax acc a)
+              0. (Graph.in_messages g pid)
+          in
+          let from_ = fmax arrival proc.Graph.release in
+          let start = Lane.earliest_gap node_lane.(node) ~from_ ~duration:e0 in
+          Lane.reserve node_lane.(node) ~start ~finish:(start +. e0);
+          { pid; copy; node; start; finish = start +. e0;
+            worst_finish = start +. w })
+    in
+    by_copy.(pid) <- pls;
     (* Transmissions of this process's outputs, one per producer copy.
        Bus placement order (descending copy) is part of the pinned
        schedule and must not change. *)
@@ -174,39 +291,43 @@ let evaluate ?(ft = true) (problem : Problem.t) =
       (fun mid ->
         let m = Graph.message g mid in
         let frozen_m = ft && Transparency.is_frozen_msg transparency mid in
-        let dst_nodes =
-          List.init (copies m.Graph.dst) (fun c ->
-              Mapping.node_of mapping ~pid:m.Graph.dst ~copy:c)
+        let dst_copies = copies m.Graph.dst in
+        let rec crosses node c =
+          c < dst_copies
+          && (Mapping.node_of mapping ~pid:m.Graph.dst ~copy:c <> node
+             || crosses node (c + 1))
         in
-        let mps = Array.make (copies pid) None in
-        List.iter
-          (fun (pl : placement) ->
-            let send_ready = if frozen_m then pl.worst_finish else pl.finish in
-            let crosses = List.exists (fun dn -> dn <> pl.node) dst_nodes in
-            let mp =
-              if crosses && m.Graph.size > 0. then
-                let s, f =
-                  place_on_bus ~src:pl.node ~size:m.Graph.size
-                    ~earliest:send_ready
-                in
-                { mid; copy = pl.copy; start = s; finish = f; on_bus = true }
-              else
-                { mid; copy = pl.copy; start = send_ready;
-                  finish = send_ready; on_bus = false }
-            in
-            mps.(pl.copy) <- Some mp;
-            Hashtbl.replace msgs (mid, pl.copy) mp)
-          placements.(pid);
+        let mps = Array.make ncopies unplaced_msg in
+        for copy = ncopies - 1 downto 0 do
+          let pl = pls.(copy) in
+          let send_ready = if frozen_m then pl.worst_finish else pl.finish in
+          mps.(copy) <-
+            (if m.Graph.size > 0. && crosses pl.node 0 then
+               let s, f =
+                 place_on_bus ~src:pl.node ~size:m.Graph.size
+                   ~earliest:send_ready
+               in
+               { mid; copy; start = s; finish = f; on_bus = true }
+             else
+               { mid; copy; start = send_ready; finish = send_ready;
+                 on_bus = false })
+        done;
         msg_by_copy.(mid) <- mps)
       (Graph.out_messages g pid)
   in
   (* Priority list scheduling at process granularity: a process is ready
-     once all producers are fully placed. *)
+     once all producers are fully placed. Highest priority first, ties
+     to the lower pid. *)
   let indeg = Array.make nprocs 0 in
-  Array.iter
-    (fun (m : Graph.message) -> indeg.(m.Graph.dst) <- indeg.(m.Graph.dst) + 1)
-    (Graph.messages g);
-  let cmp a b = compare (-.prio.(a), a) (-.prio.(b), b) in
+  for mid = 0 to nmsgs - 1 do
+    let dst = (Graph.message g mid).Graph.dst in
+    indeg.(dst) <- indeg.(dst) + 1
+  done;
+  let cmp a b =
+    match Float.compare (-.prio.(a)) (-.prio.(b)) with
+    | 0 -> Int.compare a b
+    | c -> c
+  in
   let ready = Ftes_util.Pqueue.create ~cmp in
   for pid = 0 to nprocs - 1 do
     if indeg.(pid) = 0 then Ftes_util.Pqueue.push ready pid
@@ -225,13 +346,29 @@ let evaluate ?(ft = true) (problem : Problem.t) =
         drain ()
   in
   drain ();
-  let all_placements = List.concat (Array.to_list placements) in
-  let root_makespan =
-    List.fold_left (fun acc (p : placement) -> max acc p.finish) 0.
-      all_placements
+  (* Every fold over a process's copies below runs in descending copy
+     order, the order of the result's [placements]. *)
+  let fold_copies f acc pid =
+    let pls = by_copy.(pid) in
+    let acc = ref acc in
+    for copy = Array.length pls - 1 downto 0 do
+      acc := f !acc pls.(copy)
+    done;
+    !acc
+  in
+  let makespan =
+    let acc = ref 0. in
+    for pid = 0 to nprocs - 1 do
+      acc := fold_copies (fun a (p : placement) -> fmax a p.finish) !acc pid
+    done;
+    !acc
   in
   let root_makespan =
-    Hashtbl.fold (fun _ mp acc -> max acc mp.finish) msgs root_makespan
+    let acc = ref makespan in
+    Array.iter
+      (Array.iter (fun (mp : msg_placement) -> acc := fmax !acc mp.finish))
+      msg_by_copy;
+    !acc
   in
   (* Shared recovery slack: at most k faults total, so the worst
      elongation is bounded by the worst single process group — all k
@@ -248,20 +385,20 @@ let evaluate ?(ft = true) (problem : Problem.t) =
      (scenario tracks diverge only where faults actually happen), which
      is what makes policy assignment sensitive to process criticality. *)
   let group_slack pid =
-    match placements.(pid) with
-    | [] -> 0.
-    | first :: rest ->
-        let worst =
-          List.fold_left
-            (fun acc (p : placement) -> max acc p.worst_finish)
-            first.worst_finish rest
-        in
-        let earliest =
-          List.fold_left
-            (fun acc (p : placement) -> min acc p.finish)
-            first.finish rest
-        in
-        worst -. earliest
+    let pls = by_copy.(pid) in
+    let n = Array.length pls in
+    if n = 0 then 0.
+    else
+      let last = pls.(n - 1) in
+      let worst =
+        fold_copies (fun acc (p : placement) -> fmax acc p.worst_finish)
+          last.worst_finish pid
+      in
+      let earliest =
+        fold_copies (fun acc (p : placement) -> fmin acc p.finish)
+          last.finish pid
+      in
+      worst -. earliest
   in
   let penalties = Array.make nprocs 0. in
   let slack_term =
@@ -270,42 +407,47 @@ let evaluate ?(ft = true) (problem : Problem.t) =
       (* Downstream-completion cone per process, over dependency edges
          and same-node schedule order, by relaxation (the conservative
          process-level closure may contain cycles through replicas). *)
-      let dc = Array.make nprocs 0. in
-      Array.iteri
-        (fun pid pls ->
-          dc.(pid) <-
-            List.fold_left (fun acc (p : placement) -> max acc p.finish) 0. pls)
-        placements;
-      let consumers =
-        Array.init nprocs (fun pid ->
-            List.sort_uniq compare
-              (List.map
-                 (fun mid -> (Graph.message g mid).Graph.dst)
-                 (Graph.out_messages g pid)))
+      let dc =
+        Array.init nprocs
+          (fold_copies (fun acc (p : placement) -> fmax acc p.finish) 0.)
       in
-      (* Successor in schedule order on each node, at process level. *)
-      let node_next =
-        let per_node = Hashtbl.create 16 in
-        Array.iter
-          (List.iter (fun (p : placement) ->
-               Hashtbl.replace per_node p.node
-                 (p :: (try Hashtbl.find per_node p.node with Not_found -> []))))
-          placements;
-        let next = Array.make nprocs [] in
-        Hashtbl.iter
-          (fun _ pls ->
-            let sorted =
-              List.sort (fun (a : placement) b -> compare a.start b.start) pls
+      (* Successor in schedule order on each node, at process level:
+         each node's copies in ascending start, ties in descending pid
+         then ascending copy. *)
+      let node_next = Array.make nprocs [] in
+      let per_node = Array.make (Arch.node_count arch) [] in
+      for pid = 0 to nprocs - 1 do
+        let pls = by_copy.(pid) in
+        for copy = Array.length pls - 1 downto 0 do
+          let p = pls.(copy) in
+          per_node.(p.node) <- p :: per_node.(p.node)
+        done
+      done;
+      Array.iter
+        (fun pls ->
+          let rec walk = function
+            | (a : placement) :: (b :: _ as rest) ->
+                if b.pid <> a.pid then
+                  node_next.(a.pid) <- b.pid :: node_next.(a.pid);
+                walk rest
+            | [ _ ] | [] -> ()
+          in
+          walk
+            (List.sort
+               (fun (a : placement) b -> Float.compare a.start b.start)
+               pls))
+        per_node;
+      (* Relaxation neighbours of each process: its consumers, then its
+         same-node successors. *)
+      let next =
+        Array.init nprocs (fun pid ->
+            let consumers =
+              List.sort_uniq Int.compare
+                (List.map
+                   (fun mid -> (Graph.message g mid).Graph.dst)
+                   (Graph.out_messages g pid))
             in
-            let rec walk = function
-              | a :: (b :: _ as rest) ->
-                  if b.pid <> a.pid then next.(a.pid) <- b.pid :: next.(a.pid);
-                  walk rest
-              | [ _ ] | [] -> ()
-            in
-            walk sorted)
-          per_node;
-        next
+            Array.of_list (consumers @ node_next.(pid)))
       in
       let changed = ref true in
       let passes = ref 0 in
@@ -313,40 +455,43 @@ let evaluate ?(ft = true) (problem : Problem.t) =
         changed := false;
         incr passes;
         for pid = nprocs - 1 downto 0 do
-          let d =
-            List.fold_left
-              (fun acc q -> max acc dc.(q))
-              dc.(pid)
-              (consumers.(pid) @ node_next.(pid))
-          in
-          if d > dc.(pid) +. 1e-9 then begin
-            dc.(pid) <- d;
+          let qs = next.(pid) in
+          let d = ref dc.(pid) in
+          for j = 0 to Array.length qs - 1 do
+            d := fmax !d dc.(qs.(j))
+          done;
+          if !d > dc.(pid) +. 1e-9 then begin
+            dc.(pid) <- !d;
             changed := true
           end
         done
       done;
-      let makespan =
-        Array.fold_left
-          (fun acc pls ->
-            List.fold_left (fun a (p : placement) -> max a p.finish) acc pls)
-          0. placements
-      in
       let penalty pid =
-        let laxity = max 0. (makespan -. dc.(pid)) in
-        max 0. (group_slack pid -. laxity)
+        let laxity = fmax 0. (makespan -. dc.(pid)) in
+        fmax 0. (group_slack pid -. laxity)
       in
       for pid = 0 to nprocs - 1 do
         penalties.(pid) <- penalty pid
       done;
-      Array.fold_left max 0. penalties
+      Array.fold_left fmax 0. penalties
     end
   in
+  let placements = ref [] in
+  for pid = nprocs - 1 downto 0 do
+    Array.iter (fun p -> placements := p :: !placements) by_copy.(pid)
+  done;
+  let msg_placements = ref [] in
+  for mid = nmsgs - 1 downto 0 do
+    for copy = Array.length msg_by_copy.(mid) - 1 downto 0 do
+      msg_placements := msg_by_copy.(mid).(copy) :: !msg_placements
+    done
+  done;
   {
     root_makespan;
     slack_term;
     length = root_makespan +. slack_term;
-    placements = all_placements;
-    msg_placements = Hashtbl.fold (fun _ mp acc -> mp :: acc) msgs [];
+    placements = !placements;
+    msg_placements = !msg_placements;
     penalties;
   }
 

@@ -28,14 +28,15 @@ let fig3_problem ~k =
 
 (* A seeded random instance with mixed fault-tolerance policies, as used
    by the fuzz-style integration tests. *)
-let random_problem ?(frozen = true) ?(mixed_policies = true) ~processes ~nodes
-    ~k ~seed () =
+let random_problem ?(frozen = true) ?(mixed_policies = true)
+    ?(bus = Ftes_workload.Gen.default.bus) ~processes ~nodes ~k ~seed () =
   let spec =
     {
       Ftes_workload.Gen.default with
       processes;
       nodes;
       seed;
+      bus;
       frozen_msg_prob = (if frozen then 0.25 else 0.);
       frozen_proc_prob = (if frozen then 0.2 else 0.);
     }

@@ -292,6 +292,28 @@ let test_transparency_basics () =
   Alcotest.(check int) "all messages" 4
     (Transparency.cardinal (Transparency.all_messages g))
 
+(* The set's order — processes before messages, then by id — is what
+   [frozen_objects] and [pp] expose; pin both against an insertion
+   order that is neither. *)
+let test_transparency_order () =
+  let g, (a, b, c, d), (m1, m2, _, m4) = diamond () in
+  let t =
+    Transparency.of_list
+      Transparency.
+        [ Msg m4; Proc c; Msg m1; Proc d; Proc a; Msg m2; Proc b; Msg m1 ]
+  in
+  Alcotest.(check bool) "frozen_objects order" true
+    (Transparency.frozen_objects t
+    = Transparency.
+        [ Proc a; Proc b; Proc c; Proc d; Msg m1; Msg m2; Msg m4 ]);
+  Alcotest.(check string) "pp order" "frozen{A, B, C, D, m1, m2, m4}"
+    (Format.asprintf "%a" (Transparency.pp g) t);
+  Alcotest.(check string) "pp all" "frozen{A, B, C, D, m1, m2, m3, m4}"
+    (Format.asprintf "%a" (Transparency.pp g) (Transparency.all g));
+  Alcotest.(check bool) "thaw keeps the rest in order" true
+    (Transparency.frozen_objects (Transparency.thaw t (Transparency.Proc b))
+    = Transparency.[ Proc a; Proc c; Proc d; Msg m1; Msg m2; Msg m4 ])
+
 (* ------------------------------------------------------------------ *)
 (* App and Merge                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -413,7 +435,10 @@ let () =
         ]
         @ graph_props );
       ( "transparency",
-        [ Alcotest.test_case "basics" `Quick test_transparency_basics ] );
+        [
+          Alcotest.test_case "basics" `Quick test_transparency_basics;
+          Alcotest.test_case "order" `Quick test_transparency_order;
+        ] );
       ( "app+merge",
         [
           Alcotest.test_case "app validation" `Quick test_app_validation;

@@ -415,6 +415,228 @@ let slack_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Slack estimator against the list-based oracle                       *)
+(* ------------------------------------------------------------------ *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_placement (a : Slack.placement) (b : Slack.placement) =
+  a.pid = b.pid && a.copy = b.copy && a.node = b.node
+  && same_float a.start b.start
+  && same_float a.finish b.finish
+  && same_float a.worst_finish b.worst_finish
+
+let msg_key (m : Slack.msg_placement) =
+  ( m.mid,
+    m.copy,
+    Int64.bits_of_float m.start,
+    Int64.bits_of_float m.finish,
+    m.on_bus )
+
+(* Bit-for-bit agreement with [Slack_oracle]: every figure and the
+   placements in order; the transmissions as a multiset, since the
+   oracle lists them in hash-table order. *)
+let matches_oracle ?ft p =
+  let r = Slack.evaluate ?ft p and o = Slack_oracle.evaluate ?ft p in
+  same_float r.Slack.length o.Slack.length
+  && same_float r.root_makespan o.root_makespan
+  && same_float r.slack_term o.slack_term
+  && Array.length r.penalties = Array.length o.penalties
+  && Array.for_all2 same_float r.penalties o.penalties
+  && List.equal same_placement r.placements o.placements
+  && List.sort compare (List.map msg_key r.msg_placements)
+     = List.sort compare (List.map msg_key o.msg_placements)
+
+(* [remaps] random copy moves, drawn like the tabu search draws them:
+   any copy, replicas included, to any allowed node — so replicas of
+   one process may end up sharing a node. *)
+let remapped ~seed ~remaps (p : Problem.t) =
+  let rng = Ftes_util.Rng.create (seed + 7) in
+  let n = Ftes_app.Graph.process_count (Problem.graph p) in
+  let rec go (p : Problem.t) i =
+    if i = 0 then p
+    else
+      let pid = Ftes_util.Rng.int rng n in
+      let mapping = p.Problem.mapping in
+      let copy =
+        Ftes_util.Rng.int rng (Ftes_ftcpg.Mapping.copy_count mapping ~pid)
+      in
+      let nid =
+        Ftes_util.Rng.pick_list rng
+          (Ftes_arch.Wcet.allowed_nodes p.Problem.wcet ~pid)
+      in
+      go
+        (Problem.with_policies p p.Problem.policies
+           (Ftes_ftcpg.Mapping.remap mapping ~pid ~copy ~nid))
+        (i - 1)
+  in
+  go p remaps
+
+let oracle_props =
+  let arb =
+    QCheck.make
+      ~print:(fun ((seed, n, k), (tdma, ft, frozen, remaps)) ->
+        Printf.sprintf "seed=%d n=%d k=%d tdma=%b ft=%b frozen=%b remaps=%d"
+          seed n k tdma ft frozen remaps)
+      QCheck.Gen.(
+        pair
+          (triple (int_bound 10_000) (int_range 2 30) (int_range 1 4))
+          (quad bool bool bool (int_bound 12)))
+  in
+  [
+    Helpers.qtest ~count:1000 "matches the list-based oracle bit for bit" arb
+      (fun ((seed, n, k), (tdma, ft, frozen, remaps)) ->
+        let bus = if tdma then Ftes_workload.Gen.Tdma else Single in
+        let p =
+          Helpers.random_problem ~processes:n ~nodes:(2 + (seed mod 3)) ~k
+            ~seed ~frozen ~bus ()
+        in
+        matches_oracle ~ft (remapped ~seed ~remaps p));
+  ]
+
+(* Five processes on two nodes, built to reach the corners of the
+   lanes: P1 and P4 take no time (zero WCET, zero overheads), m2 and m5
+   carry nothing, m1 and m6 are longer than a TDMA slot of [slot], and
+   the replicas of P0 and P2 share a node. *)
+let edge_problem ~bus ~k ~frozen =
+  let b = Ftes_app.Graph.Builder.create () in
+  let ov = Ftes_app.Overheads.make ~alpha:1. ~mu:2. ~chi:0.5 in
+  let p0 = Ftes_app.Graph.Builder.add_process b ~overheads:ov ~name:"P0" in
+  let p1 = Ftes_app.Graph.Builder.add_process b ~name:"P1" in
+  let p2 = Ftes_app.Graph.Builder.add_process b ~overheads:ov ~name:"P2" in
+  let p3 = Ftes_app.Graph.Builder.add_process b ~overheads:ov ~name:"P3" in
+  let p4 = Ftes_app.Graph.Builder.add_process b ~release:3. ~name:"P4" in
+  let msg src dst size =
+    ignore (Ftes_app.Graph.Builder.add_message b ~src ~dst ~size)
+  in
+  msg p0 p1 7.;
+  msg p0 p2 0.;
+  msg p1 p3 3.;
+  msg p2 p3 1.;
+  msg p3 p4 0.;
+  msg p0 p4 12.;
+  let graph = Ftes_app.Graph.Builder.build b in
+  let transparency =
+    if frozen then
+      Ftes_app.Transparency.of_list
+        Ftes_app.Transparency.[ Proc p2; Msg 0; Msg 5 ]
+    else Ftes_app.Transparency.none
+  in
+  let app =
+    Ftes_app.App.make ~transparency ~graph ~deadline:1e6 ~period:1e6 ()
+  in
+  let arch = Ftes_arch.Arch.make ~node_count:2 ~bus () in
+  let wcet = Ftes_arch.Wcet.create ~procs:5 ~nodes:2 in
+  List.iteri
+    (fun pid (c0, c1) ->
+      Ftes_arch.Wcet.set wcet ~pid ~nid:0 c0;
+      Ftes_arch.Wcet.set wcet ~pid ~nid:1 c1)
+    [ (10., 12.); (0., 0.); (8., 5.); (6., 9.); (0., 4.) ];
+  let policies =
+    [|
+      Policy.replication ~k;
+      Policy.re_execution ~recoveries:k;
+      Policy.replication ~k;
+      Policy.checkpointing ~recoveries:k ~checkpoints:2;
+      Policy.re_execution ~recoveries:k;
+    |]
+  in
+  let mapping =
+    Ftes_ftcpg.Mapping.of_array
+      [|
+        Array.make (k + 1) 0;
+        [| 1 |];
+        Array.init (k + 1) (fun c -> if c = 0 then 0 else 1);
+        [| 0 |];
+        [| 0 |];
+      |]
+  in
+  Problem.make ~app ~arch ~wcet ~k ~policies ~mapping
+
+(* Pairs of identical processes: equal priorities, so the ready queue's
+   tie-break (lower pid first) decides the schedule. *)
+let twins_problem ~bus ~k =
+  let b = Ftes_app.Graph.Builder.create () in
+  let ov = Ftes_app.Overheads.make ~alpha:1. ~mu:1. ~chi:1. in
+  let ps =
+    Array.init 6 (fun i ->
+        Ftes_app.Graph.Builder.add_process b ~overheads:ov
+          ~name:(Printf.sprintf "T%d" i))
+  in
+  List.iter
+    (fun (src, dst) ->
+      ignore
+        (Ftes_app.Graph.Builder.add_message b ~src:ps.(src) ~dst:ps.(dst)
+           ~size:4.))
+    [ (0, 2); (1, 3) ];
+  let graph = Ftes_app.Graph.Builder.build b in
+  let app = Ftes_app.App.make ~graph ~deadline:1e6 ~period:1e6 () in
+  let arch = Ftes_arch.Arch.make ~node_count:2 ~bus () in
+  let wcet = Ftes_arch.Wcet.create ~procs:6 ~nodes:2 in
+  for pid = 0 to 5 do
+    for nid = 0 to 1 do
+      Ftes_arch.Wcet.set wcet ~pid ~nid 10.
+    done
+  done;
+  let policies = Problem.default_policies ~app ~k in
+  let mapping =
+    Ftes_ftcpg.Mapping.of_array (Array.init 6 (fun pid -> [| pid mod 2 |]))
+  in
+  Problem.make ~app ~arch ~wcet ~k ~policies ~mapping
+
+let slot = 2.
+
+let test_slack_oracle_edges () =
+  let buses =
+    [
+      ("tdma", Bus.tdma ~slot_length:slot ~bandwidth:1. 2);
+      ("tdma swapped", Bus.tdma ~slot_order:[| 1; 0 |] ~slot_length:slot
+                         ~bandwidth:1. 2);
+      ("single", Bus.single ~setup:0.5 ~bandwidth:1. ());
+    ]
+  in
+  List.iter
+    (fun (name, bus) ->
+      List.iter
+        (fun (k, frozen, ft) ->
+          let p = edge_problem ~bus ~k ~frozen in
+          let label =
+            Printf.sprintf "%s k=%d frozen=%b ft=%b" name k frozen ft
+          in
+          Alcotest.(check bool) label true (matches_oracle ~ft p);
+          let r = Slack.evaluate ~ft p in
+          Alcotest.(check bool) (label ^ ": zero-duration copy") true
+            (List.exists
+               (fun (pl : Slack.placement) ->
+                 pl.Slack.pid = 1 && pl.Slack.finish = pl.Slack.start)
+               r.Slack.placements);
+          Alcotest.(check bool) (label ^ ": zero-size message off the bus")
+            true
+            (List.for_all
+               (fun (mp : Slack.msg_placement) ->
+                 mp.Slack.mid <> 1 || not mp.Slack.on_bus)
+               r.Slack.msg_placements);
+          if Bus.is_tdma bus then
+            Alcotest.(check bool) (label ^ ": message spans rounds") true
+              (List.exists
+                 (fun (mp : Slack.msg_placement) ->
+                   mp.Slack.on_bus
+                   && mp.Slack.finish -. mp.Slack.start > 2. *. slot)
+                 r.Slack.msg_placements))
+        [
+          (1, false, true); (1, true, true); (2, false, true);
+          (3, true, true); (2, true, false); (1, false, false);
+        ];
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s twins k=%d" name k)
+            true
+            (matches_oracle (twins_problem ~bus ~k)))
+        [ 1; 2 ])
+    buses
+
+(* ------------------------------------------------------------------ *)
 (* Metamorphic invariants                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -550,7 +772,9 @@ let () =
           Alcotest.test_case "fig5" `Quick test_slack_fig5;
           Alcotest.test_case "k=0 no slack" `Quick test_slack_k0_no_slack;
           Alcotest.test_case "fto" `Quick test_slack_fto;
+          Alcotest.test_case "oracle edge cases" `Quick
+            test_slack_oracle_edges;
         ]
-        @ slack_props );
+        @ slack_props @ oracle_props );
       ("metamorphic", metamorphic_props);
     ]
