@@ -346,6 +346,40 @@ let run_validation_scaling () =
 (* scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* [f ()] and the seconds spent inside the spans named [name] that it
+   opened. Recording is switched on for the call when it is off, and
+   the events are dropped again afterwards; a trace being recorded
+   keeps them. *)
+let with_span_seconds name f =
+  let last_id () =
+    List.fold_left
+      (fun acc (_, evs) ->
+        List.fold_left
+          (fun acc -> function Telemetry.Begin { id; _ } -> max acc id | Telemetry.End _ -> acc)
+          acc evs)
+      0 (Telemetry.dump ())
+  in
+  let was_enabled = Telemetry.enabled () in
+  let from = last_id () in
+  if not was_enabled then Telemetry.enable ();
+  let r = Fun.protect ~finally:(fun () -> if not was_enabled then Telemetry.disable ()) f in
+  let opened = Hashtbl.create 8 and total = ref 0. in
+  List.iter
+    (fun (_, evs) ->
+      List.iter
+        (function
+          | Telemetry.Begin { id; name = n; ts; _ } when id > from && n = name ->
+              Hashtbl.replace opened id ts
+          | Telemetry.Begin _ -> ()
+          | Telemetry.End { id; ts } -> (
+              match Hashtbl.find_opt opened id with
+              | Some t0 -> total := !total +. (ts -. t0)
+              | None -> ()))
+        evs)
+    (Telemetry.dump ());
+  if not was_enabled then Telemetry.reset ();
+  (r, !total)
+
 let run_sched_bench () =
   section
     "Scheduler scaling - conditional scheduling of the FT-CPG\n\
@@ -387,13 +421,16 @@ let run_sched_bench () =
       List.iter
         (fun j ->
           let t0 = Unix.gettimeofday () in
-          let table = Ftes_sched.Conditional.schedule ~jobs:j f in
+          let table, assemble =
+            with_span_seconds "sched.table.assemble" (fun () ->
+                Ftes_sched.Conditional.schedule ~jobs:j f)
+          in
           let wall = Unix.gettimeofday () -. t0 in
           let identical = digest table = ref_digest in
           let speedup = wall_ref /. Float.max wall 1e-9 in
           Printf.printf
-            "  jobs=%-3d %8.3f s  speedup %.2fx  identical: %b\n" j wall
-            speedup identical;
+            "  jobs=%-3d %8.3f s  (assembly %.3f s)  speedup %.2fx  identical: %b\n"
+            j wall assemble speedup identical;
           record_json
             [
               ("name", JStr "sched-scaling");
@@ -403,6 +440,7 @@ let run_sched_bench () =
               ("tracks", JInt tracks);
               ("jobs", JInt j);
               ("wall_s", JFloat wall);
+              ("assemble_s", JFloat assemble);
               ("wall_s_reference", JFloat wall_ref);
               ("speedup", JFloat speedup);
               ("identical", JBool identical);

@@ -47,6 +47,14 @@ let compatible g1 g2 = conjoin g1 g2 <> None
 let intersect g1 g2 =
   List.filter (fun l1 -> List.exists (fun l2 -> l1 = l2) g2) g1
 
+let rec remove g cond =
+  match g with
+  | [] -> []
+  | l :: rest ->
+      if l.cond = cond then rest
+      else if l.cond > cond then g
+      else l :: remove rest cond
+
 let implies g1 g2 =
   List.for_all (fun l2 -> List.exists (fun l1 -> l1 = l2) g1) g2
 

@@ -42,7 +42,11 @@ val conjoin : guard -> guard -> guard option
 
 val intersect : guard -> guard -> guard
 (** Literals common to both guards — the most specific guard implied by
-    both. Used to display one table entry shared by sibling branches. *)
+    both. *)
+
+val remove : guard -> int -> guard
+(** The guard without its literal on a condition (the guard itself when
+    it does not mention the condition). *)
 
 val implies : guard -> guard -> bool
 (** [implies g1 g2] when every scenario satisfying [g1] satisfies [g2],

@@ -7,6 +7,10 @@ module Mapping = Ftes_ftcpg.Mapping
 module Wcet = Ftes_arch.Wcet
 module Slack = Ftes_sched.Slack
 module Rng = Ftes_util.Rng
+module Telemetry = Ftes_util.Telemetry
+
+let c_diagnoses = Telemetry.counter "lns.diagnoses"
+let c_diagnosis_reuses = Telemetry.counter "lns.diagnosis_reuses"
 
 type options = {
   seed : int;
@@ -120,7 +124,7 @@ let perturb ~rng problem pid =
       Problem.with_policies p p.Problem.policies
         (Mapping.remap p.Problem.mapping ~pid ~copy:0 ~nid)
 
-let optimize opts problem =
+let optimize ?(memo = true) opts problem =
   let rng = Rng.create opts.seed in
   let objective p =
     match opts.cache with
@@ -133,6 +137,32 @@ let optimize opts problem =
     | Some h -> ignore (Incumbent.publish_handle h len)
     | None -> ()
   in
+  (* A restart that does not improve returns to [!best], so the same
+     design is often diagnosed again; within one run the application,
+     architecture and WCET table are fixed, so the evaluator signature
+     identifies the design. *)
+  let diagnosed = Hashtbl.create 8 in
+  let diagnose p =
+    let run () =
+      diagnostic_targets ~max_vertices:opts.diag_max_vertices
+        ~max_violations:opts.diag_max_violations p
+    in
+    if not memo then begin
+      Telemetry.incr c_diagnoses;
+      run ()
+    end
+    else
+      let key = Evalcache.signature p in
+      match Hashtbl.find_opt diagnosed key with
+      | Some targets ->
+          Telemetry.incr c_diagnosis_reuses;
+          targets
+      | None ->
+          Telemetry.incr c_diagnoses;
+          let targets = run () in
+          Hashtbl.add diagnosed key targets;
+          targets
+  in
   let best = ref problem in
   let best_len = ref (objective problem) in
   publish !best_len;
@@ -144,10 +174,7 @@ let optimize opts problem =
           table name the guilty processes; a clean (or inexpansible)
           design falls back to the estimator's critical processes. *)
        let targets =
-         match
-           diagnostic_targets ~max_vertices:opts.diag_max_vertices
-             ~max_violations:opts.diag_max_violations !current
-         with
+         match diagnose !current with
          | [] -> slack_targets ?cache:opts.cache !current
          | pids -> pids
        in

@@ -479,6 +479,9 @@ type state = {
          successor exists) and a fork hands the fault branch copies
          while the no-fault branch keeps the originals. *)
   entries : Table.entry list;  (* reversed *)
+  emitted : Table.entry list;
+      (* The suffix of [entries] that a track earlier in DFS order
+         hands to assembly: a leaf emits only the entries above it. *)
   makespan : float;
   ready : Iset.t;  (* vertices with unmet = 0, ggap = 0, unscheduled *)
   unmet : int array;  (* preds neither finished nor dead, per vertex *)
@@ -860,7 +863,13 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
                   { bf with faults = bf.faults + 1 }
                   { Cond.cond = vc; fault = true }
               in
-              let bnf = apply_literal st { Cond.cond = vc; fault = false } in
+              (* The fault subtree runs first in DFS order, so its first
+                 leaf emits the shared prefix. *)
+              let bnf =
+                apply_literal
+                  { st with emitted = st.entries }
+                  { Cond.cond = vc; fault = false }
+              in
               child bf ~split:(split - 1);
               child bnf ~split:(split - 1)
             end
@@ -883,9 +892,16 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
             done;
             if Atomic.fetch_and_add leaf_count 1 + 1 > params.max_tracks then
               raise (Too_many_tracks params.max_tracks);
+            let rec fresh acc es =
+              if es == st.emitted then acc
+              else
+                match es with
+                | e :: rest -> fresh (e :: acc) rest
+                | [] -> acc
+            in
             sink
               (`Track
-                (st.entries, { Table.scenario = st.guard; makespan = st.makespan })))
+                (fresh [] st.entries, { Table.scenario = st.guard; makespan = st.makespan })))
   in
 
   let walk_all ~demand st =
@@ -941,6 +957,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       bcast = Imap.empty;
       pending = Ftes_util.Pqueue.create ~cmp:compare;
       entries = [];
+      emitted = [];
       makespan = 0.;
       ready = ready0;
       unmet = Array.copy npreds0;
@@ -1021,7 +1038,9 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       demands;
     if !changed then iterate (iter + 1)
     else begin
-      let entries = List.concat_map (fun (es, _) -> List.rev es) results in
+      (* Each committed entry was emitted by exactly one track, in DFS
+         commit order. *)
+      let entries = List.concat_map fst results in
       let tracks = List.map snd results in
       if Telemetry.enabled () then begin
         Telemetry.set_gauge "sched.tracks"
@@ -1029,7 +1048,8 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
         Telemetry.set_gauge "sched.entries"
           (float_of_int (List.length entries))
       end;
-      Table.make ~ftcpg ~entries ~tracks
+      Telemetry.with_span ~cat:"sched" "sched.table.assemble" (fun () ->
+          Table.make ~ftcpg ~entries ~tracks)
     end
   in
   iterate 1

@@ -20,81 +20,250 @@ type track = { scenario : Cond.guard; makespan : float }
 
 type t = { ftcpg : Ftcpg.t; entries : entry list; tracks : track list }
 
-(* Two guards resolve when they differ in exactly one complementary
-   literal: the union of their scenario sets is exactly the common
-   rest. Anything weaker (e.g. plain intersection) would let an entry
-   leak into scenarios whose track committed a different time. *)
-let resolve g1 g2 =
-  let c = Cond.intersect g1 g2 in
-  if Cond.size g1 = Cond.size g2 && Cond.size c = Cond.size g1 - 1 then Some c
-  else None
+(* ------------------------------------------------------------------ *)
+(* Assembly. Raw entries are grouped by slot — (item, resource, start
+   rounded to 1e-6) — and the guards of one slot are collapsed by
+   resolution: two guards that differ in exactly one complementary
+   literal ([A&c], [A&!c]) cover exactly the scenarios of their common
+   rest [A]. Anything weaker (e.g. plain intersection, or [A&c] with
+   [A&d]) would let an entry leak into scenarios whose track committed
+   a different time.
+
+   Resolution is not confluent: different merge orders reach different
+   (equivalent) covers, so the order below is pinned behaviour (see
+   DESIGN.md, "Schedule-table assembly"): repeatedly take the first
+   guard in [Cond.compare] order that has a partner, merge it with its
+   least partner, drop every guard implying the merge; at a fixpoint
+   drop guards implied by another one, and resume if that removed any.
+   The test oracle ([test/table_oracle.ml]) is the literal transcription
+   of that loop; here partners are found by hashed one-literal flips. *)
+(* ------------------------------------------------------------------ *)
+
+(* A literal as one int, [2 * cond + fault]: ascending codes order
+   literals as [Cond.compare] does (condition id, then [false < true]),
+   and flipping the polarity is [lxor 1]. *)
+let code (l : Cond.literal) = (2 * l.Cond.cond) + Bool.to_int l.Cond.fault
+
+(* Guards hash to the sum of their literals' hashes, so the hash of a
+   one-literal flip costs O(1). *)
+let mix c =
+  let h = c * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+type gnode = {
+  literals : Cond.guard;
+  codes : int array;  (* ascending *)
+  hash : int;
+  bloom : int;  (* [bit] of every literal *)
+  mutable alive : bool;
+  mutable links : (int * gnode) list;
+      (* Guards found one complementary flip away, with the position of
+         the flipped literal (the same position on both sides). *)
+  mutable partners : int;  (* live ones among [links] *)
+}
+
+(* The subset pre-filter: one of 62 bits per literal. *)
+let bit c = 1 lsl (c mod 62)
+
+let gnode_of_codes literals codes =
+  let hash = ref 0 and bloom = ref 0 in
+  Array.iter
+    (fun c ->
+      hash := !hash + mix c;
+      bloom := !bloom lor bit c)
+    codes;
+  { literals; codes; hash = !hash; bloom = !bloom; alive = false; links = []; partners = 0 }
+
+let gnode literals =
+  let codes = Array.make (Cond.size literals) 0 in
+  List.iteri (fun i l -> codes.(i) <- code l) (Cond.literals literals);
+  gnode_of_codes literals codes
+
+let rec compare_from a b i =
+  let la = Array.length a and lb = Array.length b in
+  if i = la then if i = lb then 0 else -1
+  else if i = lb then 1
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+(* Lexicographic with a proper prefix first: [Cond.compare] on the
+   literal lists. *)
+let compare_codes a b = compare_from a b 0
+
+(* The ascending codes [a] from [i] on are among [b] from [j] on. *)
+let rec subset_from a b i j =
+  i = Array.length a
+  || j < Array.length b
+     && ((a.(i) = b.(j) && subset_from a b (i + 1) (j + 1))
+        || (a.(i) > b.(j) && subset_from a b i (j + 1)))
+
+(* [implies sup sub]: the literals of [sub] are among those of [sup]. *)
+let implies sup sub =
+  sub.bloom land sup.bloom = sub.bloom
+  && Array.length sub.codes <= Array.length sup.codes
+  && subset_from sub.codes sup.codes 0 0
+
+(* [b] agrees with [a] from [j] on, except that position [i] is
+   flipped. *)
+let rec flipped_from a i b j =
+  j = Array.length a
+  || (b.(j) = (if j = i then a.(j) lxor 1 else a.(j)) && flipped_from a i b (j + 1))
+
+(* Marks an empty cell of the flip index; never mutated. *)
+let vacant =
+  { literals = Cond.true_; codes = [||]; hash = 0; bloom = 0; alive = false; links = [];
+    partners = 0 }
+
+(* Open-addressing lookup from cell [j] on: the first vacant cell, or
+   the live guard hashed [h] that is [codes] with literal [i] flipped. *)
+let rec probe cells mask codes i h j =
+  let q = cells.(j) in
+  if
+    q == vacant
+    || q.alive && q.hash = h
+       && Array.length q.codes = Array.length codes
+       && flipped_from codes i q.codes 0
+  then q
+  else probe cells mask codes i h ((j + 1) land mask)
+
+(* The guards one slot keeps, ascending. *)
+let collapse = function
+  | [ g ] -> [ g ]
+  | guards ->
+      let by_codes a b = compare_codes a.codes b.codes in
+      let live = ref (List.sort_uniq by_codes (List.map gnode guards)) in
+      (* Flip index: open addressing on the guard hash. A merge adds one
+         guard and retires at least two, so fewer than [2 n] guards are
+         ever inserted and the load stays below 1/4. Retired guards stay
+         in their cells and are skipped. *)
+      let cells =
+        let n = List.length !live in
+        let rec pow2 c = if c >= 8 * n then c else pow2 (2 * c) in
+        Array.make (pow2 16) vacant
+      in
+      let mask = Array.length cells - 1 in
+      (* The live guard that is [n] with literal [i] flipped, or [vacant]. *)
+      let partner n i =
+        let c = n.codes.(i) in
+        let h = n.hash - mix c + mix (c lxor 1) in
+        probe cells mask n.codes i h (h land mask)
+      in
+      let add n =
+        for i = 0 to Array.length n.codes - 1 do
+          let q = partner n i in
+          if q != vacant then begin
+            q.links <- (i, n) :: q.links;
+            q.partners <- q.partners + 1;
+            n.links <- (i, q) :: n.links;
+            n.partners <- n.partners + 1
+          end
+        done;
+        n.alive <- true;
+        let rec put j =
+          if cells.(j) == vacant then cells.(j) <- n else put ((j + 1) land mask)
+        in
+        put (n.hash land mask)
+      in
+      let kill n =
+        n.alive <- false;
+        List.iter (fun (_, q) -> if q.alive then q.partners <- q.partners - 1) n.links
+      in
+      List.iter add !live;
+      (* Position of the least partner of [g]. Every partner sorts after
+         [g] (the least guard with a partner), so each one flips a
+         no-fault literal of [g] to a fault; of two such flips, the one
+         at the later position keeps the smaller code longer and sorts
+         first. *)
+      let least_partner g =
+        List.fold_left (fun acc (i, q) -> if q.alive then max acc i else acc) (-1) g.links
+      in
+      let rec step () =
+        match List.find_opt (fun n -> n.partners > 0) !live with
+        | Some g ->
+            let i = least_partner g in
+            let merged =
+              gnode_of_codes
+                (Cond.remove g.literals (g.codes.(i) lsr 1))
+                (Array.init
+                   (Array.length g.codes - 1)
+                   (fun j -> g.codes.(if j < i then j else j + 1)))
+            in
+            let implied, kept = List.partition (fun h -> implies h merged) !live in
+            List.iter kill implied;
+            add merged;
+            let rec insert = function
+              | h :: rest when by_codes h merged < 0 -> h :: insert rest
+              | l -> merged :: l
+            in
+            live := insert kept;
+            step ()
+        | None ->
+            let gs = !live in
+            let subsumed =
+              List.filter (fun h -> List.exists (fun h' -> h' != h && implies h h') gs) gs
+            in
+            if subsumed <> [] then begin
+              List.iter kill subsumed;
+              live := List.filter (fun h -> h.alive) gs;
+              step ()
+            end
+      in
+      step ();
+      List.map (fun n -> n.literals) !live
+
+(* A slot: item and resource as ints, start in 1e-6 ticks. *)
+type slot = { s_item : int; s_res : int; s_tick : float }
+
+let slot e =
+  {
+    s_item = (match e.item with Exec v -> 2 * v | Bcast v -> (2 * v) + 1);
+    s_res = (match e.resource with Bus -> 0 | Local -> 1 | Node n -> n + 2);
+    s_tick = Float.round (e.start *. 1e6);
+  }
+
+module Slots = Hashtbl.Make (struct
+  type t = slot
+
+  let equal a b = a.s_item = b.s_item && a.s_res = b.s_res && Float.equal a.s_tick b.s_tick
+  let hash a = Hashtbl.hash (a.s_item, a.s_res, a.s_tick)
+end)
+
+type group = { mutable rep : entry; mutable guards : Cond.guard list }
 
 let dedup entries =
-  (* One entry per (item, start, resource, guard); same-slot entries
-     from sibling branches collapse by resolution until a fixpoint. *)
-  let groups = Hashtbl.create 64 in
-  let keys = ref [] in
+  (* One entry per slot and kept guard; the slot's last raw occurrence
+     supplies [start] and [finish]. *)
+  let groups = Slots.create 256 in
+  let order = ref [] in
   List.iter
     (fun e ->
-      let key = (e.item, e.resource, Float.round (e.start *. 1e6)) in
-      if not (Hashtbl.mem groups key) then keys := key :: !keys;
-      Hashtbl.replace groups key
-        (e :: (try Hashtbl.find groups key with Not_found -> [])))
-    entries;
-  let collapse es =
-    let guards =
-      ref (List.sort_uniq Cond.compare (List.map (fun e -> e.guard) es))
-    in
-    let find_resolvable gs =
-      let rec go = function
-        | [] -> None
-        | g :: rest -> (
-            match List.find_map (fun g' -> resolve g g') rest with
-            | Some merged -> Some (g, merged)
-            | None -> go rest)
-      in
-      go gs
-    in
-    let rec step () =
-      match find_resolvable !guards with
-      | Some (g, merged) ->
-          (* [merged] covers [g] and its resolution partner. *)
-          guards :=
-            List.sort_uniq Cond.compare
-              (merged
-              :: List.filter
-                   (fun g' ->
-                     not (Cond.equal g' g || Cond.implies g' merged))
-                   !guards);
-          step ()
+      let key = slot e in
+      match Slots.find_opt groups key with
+      | Some grp ->
+          grp.rep <- e;
+          grp.guards <- e.guard :: grp.guards
       | None ->
-          (* Drop guards subsumed by a strictly more general one. *)
-          let gs = !guards in
-          let kept =
-            List.filter
-              (fun g ->
-                not
-                  (List.exists
-                     (fun g' -> (not (Cond.equal g g')) && Cond.implies g g')
-                     gs))
-              gs
-          in
-          if List.length kept <> List.length gs then begin
-            guards := kept;
-            step ()
-          end
-    in
-    step ();
-    match es with
-    | [] -> []
-    | e :: _ -> List.map (fun g -> { e with guard = g }) !guards
-  in
-  List.concat_map (fun key -> collapse (Hashtbl.find groups key)) !keys
+          let grp = { rep = e; guards = [ e.guard ] } in
+          Slots.add groups key grp;
+          order := grp :: !order)
+    entries;
+  List.concat_map
+    (fun grp -> List.map (fun guard -> { grp.rep with guard }) (collapse grp.guards))
+    !order
+
+let compare_item a b =
+  match (a, b) with
+  | Exec x, Exec y | Bcast x, Bcast y -> Int.compare x y
+  | Exec _, Bcast _ -> -1
+  | Bcast _, Exec _ -> 1
 
 let make ~ftcpg ~entries ~tracks =
   let entries =
     List.sort
-      (fun a b -> compare (a.start, a.item) (b.start, b.item))
+      (fun a b ->
+        let c = Float.compare a.start b.start in
+        if c <> 0 then c else compare_item a.item b.item)
       (dedup entries)
   in
   { ftcpg; entries; tracks }

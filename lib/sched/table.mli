@@ -40,8 +40,19 @@ type t = private {
 
 val make :
   ftcpg:Ftes_ftcpg.Ftcpg.t -> entries:entry list -> tracks:track list -> t
-(** Deduplicates entries: identical [(item, start, resource)] under
-    several guards keep the most general guard recorded. *)
+(** Assembles the table from the entries the tracks committed. Entries
+    of one {e slot} — same [item] and [resource], [start] equal after
+    rounding to 1e-6 — merge: the slot's last entry in [entries]
+    supplies [start] and [finish], and its guards are resolved in a
+    fixed order. Repeatedly, the first guard in {!Ftes_ftcpg.Cond.compare}
+    order that differs from another guard of the slot in exactly one
+    complementary literal merges with the least such partner into their
+    common rest, and every guard implying the merge is dropped; at the
+    fixpoint, guards implied by another guard are dropped and
+    resolution resumes. Resolution is not confluent, so this order is
+    part of the output. [entries] may repeat an entry (e.g. once per
+    track sharing it); the table is the same. Entries are sorted by
+    [(start, item)], stably. *)
 
 val schedule_length : t -> float
 (** Worst-case makespan over all fault scenarios — the fault-tolerant

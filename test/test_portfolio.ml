@@ -238,6 +238,44 @@ let test_diagnostic_targets () =
   Alcotest.(check bool) "slack targets non-empty" true
     (Lns.slack_targets p <> [])
 
+(* Diagnoses memoized per design signature within one run must not
+   change the search: same best design, bit-identical length — on clean
+   designs (diagnoses return nothing) and on a design whose local
+   deadline fails everywhere (diagnoses name targets). *)
+let test_lns_memo_transparent () =
+  let reuses = Ftes_util.Telemetry.counter "lns.diagnosis_reuses" in
+  let reused = ref 0 in
+  let same label p =
+    Ftes_util.Telemetry.reset ();
+    Ftes_util.Telemetry.enable ();
+    let a, la =
+      Fun.protect ~finally:Ftes_util.Telemetry.disable (fun () ->
+          Lns.optimize lns_opts p)
+    in
+    reused := !reused + Ftes_util.Telemetry.counter_value reuses;
+    let b, lb = Lns.optimize ~memo:false lns_opts p in
+    Alcotest.(check string) (label ^ ": same design") (Evalcache.signature a)
+      (Evalcache.signature b);
+    Alcotest.(check bool) (label ^ ": same length") true (Float.equal la lb)
+  in
+  List.iter
+    (fun seed ->
+      same (Printf.sprintf "seed %d" seed)
+        (Helpers.random_problem ~frozen:false ~mixed_policies:false
+           ~processes:8 ~nodes:2 ~k:2 ~seed ()))
+    [ 3; 9; 21 ];
+  let p =
+    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
+      ~nodes:2 ~k:2 ~seed:17 ()
+  in
+  let sink = List.hd (Graph.sinks (Problem.graph p)) in
+  same "failing local deadline"
+    (Problem.make
+       ~app:(with_local_deadline p.Problem.app sink 1e-3)
+       ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
+       ~policies:p.Problem.policies ~mapping:p.Problem.mapping);
+  Alcotest.(check bool) "some diagnosis was reused" true (!reused > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Anytime mode: deadline and exchange                                 *)
 (* ------------------------------------------------------------------ *)
@@ -361,6 +399,8 @@ let () =
             test_lns_improves_or_holds;
           Alcotest.test_case "diagnostic targets" `Quick
             test_diagnostic_targets;
+          Alcotest.test_case "memoized diagnoses change nothing" `Slow
+            test_lns_memo_transparent;
         ] );
       ( "anytime mode",
         [

@@ -319,6 +319,185 @@ let sched_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Schedule-table assembly vs. [Table_oracle]                          *)
+(* ------------------------------------------------------------------ *)
+
+let lit cond fault = { Cond.cond; fault }
+
+let guard ls =
+  match Cond.of_literals (List.map (fun (c, f) -> lit c f) ls) with
+  | Some g -> g
+  | None -> invalid_arg "guard: contradictory literals"
+
+let fig5_ftcpg = lazy (Ftcpg.build (Helpers.fig5_problem ()))
+
+let assemble entries =
+  (Table.make ~ftcpg:(Lazy.force fig5_ftcpg) ~entries ~tracks:[]).Table.entries
+
+(* One slot (same item, resource and start) under each guard. *)
+let slot_entries guards =
+  List.map
+    (fun g ->
+      { Table.item = Table.Exec 0; guard = g; start = 10.; finish = 15.;
+        resource = Table.Node 0 })
+    guards
+
+let guards_of entries = List.map (fun e -> e.Table.guard) entries
+
+let check_guards msg expected actual =
+  Alcotest.(check (list string)) msg
+    (List.map Cond.to_string expected)
+    (List.map Cond.to_string actual)
+
+(* Only complementary literals resolve: [A&c] and [A&d] overlap without
+   covering [A], so merging them would extend the entry to scenarios
+   neither track committed. *)
+let test_assembly_complementary_only () =
+  let a = [ (0, false); (3, true) ] in
+  let ac = guard ((5, true) :: a) and ad = guard ((7, false) :: a) in
+  check_guards "A&c, A&d stay apart" [ ac; ad ]
+    (guards_of (assemble (slot_entries [ ad; ac ])));
+  check_guards "A&c, A&!c resolve to A" [ guard a ]
+    (guards_of (assemble (slot_entries [ ac; guard ((5, false) :: a) ])));
+  check_guards "oracle agrees" [ ac; ad ]
+    (guards_of (Table_oracle.make (slot_entries [ ad; ac ])))
+
+(* Resolution is not confluent. On this slot (from a verify-tables
+   set-up table) the pinned order merges c0&!c1&!c18&!c24 with
+   c0&!c1&c18&!c24 first; resolving c0&!c1&!c18&!c24 with
+   c0&c1&!c18&!c24 first instead ends at the equivalent cover
+   {c0&!c1&!c18&c24&!c25, c0&!c1&c18&!c24, c0&!c18&!c24}, which would
+   move table digests. *)
+let test_assembly_non_confluent () =
+  let input =
+    [
+      guard [ (0, true); (1, false); (18, false); (24, false) ];
+      guard [ (0, true); (1, false); (18, false); (24, true); (25, false) ];
+      guard [ (0, true); (1, false); (18, true); (24, false) ];
+      guard [ (0, true); (1, true); (18, false); (24, false) ];
+    ]
+  in
+  let pinned =
+    [
+      guard [ (0, true); (1, false); (18, false); (24, true); (25, false) ];
+      guard [ (0, true); (1, false); (24, false) ];
+      guard [ (0, true); (1, true); (18, false); (24, false) ];
+    ]
+  in
+  check_guards "oracle" pinned (guards_of (Table_oracle.make (slot_entries input)));
+  List.iter
+    (fun order ->
+      check_guards "Table.make" pinned (guards_of (assemble (slot_entries order))))
+    [ input; List.rev input; input @ input ]
+
+(* A random scenario tree: every node commits a few items at starts on
+   a coarse grid (sibling tracks coincide, sometimes off by less than
+   the 1e-6 slot rounding), then forks on a fresh condition or ends.
+   Tracks are concatenated root to leaf, as the reference scheduler
+   emits them; [once] emits each commit once, as [Conditional.schedule]
+   does. Durations and resources vary, so the slot representative and
+   the order of slots sharing a start and item are both exercised. *)
+let dfs_entries ~once rs =
+  let emitted = ref [] in
+  let rec node guard depth path used =
+    let fresh = ref [] in
+    for _ = 1 to Random.State.int rs 3 do
+      let v = Random.State.int rs 6 in
+      let start =
+        float_of_int (10 * Random.State.int rs 4)
+        +. if Random.State.int rs 8 = 0 then 1e-9 else 0.
+      in
+      let resource =
+        if Random.State.int rs 10 = 0 then Table.Bus else Table.Node (v mod 2)
+      in
+      fresh :=
+        { Table.item = (if v = 5 then Table.Bcast 1 else Table.Exec v);
+          guard; start; finish = start +. float_of_int (Random.State.int rs 3);
+          resource }
+        :: !fresh
+    done;
+    let fresh = List.rev !fresh in
+    let path = path @ fresh in
+    if once then emitted := List.rev_append fresh !emitted;
+    let free = List.filter (fun c -> not (List.mem c used)) [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+    if depth = 0 || free = [] || Random.State.int rs 5 = 0 then begin
+      if not once then emitted := List.rev_append path !emitted
+    end
+    else
+      let c = List.nth free (Random.State.int rs (List.length free)) in
+      List.iter
+        (fun fault -> node (Cond.add_exn guard (lit c fault)) (depth - 1) path (c :: used))
+        [ true; false ]
+  in
+  node Cond.true_ 6 [] [];
+  List.rev !emitted
+
+(* Arbitrary guards over six conditions, in up to three slots. *)
+let arbitrary_entries rs =
+  List.init
+    (1 + Random.State.int rs 24)
+    (fun _ ->
+      let g =
+        List.filter_map
+          (fun c ->
+            match Random.State.int rs 3 with
+            | 0 -> None
+            | n -> Some (c, n = 1))
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let v = Random.State.int rs 3 in
+      { Table.item = Table.Exec v; guard = guard g; start = float_of_int v;
+        finish = float_of_int (v + 1); resource = Table.Node 0 })
+
+(* Finished tables with duplicated, re-timed and re-guarded entries, as
+   the corrupted tables of [test_sim] and [test_symbolic] are built. *)
+let corrupted_tables =
+  lazy
+    (List.map
+       (fun (seed, n, k) ->
+         Conditional.schedule
+           (Ftcpg.build (Helpers.random_problem ~processes:n ~nodes:2 ~k ~seed ())))
+       [ (3, 6, 2); (11, 8, 2); (29, 5, 3) ]
+    @ [ Conditional.schedule (Lazy.force fig5_ftcpg) ])
+
+let corrupted_entries rs =
+  let tables = Lazy.force corrupted_tables in
+  let t = List.nth tables (Random.State.int rs (List.length tables)) in
+  let es = Array.of_list t.Table.entries in
+  let extra =
+    List.init
+      (1 + Random.State.int rs 6)
+      (fun _ ->
+        let e = es.(Random.State.int rs (Array.length es)) in
+        match Random.State.int rs 3 with
+        | 0 -> e
+        | 1 -> { e with Table.start = e.Table.start +. 1.; finish = e.Table.finish +. 1. }
+        | _ ->
+            let other = es.(Random.State.int rs (Array.length es)) in
+            { e with Table.guard = other.Table.guard })
+  in
+  List.fold_left
+    (fun acc e ->
+      let i = Random.State.int rs (List.length acc + 1) in
+      List.filteri (fun j _ -> j < i) acc @ (e :: List.filteri (fun j _ -> j >= i) acc))
+    t.Table.entries extra
+
+let assembly_props =
+  let agree name ?(count = 300) gen =
+    Helpers.qtest ~count name
+      (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+      (fun seed ->
+        let entries = gen (Random.State.make [| seed |]) in
+        assemble entries = Table_oracle.make entries)
+  in
+  [
+    agree "matches oracle: DFS tracks, raw" (dfs_entries ~once:false);
+    agree "matches oracle: DFS tracks, once-emitted" (dfs_entries ~once:true);
+    agree "matches oracle: arbitrary guards" arbitrary_entries;
+    agree ~count:100 "matches oracle: corrupted tables" corrupted_entries;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Slack estimator                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -767,6 +946,14 @@ let () =
             test_incremental_matches_reference_fig5;
         ]
         @ sched_props );
+      ( "table assembly",
+        [
+          Alcotest.test_case "complementary literals only" `Quick
+            test_assembly_complementary_only;
+          Alcotest.test_case "non-confluent slot (pinned order)" `Quick
+            test_assembly_non_confluent;
+        ]
+        @ assembly_props );
       ( "slack",
         [
           Alcotest.test_case "fig5" `Quick test_slack_fig5;

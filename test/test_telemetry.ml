@@ -146,8 +146,27 @@ let test_span_well_formedness () =
           "synthesize"; "strategy.MXR"; "strategy.nft-baseline";
           "tabu.optimize"; "tabu.iter"; "descent.policy_sweep";
           "synthesize.tables"; "ftcpg.build"; "sched.conditional";
-          "synthesize.estimate"; "sim.validate";
-        ])
+          "sched.fix_iter"; "sched.table.assemble"; "synthesize.estimate";
+          "sim.validate";
+        ];
+      (* Assembly is its own span inside the conditional scheduler, a
+         sibling of the DFS walk ([sched.fix_iter]). *)
+      let evs = List.concat_map snd dump in
+      let name_of id =
+        List.find_map
+          (function
+            | Telemetry.Begin b when b.id = id -> Some b.name
+            | Telemetry.Begin _ | Telemetry.End _ -> None)
+          evs
+      in
+      List.iter
+        (function
+          | Telemetry.Begin b when b.name = "sched.table.assemble" ->
+              Alcotest.(check (option string))
+                "assembly nests in sched.conditional" (Some "sched.conditional")
+                (name_of b.parent)
+          | Telemetry.Begin _ | Telemetry.End _ -> ())
+        evs)
 
 let test_exception_closes_span () =
   recording (fun () ->
