@@ -946,7 +946,7 @@ let () =
             test_incremental_matches_reference_fig5;
         ]
         @ sched_props );
-      ( "table assembly",
+      ( "table",
         [
           Alcotest.test_case "complementary literals only" `Quick
             test_assembly_complementary_only;
