@@ -421,11 +421,18 @@ let run_sched_bench () =
       List.iter
         (fun j ->
           let t0 = Unix.gettimeofday () in
-          let table, assemble =
-            with_span_seconds "sched.table.assemble" (fun () ->
-                Ftes_sched.Conditional.schedule ~jobs:j f)
-          in
+          let table = Ftes_sched.Conditional.schedule ~jobs:j f in
           let wall = Unix.gettimeofday () -. t0 in
+          (* Assembly is read from further, traced calls: recording
+             slows the walk, so it stays out of [wall]. The least of
+             three drops a collection or preemption that lands in one. *)
+          let assemble =
+            List.fold_left Float.min infinity
+              (List.init 3 (fun _ ->
+                   snd
+                     (with_span_seconds "sched.table.assemble" (fun () ->
+                          Ftes_sched.Conditional.schedule ~jobs:j f))))
+          in
           let identical = digest table = ref_digest in
           let speedup = wall_ref /. Float.max wall 1e-9 in
           Printf.printf

@@ -44,9 +44,6 @@ let conjoin = merge
 
 let compatible g1 g2 = conjoin g1 g2 <> None
 
-let intersect g1 g2 =
-  List.filter (fun l1 -> List.exists (fun l2 -> l1 = l2) g2) g1
-
 let rec remove g cond =
   match g with
   | [] -> []

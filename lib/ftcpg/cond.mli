@@ -40,13 +40,10 @@ val compatible : guard -> guard -> bool
 val conjoin : guard -> guard -> guard option
 (** Conjunction; [None] if incompatible. *)
 
-val intersect : guard -> guard -> guard
-(** Literals common to both guards — the most specific guard implied by
-    both. *)
-
 val remove : guard -> int -> guard
 (** The guard without its literal on a condition (the guard itself when
-    it does not mention the condition). *)
+    it does not mention the condition). The result shares the tail
+    after the removed literal. *)
 
 val implies : guard -> guard -> bool
 (** [implies g1 g2] when every scenario satisfying [g1] satisfies [g2],

@@ -124,7 +124,7 @@ let perturb ~rng problem pid =
       Problem.with_policies p p.Problem.policies
         (Mapping.remap p.Problem.mapping ~pid ~copy:0 ~nid)
 
-let optimize ?(memo = true) opts problem =
+let optimize opts problem =
   let rng = Rng.create opts.seed in
   let objective p =
     match opts.cache with
@@ -143,25 +143,19 @@ let optimize ?(memo = true) opts problem =
      identifies the design. *)
   let diagnosed = Hashtbl.create 8 in
   let diagnose p =
-    let run () =
-      diagnostic_targets ~max_vertices:opts.diag_max_vertices
-        ~max_violations:opts.diag_max_violations p
-    in
-    if not memo then begin
-      Telemetry.incr c_diagnoses;
-      run ()
-    end
-    else
-      let key = Evalcache.signature p in
-      match Hashtbl.find_opt diagnosed key with
-      | Some targets ->
-          Telemetry.incr c_diagnosis_reuses;
-          targets
-      | None ->
-          Telemetry.incr c_diagnoses;
-          let targets = run () in
-          Hashtbl.add diagnosed key targets;
-          targets
+    let key = Evalcache.signature p in
+    match Hashtbl.find_opt diagnosed key with
+    | Some targets ->
+        Telemetry.incr c_diagnosis_reuses;
+        targets
+    | None ->
+        Telemetry.incr c_diagnoses;
+        let targets =
+          diagnostic_targets ~max_vertices:opts.diag_max_vertices
+            ~max_violations:opts.diag_max_violations p
+        in
+        Hashtbl.add diagnosed key targets;
+        targets
   in
   let best = ref problem in
   let best_len = ref (objective problem) in

@@ -34,16 +34,11 @@ type options = {
 val default_options : options
 
 val optimize :
-  ?memo:bool ->
-  options ->
-  Ftes_ftcpg.Problem.t ->
-  Ftes_ftcpg.Problem.t * float
+  options -> Ftes_ftcpg.Problem.t -> Ftes_ftcpg.Problem.t * float
 (** Best design found and its estimated fault-tolerant schedule length.
-    Deterministic for fixed options when [exchange] is off. [memo]
-    (default [true]) remembers {!diagnostic_targets} per design
-    signature for the run; the targets are a pure function of the
-    design, so the result is the same either way ([false] is for the
-    tests). *)
+    Deterministic for fixed options when [exchange] is off. Within one
+    run, {!diagnostic_targets} is computed once per design signature
+    and reused. *)
 
 val diagnostic_targets :
   ?max_vertices:int ->

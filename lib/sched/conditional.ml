@@ -1045,7 +1045,9 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       if Telemetry.enabled () then begin
         Telemetry.set_gauge "sched.tracks"
           (float_of_int (List.length tracks));
-        Telemetry.set_gauge "sched.entries"
+        (* Distinct commits; [schedule_reference]'s [sched.entries]
+           counts every track's copy of its shared prefix. *)
+        Telemetry.set_gauge "sched.commits"
           (float_of_int (List.length entries))
       end;
       Telemetry.with_span ~cat:"sched" "sched.table.assemble" (fun () ->

@@ -56,10 +56,6 @@ type gnode = {
   hash : int;
   bloom : int;  (* [bit] of every literal *)
   mutable alive : bool;
-  mutable links : (int * gnode) list;
-      (* Guards found one complementary flip away, with the position of
-         the flipped literal (the same position on both sides). *)
-  mutable partners : int;  (* live ones among [links] *)
 }
 
 (* The subset pre-filter: one of 62 bits per literal. *)
@@ -72,12 +68,9 @@ let gnode_of_codes literals codes =
       hash := !hash + mix c;
       bloom := !bloom lor bit c)
     codes;
-  { literals; codes; hash = !hash; bloom = !bloom; alive = false; links = []; partners = 0 }
+  { literals; codes; hash = !hash; bloom = !bloom; alive = false }
 
-let gnode literals =
-  let codes = Array.make (Cond.size literals) 0 in
-  List.iteri (fun i l -> codes.(i) <- code l) (Cond.literals literals);
-  gnode_of_codes literals codes
+let gnode g = gnode_of_codes g (Array.of_list (List.map code (Cond.literals g)))
 
 let rec compare_from a b i =
   let la = Array.length a and lb = Array.length b in
@@ -110,22 +103,13 @@ let rec flipped_from a i b j =
   j = Array.length a
   || (b.(j) = (if j = i then a.(j) lxor 1 else a.(j)) && flipped_from a i b (j + 1))
 
-(* Marks an empty cell of the flip index; never mutated. *)
-let vacant =
-  { literals = Cond.true_; codes = [||]; hash = 0; bloom = 0; alive = false; links = [];
-    partners = 0 }
+(* Guard hashes are mixed already. *)
+module Index = Hashtbl.Make (struct
+  type t = int
 
-(* Open-addressing lookup from cell [j] on: the first vacant cell, or
-   the live guard hashed [h] that is [codes] with literal [i] flipped. *)
-let rec probe cells mask codes i h j =
-  let q = cells.(j) in
-  if
-    q == vacant
-    || q.alive && q.hash = h
-       && Array.length q.codes = Array.length codes
-       && flipped_from codes i q.codes 0
-  then q
-  else probe cells mask codes i h ((j + 1) land mask)
+  let equal = Int.equal
+  let hash h = h land max_int
+end)
 
 (* The guards one slot keeps, ascending. *)
 let collapse = function
@@ -133,55 +117,45 @@ let collapse = function
   | guards ->
       let by_codes a b = compare_codes a.codes b.codes in
       let live = ref (List.sort_uniq by_codes (List.map gnode guards)) in
-      (* Flip index: open addressing on the guard hash. A merge adds one
-         guard and retires at least two, so fewer than [2 n] guards are
-         ever inserted and the load stays below 1/4. Retired guards stay
-         in their cells and are skipped. *)
-      let cells =
-        let n = List.length !live in
-        let rec pow2 c = if c >= 8 * n then c else pow2 (2 * c) in
-        Array.make (pow2 16) vacant
-      in
-      let mask = Array.length cells - 1 in
-      (* The live guard that is [n] with literal [i] flipped, or [vacant]. *)
-      let partner n i =
+      (* Flip index from guard hash to the guards ever live; retired
+         ones stay and are skipped. *)
+      let index = Index.create (2 * List.length !live) in
+      (* Some live guard is [n] with literal [i] flipped. *)
+      let has_partner n i =
         let c = n.codes.(i) in
         let h = n.hash - mix c + mix (c lxor 1) in
-        probe cells mask n.codes i h (h land mask)
+        List.exists
+          (fun q ->
+            q.alive
+            && Array.length q.codes = Array.length n.codes
+            && flipped_from n.codes i q.codes 0)
+          (Index.find_all index h)
       in
       let add n =
-        for i = 0 to Array.length n.codes - 1 do
-          let q = partner n i in
-          if q != vacant then begin
-            q.links <- (i, n) :: q.links;
-            q.partners <- q.partners + 1;
-            n.links <- (i, q) :: n.links;
-            n.partners <- n.partners + 1
-          end
-        done;
         n.alive <- true;
-        let rec put j =
-          if cells.(j) == vacant then cells.(j) <- n else put ((j + 1) land mask)
-        in
-        put (n.hash land mask)
-      in
-      let kill n =
-        n.alive <- false;
-        List.iter (fun (_, q) -> if q.alive then q.partners <- q.partners - 1) n.links
+        Index.add index n.hash n
       in
       List.iter add !live;
-      (* Position of the least partner of [g]. Every partner sorts after
-         [g] (the least guard with a partner), so each one flips a
-         no-fault literal of [g] to a fault; of two such flips, the one
-         at the later position keeps the smaller code longer and sorts
-         first. *)
-      let least_partner g =
-        List.fold_left (fun acc (i, q) -> if q.alive then max acc i else acc) (-1) g.links
+      (* Position of the least partner of [n], if it has one. Scanning
+         in order, the first guard with a partner is the least such
+         guard, so every partner sorts after it and flips a no-fault
+         literal of it to a fault; of two such flips, the one at the
+         later position keeps the smaller code longer and sorts first. *)
+      let rec least_partner n i =
+        if i < 0 then None
+        else if has_partner n i then Some i
+        else least_partner n (i - 1)
       in
       let rec step () =
-        match List.find_opt (fun n -> n.partners > 0) !live with
-        | Some g ->
-            let i = least_partner g in
+        match
+          List.find_map
+            (fun n ->
+              Option.map (fun i -> (n, i)) (least_partner n (Array.length n.codes - 1)))
+            !live
+        with
+        | Some (g, i) ->
+            (* [Cond.remove] shares the guard's tail: merged guards are
+               what the table keeps. *)
             let merged =
               gnode_of_codes
                 (Cond.remove g.literals (g.codes.(i) lsr 1))
@@ -190,7 +164,7 @@ let collapse = function
                    (fun j -> g.codes.(if j < i then j else j + 1)))
             in
             let implied, kept = List.partition (fun h -> implies h merged) !live in
-            List.iter kill implied;
+            List.iter (fun h -> h.alive <- false) implied;
             add merged;
             let rec insert = function
               | h :: rest when by_codes h merged < 0 -> h :: insert rest
@@ -200,12 +174,12 @@ let collapse = function
             step ()
         | None ->
             let gs = !live in
-            let subsumed =
-              List.filter (fun h -> List.exists (fun h' -> h' != h && implies h h') gs) gs
+            let subsumed, kept =
+              List.partition (fun h -> List.exists (fun h' -> h' != h && implies h h') gs) gs
             in
             if subsumed <> [] then begin
-              List.iter kill subsumed;
-              live := List.filter (fun h -> h.alive) gs;
+              List.iter (fun h -> h.alive <- false) subsumed;
+              live := kept;
               step ()
             end
       in

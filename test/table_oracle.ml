@@ -10,6 +10,12 @@
 module Cond = Ftes_ftcpg.Cond
 module Table = Ftes_sched.Table
 
+(* Literals common to both guards — the most specific guard implied by
+   both. *)
+let intersect g1 g2 =
+  let common = List.filter (fun l -> List.mem l (Cond.literals g2)) (Cond.literals g1) in
+  Option.get (Cond.of_literals common)
+
 (* Two guards resolve when they differ in exactly one complementary
    literal: the union of their scenario sets is exactly the common
    rest. Anything weaker (e.g. plain intersection) would let an entry
@@ -19,7 +25,7 @@ module Table = Ftes_sched.Table
    contradict each other ([A&c] and [A&d] are compatible and stay
    apart). *)
 let resolve g1 g2 =
-  let c = Cond.intersect g1 g2 in
+  let c = intersect g1 g2 in
   if
     Cond.size g1 = Cond.size g2
     && Cond.size c = Cond.size g1 - 1

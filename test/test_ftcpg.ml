@@ -94,7 +94,7 @@ let cond_props =
       (fun (a, b) ->
         match (a, b) with
         | Some a, Some b ->
-            let c = Cond.intersect a b in
+            let c = Table_oracle.intersect a b in
             Cond.implies a c && Cond.implies b c
         | _ -> true);
     Helpers.qtest "fault_count bounded by size" small_guard (fun a ->

@@ -11,6 +11,7 @@ module Tabu = Ftes_optim.Tabu
 module Strategy = Ftes_optim.Strategy
 module Evalcache = Ftes_optim.Evalcache
 module Problem = Ftes_ftcpg.Problem
+module Mapping = Ftes_ftcpg.Mapping
 module Slack = Ftes_sched.Slack
 module Graph = Ftes_app.Graph
 module Events = Ftes_util.Events
@@ -238,42 +239,86 @@ let test_diagnostic_targets () =
   Alcotest.(check bool) "slack targets non-empty" true
     (Lns.slack_targets p <> [])
 
-(* Diagnoses memoized per design signature within one run must not
-   change the search: same best design, bit-identical length — on clean
-   designs (diagnoses return nothing) and on a design whose local
-   deadline fails everywhere (diagnoses name targets). *)
-let test_lns_memo_transparent () =
-  let reuses = Ftes_util.Telemetry.counter "lns.diagnosis_reuses" in
-  let reused = ref 0 in
-  let same label p =
-    Ftes_util.Telemetry.reset ();
-    Ftes_util.Telemetry.enable ();
-    let a, la =
-      Fun.protect ~finally:Ftes_util.Telemetry.disable (fun () ->
-          Lns.optimize lns_opts p)
-    in
-    reused := !reused + Ftes_util.Telemetry.counter_value reuses;
-    let b, lb = Lns.optimize ~memo:false lns_opts p in
-    Alcotest.(check string) (label ^ ": same design") (Evalcache.signature a)
-      (Evalcache.signature b);
-    Alcotest.(check bool) (label ^ ": same length") true (Float.equal la lb)
+(* [optimize] memoizes diagnoses by [Evalcache.signature], which is
+   sound when the targets depend on nothing else: two separately built
+   designs with one signature get the same targets, on a design whose
+   local deadline fails everywhere (targets named) and on a clean one. *)
+let test_diagnosis_by_signature () =
+  let rebuilt (p : Problem.t) =
+    (* A fresh mapping value with the same placement. *)
+    let nid = Mapping.node_of p.Problem.mapping ~pid:0 ~copy:0 in
+    let away = Mapping.remap p.Problem.mapping ~pid:0 ~copy:0 ~nid:(1 - nid) in
+    Problem.make ~app:p.Problem.app ~arch:p.Problem.arch ~wcet:p.Problem.wcet
+      ~k:p.Problem.k ~policies:(Array.copy p.Problem.policies)
+      ~mapping:(Mapping.remap away ~pid:0 ~copy:0 ~nid)
   in
-  List.iter
-    (fun seed ->
-      same (Printf.sprintf "seed %d" seed)
-        (Helpers.random_problem ~frozen:false ~mixed_policies:false
-           ~processes:8 ~nodes:2 ~k:2 ~seed ()))
-    [ 3; 9; 21 ];
+  let clean =
+    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:8
+      ~nodes:2 ~k:2 ~seed:3 ()
+  in
   let p =
     Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
       ~nodes:2 ~k:2 ~seed:17 ()
   in
   let sink = List.hd (Graph.sinks (Problem.graph p)) in
-  same "failing local deadline"
+  let failing =
+    Problem.make
+      ~app:(with_local_deadline p.Problem.app sink 1e-3)
+      ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
+      ~policies:p.Problem.policies ~mapping:p.Problem.mapping
+  in
+  List.iter
+    (fun (label, p, named) ->
+      let q = rebuilt p in
+      Alcotest.(check string) (label ^ ": one signature") (Evalcache.signature p)
+        (Evalcache.signature q);
+      let targets = Lns.diagnostic_targets p in
+      Alcotest.(check bool) (label ^ ": targets named") named (targets <> []);
+      Alcotest.(check (list int)) (label ^ ": same targets") targets
+        (Lns.diagnostic_targets q))
+    [ ("clean", clean, false); ("failing local deadline", failing, true) ]
+
+(* The memoized search returns what the search without the memo
+   returned: length (bit for bit) and a digest of the design signature,
+   pinned from a build that diagnosed every visit. Some diagnosis must
+   have been reused. *)
+let test_lns_memo_pinned () =
+  let reuses = Ftes_util.Telemetry.counter "lns.diagnosis_reuses" in
+  let reused = ref 0 in
+  let pinned label p (len, digest) =
+    Ftes_util.Telemetry.reset ();
+    Ftes_util.Telemetry.enable ();
+    let best, l =
+      Fun.protect ~finally:Ftes_util.Telemetry.disable (fun () ->
+          Lns.optimize lns_opts p)
+    in
+    reused := !reused + Ftes_util.Telemetry.counter_value reuses;
+    Alcotest.(check string) (label ^ ": length") len (Printf.sprintf "%h" l);
+    Alcotest.(check string) (label ^ ": design") digest
+      (Digest.to_hex (Digest.string (Evalcache.signature best)))
+  in
+  List.iter
+    (fun (seed, expected) ->
+      pinned (Printf.sprintf "seed %d" seed)
+        (Helpers.random_problem ~frozen:false ~mixed_policies:false
+           ~processes:8 ~nodes:2 ~k:2 ~seed ())
+        expected)
+    [
+      (3, ("0x1.e163d18662b13p+8", "c128087ee3459673c4d851020f1ea002"));
+      (9, ("0x1.965efe6875763p+8", "9d96938fbf9b3b7355df5aff0352ee07"));
+      (21, ("0x1.ba90d260c7044p+8", "57877b7c04bd2b7607f1d7c5f55cabe9"));
+    ];
+  let p =
+    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
+      ~nodes:2 ~k:2 ~seed:17 ()
+  in
+  let sink = List.hd (Graph.sinks (Problem.graph p)) in
+  pinned "failing local deadline"
     (Problem.make
        ~app:(with_local_deadline p.Problem.app sink 1e-3)
        ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
-       ~policies:p.Problem.policies ~mapping:p.Problem.mapping);
+       ~policies:p.Problem.policies ~mapping:p.Problem.mapping)
+    ("0x1.9240f9fbcedf2p+8", "10b835df1ac85639b33dad6290f57821");
   Alcotest.(check bool) "some diagnosis was reused" true (!reused > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -399,8 +444,10 @@ let () =
             test_lns_improves_or_holds;
           Alcotest.test_case "diagnostic targets" `Quick
             test_diagnostic_targets;
-          Alcotest.test_case "memoized diagnoses change nothing" `Slow
-            test_lns_memo_transparent;
+          Alcotest.test_case "diagnoses depend only on the signature"
+            `Quick test_diagnosis_by_signature;
+          Alcotest.test_case "memoized search matches pinned results" `Slow
+            test_lns_memo_pinned;
         ] );
       ( "anytime mode",
         [
