@@ -470,32 +470,55 @@ let experiment which quick =
   let timings rows =
     List.iter (fun (l, v) -> Format.printf "  %-50s %8.1f ms@." l v) rows
   in
+  (* A sweep as its table followed by an ASCII chart of the curves. *)
+  let series ~y_label (s : E.series) =
+    Format.printf "%a@." E.pp_series s;
+    print_string
+      (Ftes_util.Chart.render_chart ~y_label ~x_label:s.E.x_label ~xs:s.E.xs
+         ~series:s.E.curves ())
+  in
+  (* Full mode runs 3 seeds per point, the count EXPERIMENTS.md
+     reports. *)
+  let sweep_seeds = if quick then 2 else 3 in
   match which with
   | "fig1" -> timings (E.fig1 ())
   | "fig2" -> timings (E.fig2 ())
   | "fig4" -> timings (E.fig4 ())
-  | "fig5" -> Format.printf "%a@." Ftes_ftcpg.Ftcpg.pp (E.fig5 ())
+  | "fig5" ->
+      let f = E.fig5 () in
+      Format.printf "%a@." Ftes_ftcpg.Ftcpg.pp f;
+      let g = Ftes_ftcpg.Problem.graph (Ftes_ftcpg.Ftcpg.problem f) in
+      for pid = 0 to Ftes_app.Graph.process_count g - 1 do
+        Format.printf "  %s: %d copies@."
+          (Ftes_app.Graph.process g pid).Ftes_app.Graph.pname
+          (List.length (Ftes_ftcpg.Ftcpg.proc_copies f ~pid))
+      done;
+      Format.printf "  paper Fig. 5b: P1 3 copies, P2 6, P3 3 (+P3^S), P4 6@."
   | "fig6" ->
       let t = E.fig6 () in
       Format.printf "%a@.@.%a@." Ftes_sched.Table.pp t
         (Ftes_sched.Table.pp_matrix ~max_columns:24)
-        t
+        t;
+      Format.printf "fault-injection validation: %s@."
+        (match Ftes_sim.Sim.validate_messages t with
+        | [] ->
+            Printf.sprintf "OK (all %d scenarios)"
+              (Ftes_ftcpg.Ftcpg.scenario_count t.Ftes_sched.Table.ftcpg)
+        | violations -> String.concat "; " violations)
   | "fig7" ->
-      let seeds = if quick then 2 else 5 in
       let sizes = if quick then [ 20; 40 ] else [ 20; 40; 60; 80; 100 ] in
-      let s = E.fig7 ~seeds_per_point:seeds ~sizes () in
-      Format.printf "%a@." E.pp_series s
+      series ~y_label:"avg % deviation"
+        (E.fig7 ~seeds_per_point:sweep_seeds ~sizes ())
   | "fig8" ->
-      let seeds = if quick then 2 else 5 in
       let sizes = if quick then [ 40; 60 ] else [ 40; 60; 80; 100 ] in
-      let s = E.fig8 ~seeds_per_point:seeds ~sizes () in
-      Format.printf "%a@." E.pp_series s
+      series ~y_label:"avg % deviation"
+        (E.fig8 ~seeds_per_point:sweep_seeds ~sizes ())
   | "ablation" ->
-      let s = E.transparency_tradeoff ~seeds:(if quick then 2 else 5) () in
-      Format.printf "%a@." E.pp_series s
+      series ~y_label:"% of non-transparent"
+        (E.transparency_tradeoff ~seeds:(if quick then 2 else 5) ())
   | "soft" ->
-      let s = E.soft_utility_vs_k ~seeds:(if quick then 2 else 5) () in
-      Format.printf "%a@." E.pp_series s
+      series ~y_label:"% of utility bound"
+        (E.soft_utility_vs_k ~seeds:(if quick then 2 else 5) ())
   | "diagnose" ->
       let table, report = E.diagnostics_demo () in
       Format.printf

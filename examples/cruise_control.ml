@@ -47,10 +47,14 @@ let () =
       Format.printf "@.%a@." Ftes_sched.Table.pp table;
       (* Show one recovery in action: the worst double-fault trace. *)
       let ftcpg = Option.get result.Ftes_core.Synthesis.ftcpg in
+      let space = Ftes_ftcpg.Ftcpg.scenario_space ftcpg in
       let scenarios =
-        List.filter
-          (fun s -> Ftes_ftcpg.Cond.fault_count s = 2)
-          (Ftes_ftcpg.Ftcpg.scenarios ftcpg)
+        List.filter_map
+          (fun i ->
+            if Ftes_ftcpg.Condvec.fault_count space i = 2 then
+              Some (Ftes_ftcpg.Condvec.guard_at space i)
+            else None)
+          (List.init (Ftes_ftcpg.Condvec.count space) Fun.id)
       in
       let worst =
         List.fold_left

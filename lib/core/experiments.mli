@@ -1,8 +1,8 @@
 (** Reproduction drivers for every figure of the paper (see DESIGN.md's
     experiment index). Figures 1–6 are the worked examples with concrete
-    artifacts; Figures 7 and 8 are the evaluation sweeps. The benchmark
-    harness ([bench/main.exe]) prints their outputs; tests assert their
-    structural properties. *)
+    artifacts; Figures 7 and 8 are the evaluation sweeps. [ftes
+    experiment] prints their outputs; tests assert their structural
+    properties. *)
 
 type series = {
   x_label : string;

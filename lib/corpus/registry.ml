@@ -219,8 +219,8 @@ let soft_block () =
    process and message frozen), compiled to static tables and validated
    with the symbolic scenario-family backend. The small-k ones stay
    cross-checkable against explicit validation (pinned by the test
-   suite and the bench); at k >= 6 the explicit arena is out of reach
-   and the symbolic backend provides the only full-coverage check. *)
+   suite); at k >= 6 the explicit arena is out of reach and the
+   symbolic backend provides the only full-coverage check. *)
 let symbolic_block () =
   let idx = ref 0 in
   List.concat_map

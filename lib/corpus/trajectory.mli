@@ -1,11 +1,10 @@
 (** Cross-commit trajectory store: an append-only JSONL history of
     per-instance quality/runtime results.
 
-    The corpus manifest gates a {e single} run against pinned digests;
-    BENCH_PRn.json files are disconnected snapshots. This store is the
-    connective tissue: every corpus run and bench invocation can append
-    one line per instance — keyed by (commit, instance id, schema
-    version) — to [corpus/trajectory.jsonl], and [ftes corpus trend]
+    The corpus manifest gates a {e single} run against pinned digests.
+    This store is the connective tissue between runs: every corpus run
+    can append one line per instance — keyed by (commit, instance id,
+    schema version) — to [corpus/trajectory.jsonl], and [ftes corpus trend]
     compares the most recent window per instance, exiting non-zero on
     runtime or quality regressions beyond a tolerance band.
 
@@ -18,7 +17,7 @@
 type entry = {
   commit : string;  (** Git commit id, or ["unknown"]. *)
   schema : int;  (** {!schema_version} at write time. *)
-  id : string;  (** Corpus instance id or ["bench:<section>"] key. *)
+  id : string;  (** Corpus instance id. *)
   ok : bool;
   length : float;  (** Quality: schedule length (or section metric). *)
   wall_ms : float;  (** Runtime. *)

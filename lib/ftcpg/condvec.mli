@@ -8,8 +8,8 @@
     allocating nothing but chasing list spines all over the heap. On an
     OCaml 5 domain pool that pointer churn (and the allocation of the
     scenario lists themselves) serializes workers behind the shared
-    major heap and stop-the-world minor collections, which is exactly
-    the flat [--jobs] scaling recorded in BENCH_PR5.
+    major heap and stop-the-world minor collections, which kept
+    validation throughput flat across [--jobs] values.
 
     This module fixes the representation. A {e universe} enumerates the
     conditional vertices of one FT-CPG; against it, a guard or scenario

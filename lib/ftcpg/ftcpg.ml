@@ -301,12 +301,10 @@ let cond_name t vid = "F" ^ (vertex t vid).name
 
 (* Scenario enumeration works directly on packed condition vectors: the
    DFS below mirrors the historical list-of-guards recursion (fault
-   branch expanded before the no-fault branch, so the packed rows and
-   the unpacked list come out in the exact same order), but each
-   scenario is 31 conditions per int word in one flat arena instead of
-   a freshly allocated literal list. Exhaustive validation iterates the
-   arena in place; the legacy {!scenarios} list is a thin unpacking
-   view over it. *)
+   branch expanded before the no-fault branch), but each scenario is 31
+   conditions per int word in one flat arena instead of a freshly
+   allocated literal list. Exhaustive validation iterates the arena in
+   place; [Condvec.guard_at] unpacks a single row. *)
 type family = {
   funiverse : Condvec.universe;
   fguards : Condvec.guard array;
@@ -352,13 +350,6 @@ let scenario_space t =
   Condvec.freeze s
 
 let scenario_count t = Condvec.count (scenario_space t)
-
-let scenarios t =
-  let sp = scenario_space t in
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) (Condvec.guard_at sp i :: acc)
-  in
-  build (Condvec.count sp - 1) []
 
 let scenario_fault_count = Cond.fault_count
 

@@ -108,19 +108,14 @@ val scenario_family : t -> family
 
 val scenario_space : t -> Condvec.space
 (** All complete fault scenarios, enumerated into a packed flat arena
-    (see {!Condvec}). Row order is the historical {!scenarios} order:
-    depth-first over conditional vertices in ascending id, fault branch
-    before no-fault branch. This is the representation exhaustive
-    validation iterates; {!scenarios} is an unpacking view over it. *)
+    (see {!Condvec}). Every row assigns an outcome to every conditional
+    vertex it reaches, with at most [k] faults. Row order is depth-first
+    over conditional vertices in ascending id, fault branch before
+    no-fault branch. Exponential — intended for validation on moderate
+    instances; {!Condvec.guard_at} unpacks one row to a guard. *)
 
 val scenario_count : t -> int
 (** [Condvec.count (scenario_space t)]. *)
-
-val scenarios : t -> Cond.guard list
-(** All complete fault scenarios: every guard assigns an outcome to
-    every conditional vertex it reaches. Their fault counts never
-    exceed [k]. Exponential — intended for validation on moderate
-    instances. Unpacked from {!scenario_space} in the same order. *)
 
 val scenario_fault_count : Cond.guard -> int
 (** Faults consumed by a scenario. *)

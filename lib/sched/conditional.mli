@@ -51,11 +51,7 @@ val schedule : ?params:params -> ?jobs:int -> Ftes_ftcpg.Ftcpg.t -> Table.t
     copy-on-write timeline array, and — for [jobs > 1] — parallel
     exploration of independent fault/no-fault subtrees on the
     {!Ftes_util.Par} pool with a deterministic depth-first merge. The
-    produced table is byte-identical for every [jobs] value and to
-    {!schedule_reference}. [jobs] defaults to 1 (sequential). *)
-
-val schedule_reference : ?params:params -> Ftes_ftcpg.Ftcpg.t -> Table.t
-(** Direct transcription of the paper's algorithm (full vertex rescan
-    per commit, timeline array copied per commit, sequential branch
-    exploration). Kept as the digest oracle for {!schedule} and as the
-    baseline of the scheduler-scaling bench. *)
+    produced table is byte-identical for every [jobs] value and to the
+    direct transcription of the paper's algorithm that the tests keep as
+    its digest oracle ([test/conditional_oracle.ml]). [jobs] defaults to
+    1 (sequential). *)

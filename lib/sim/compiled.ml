@@ -3,7 +3,8 @@
    compiled.mli for the representation story; the checks and their
    emission order in [replay_one] mirror [Sim.run] exactly, so the
    violation list (values, order, rendered messages) is byte-identical
-   to the legacy path. *)
+   to one [Sim.run] per scenario — the composition the tests keep as
+   their oracle ([Sim_oracle.validate]). *)
 
 module Cond = Ftes_ftcpg.Cond
 module Condvec = Ftes_ftcpg.Condvec

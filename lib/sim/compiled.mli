@@ -15,7 +15,9 @@
 
     The checks of {!replay_one} and their emission order mirror
     [Sim.run] exactly; the violation list (values, order, rendered
-    messages) is byte-identical to the legacy explicit path. *)
+    messages) is byte-identical to one [Sim.run] per scenario, the
+    composition the tests keep as their oracle
+    ([test/sim_oracle.ml]). *)
 
 type centry = {
   c_guard : Ftes_ftcpg.Condvec.guard;
@@ -69,7 +71,7 @@ val make_scratch : t -> scratch
 
 val replay_one :
   t -> Ftes_ftcpg.Condvec.space -> int -> scratch -> Violation.t list
-(** Replay scenario [i] of the space; violations in the legacy
+(** Replay scenario [i] of the space; violations in [Sim.run]'s
     emission order. *)
 
 val replay_range :

@@ -339,13 +339,13 @@ let frozen_start_violations table =
    what lets the domain pool actually scale: the legacy per-scenario
    path allocated guard lists, trace events and hashtable nodes on
    every replay, serializing workers behind the shared major heap and
-   minor-GC stop-the-world pauses — the flat --jobs curve recorded in
-   BENCH_PR5.
+   minor-GC stop-the-world pauses, so the --jobs curve stayed flat.
 
    The replay checks and their emission order mirror [run] exactly, so
    the violation list (values, order, rendered messages) is
-   byte-identical to the legacy path — [validate_reference] below keeps
-   that path alive as the cross-check oracle. *)
+   byte-identical to one [run] per scenario plus the transparency check
+   — the tests keep that composition as the cross-check oracle
+   ([Sim_oracle.validate]). *)
 
 let compile = Compiled.compile
 let make_scratch = Compiled.make_scratch
@@ -512,16 +512,6 @@ let validate_sampled ?jobs ?stop_after ~rng ~samples table =
   let sampled = List.init keep (fun j -> Condvec.guard_at sp idx.(j)) in
   let chosen = List.sort_uniq Cond.compare (!no_fault @ sampled) in
   check_space ?jobs ?stop_after table (Condvec.of_guards sp.Condvec.u chosen)
-
-(* The pre-compilation explicit path, retained as a cross-check oracle:
-   the packed-equivalence tests and the bench digest-identity assertion
-   compare {!validate} against this. Bypasses the packed arena and the
-   scenario telemetry counters entirely. *)
-let validate_reference ?jobs table =
-  Ftes_util.Par.concat_map ?jobs
-    (fun s -> (run table ~scenario:s).violations)
-    (Ftcpg.scenarios table.Table.ftcpg)
-  @ frozen_start_violations table
 
 (* String-compatible wrappers: the historical API, used by the ordered-
    merge determinism tests and by log-oriented callers. *)

@@ -81,8 +81,10 @@ val validate :
     domains ([Ftes_util.Par.default_jobs ()] when omitted; [1] is the
     exact sequential code path) with per-range scratch state. The
     per-range violations are merged in scenario order, so the result is
-    byte-identical for every [jobs] value — and byte-identical to the
-    retained explicit path, {!validate_reference}.
+    byte-identical for every [jobs] value — and byte-identical to one
+    {!run} per scenario followed by {!frozen_start_violations}, the
+    composition the tests keep as their oracle
+    ([test/sim_oracle.ml]).
 
     [stop_after] enables early exit for callers that only need to know
     a table is bad (e.g. optimization loops): replay proceeds in
@@ -94,14 +96,6 @@ val validate :
     size. In symbolic mode, [stop_after] bounds refinement instead; the
     result remains [jobs]-invariant but is not a prefix of the
     explicit list (see {!mode}). *)
-
-val validate_reference : ?jobs:int -> Ftes_sched.Table.t -> Violation.t list
-(** The pre-compilation explicit validator: one {!run} per scenario of
-    the materialized {!Ftes_ftcpg.Ftcpg.scenarios} list, plus the
-    transparency check. Kept as the cross-check oracle for the packed
-    path — equivalence tests and the bench digest-identity assertion
-    pin [validate_reference t = validate t]. Slower by design; does not
-    touch the [sim.scenarios] telemetry counters. *)
 
 val validate_sampled :
   ?jobs:int ->

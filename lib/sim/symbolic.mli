@@ -19,7 +19,7 @@
     Guarantees, pinned by the test suite:
 
     - {b Verdict equivalence}: clean here iff clean under
-      {!Sim.validate} / {!Sim.validate_reference}, for every table.
+      {!Sim.validate}, for every table.
     - {b Witness soundness}: every returned violation comes from an
       explicit {!Compiled.replay_one} of a concretized witness
       scenario, so it is a genuine explicit violation (same constructor

@@ -1,5 +1,5 @@
 (** ASCII rendering for experiment output: aligned tables and simple line
-    charts, used by the benchmark harness to print the paper's figures as
+    charts, used by [ftes experiment] to print the paper's figures as
     text. *)
 
 val render_table : header:string list -> string list list -> string

@@ -207,7 +207,7 @@ let test_fig5_conditionals () =
 
 let test_fig5_scenarios () =
   let f = fig5_ftcpg () in
-  let scenarios = Ftcpg.scenarios f in
+  let scenarios = Sim_oracle.scenarios f in
   Alcotest.(check int) "scenario count" 15 (List.length scenarios);
   (* Budget respected and exactly one fault-free scenario. *)
   Alcotest.(check bool) "budget" true
@@ -317,12 +317,12 @@ let ftcpg_props =
         let k = (Ftcpg.problem f).Problem.k in
         List.for_all
           (fun s -> Ftcpg.scenario_fault_count s <= k)
-          (Ftcpg.scenarios f));
+          (Sim_oracle.scenarios f));
     Helpers.qtest ~count:60 "every vertex reachable in some scenario"
       random_ftcpg_arb
       (fun input ->
         let f = build_random input in
-        let scenarios = Ftcpg.scenarios f in
+        let scenarios = Sim_oracle.scenarios f in
         Array.for_all
           (fun v ->
             List.exists

@@ -258,7 +258,7 @@ let table_digest t =
    (including degenerate frontier cuts) and with telemetry recording. *)
 let test_incremental_matches_reference_fig5 () =
   let f = Ftcpg.build (Helpers.fig5_problem ()) in
-  let d_ref = table_digest (Conditional.schedule_reference f) in
+  let d_ref = table_digest (Conditional_oracle.schedule f) in
   Alcotest.(check string) "jobs=1" d_ref
     (table_digest (Conditional.schedule ~jobs:1 f));
   Alcotest.(check string) "jobs=4" d_ref
@@ -294,7 +294,7 @@ let sched_props =
            exercised; mixed policies exercise replication forks. *)
         let p = Helpers.random_problem ~processes:n ~nodes:2 ~k ~seed () in
         let f = Ftcpg.build p in
-        let d = table_digest (Conditional.schedule_reference f) in
+        let d = table_digest (Conditional_oracle.schedule f) in
         table_digest (Conditional.schedule f) = d
         && table_digest (Conditional.schedule ~jobs:4 f) = d);
     Helpers.qtest ~count:40 "worst-case length dominates every track" arb

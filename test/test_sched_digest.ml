@@ -30,7 +30,7 @@ let () =
     List.iter
       (fun (name, problem) ->
         let f = Ftcpg.build problem in
-        let t = Conditional.schedule_reference f in
+        let t = Conditional_oracle.schedule f in
         Printf.printf "    (%S, %S);\n%!" name (table_digest t))
       (Ftes_core.Example_suite.all ());
     exit 0
@@ -42,7 +42,7 @@ let test_example name problem () =
   Alcotest.(check string)
     (name ^ " reference")
     expected
-    (table_digest (Conditional.schedule_reference f));
+    (table_digest (Conditional_oracle.schedule f));
   List.iter
     (fun jobs ->
       Alcotest.(check string)

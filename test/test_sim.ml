@@ -21,7 +21,7 @@ let test_run_no_fault () =
   let scenario =
     List.find
       (fun s -> Cond.fault_count s = 0)
-      (Ftcpg.scenarios t.Table.ftcpg)
+      (Sim_oracle.scenarios t.Table.ftcpg)
   in
   let o = Sim.run t ~scenario in
   Alcotest.(check (list string)) "clean" []
@@ -32,7 +32,7 @@ let test_run_no_fault () =
 
 let test_run_worst_fault () =
   let t = fig5_table () in
-  let scenarios = Ftcpg.scenarios t.Table.ftcpg in
+  let scenarios = Sim_oracle.scenarios t.Table.ftcpg in
   let worst =
     List.fold_left
       (fun acc s -> max acc (Sim.run t ~scenario:s).Sim.makespan)
@@ -239,7 +239,7 @@ let test_deadline_message_byte_identical () =
   let t = tight_fig5_table () in
   let f = t.Table.ftcpg in
   let scenario =
-    List.find (fun s -> Cond.fault_count s = 0) (Ftcpg.scenarios f)
+    List.find (fun s -> Cond.fault_count s = 0) (Sim_oracle.scenarios f)
   in
   let o = Sim.run t ~scenario in
   let deadline =
@@ -311,8 +311,8 @@ let test_shrink_minimizes () =
     List.fold_left
       (fun acc s ->
         if Cond.fault_count s > Cond.fault_count acc then s else acc)
-      (List.hd (Ftcpg.scenarios t.Table.ftcpg))
-      (Ftcpg.scenarios t.Table.ftcpg)
+      (List.hd (Sim_oracle.scenarios t.Table.ftcpg))
+      (Sim_oracle.scenarios t.Table.ftcpg)
   in
   Alcotest.(check bool) "scenario fails to begin with" true
     ((Sim.run t ~scenario).Sim.violations <> []);
@@ -328,7 +328,7 @@ let test_shrink_minimizes () =
 
 let test_shrink_keeps_passing_scenario () =
   let t = fig5_table () in
-  let scenario = List.hd (Ftcpg.scenarios t.Table.ftcpg) in
+  let scenario = List.hd (Sim_oracle.scenarios t.Table.ftcpg) in
   Alcotest.(check bool) "unchanged when not failing" true
     (Cond.equal scenario (Diagnose.shrink t ~scenario))
 

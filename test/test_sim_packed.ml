@@ -1,7 +1,7 @@
 (* Equivalence tests for the packed/compiled validation pipeline.
 
    [Sim.validate] replays packed condition vectors from a flat scenario
-   arena against a pre-compiled table; [Sim.validate_reference] is the
+   arena against a pre-compiled table; [Sim_oracle.validate] is the
    retained explicit-list path. These tests pin the two byte-identical —
    violation values, order and rendered messages — across clean,
    corrupted and corpus instances, for jobs 1 and 4, plus the packed
@@ -35,7 +35,7 @@ let tight_fig5_table () =
    bit for bit — structurally and through the string renderings — for a
    sequential and a parallel pool size. *)
 let check_equivalent name t =
-  let reference = Sim.validate_reference ~jobs:1 t in
+  let reference = Sim_oracle.validate ~jobs:1 t in
   List.iter
     (fun jobs ->
       let packed = Sim.validate ~jobs t in
@@ -190,7 +190,7 @@ let test_stop_after_pool_aware_prefix () =
    arena must reproduce it draw for draw. *)
 let legacy_sampled ~seed ~samples t =
   let rng = Rng.create seed in
-  let scenarios = Ftcpg.scenarios t.Table.ftcpg in
+  let scenarios = Sim_oracle.scenarios t.Table.ftcpg in
   let no_fault = List.filter (fun s -> Cond.fault_count s = 0) scenarios in
   let sampled = Rng.sample rng samples scenarios in
   let chosen = List.sort_uniq Cond.compare (no_fault @ sampled) in
@@ -290,7 +290,7 @@ let test_condvec_out_of_universe_guard () =
 let test_scenario_space_matches_list () =
   let f = Ftcpg.build (Helpers.fig5_problem ()) in
   let sp = Ftcpg.scenario_space f in
-  let scenarios = Ftcpg.scenarios f in
+  let scenarios = Sim_oracle.scenarios f in
   Alcotest.(check int) "count" (List.length scenarios) (Condvec.count sp);
   Alcotest.(check int) "scenario_count agrees" (Condvec.count sp)
     (Ftcpg.scenario_count f);

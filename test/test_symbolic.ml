@@ -3,7 +3,7 @@
    [Symbolic.check] replays cubes of condition vectors through the same
    compiled table form the packed explicit validator uses. These tests
    pin its contract against the explicit oracles: the clean/not-clean
-   verdict is identical to [Sim.validate_reference] on every instance,
+   verdict is identical to [Sim_oracle.validate] on every instance,
    every reported violation is an explicitly confirmed witness (its
    concretized scenario replays to the same violation under [Sim.run]),
    and the result is invariant under the [jobs] pool size. The static
@@ -51,7 +51,7 @@ let check_closed_form_count name f =
    from its own witness scenario, and the result is jobs-invariant. *)
 let check_symbolic name t =
   check_closed_form_count name t.Table.ftcpg;
-  let reference = Sim.validate_reference ~jobs:1 t in
+  let reference = Sim_oracle.validate ~jobs:1 t in
   let ref_msgs = List.map Violation.to_string reference in
   let sym = Sim.validate ~jobs:1 ~mode:`Symbolic t in
   List.iter

@@ -226,7 +226,7 @@ let test_sim_scenario_counter () =
           (Ftes_ftcpg.Ftcpg.build (Helpers.fig5_problem ()))
       in
       let scenarios =
-        List.length (Ftes_ftcpg.Ftcpg.scenarios table.Ftes_sched.Table.ftcpg)
+        List.length (Sim_oracle.scenarios table.Ftes_sched.Table.ftcpg)
       in
       let violations = Ftes_sim.Sim.validate ~jobs:2 table in
       Alcotest.(check int) "fig5 tables are valid" 0 (List.length violations);

@@ -1,0 +1,196 @@
+(* Wall-clock gates: the event-stream overhead bound and the two
+   parallel speedups. They compare wall clocks, so another process on
+   the same cores skews them; `dune runtest` runs the test suites side
+   by side, and the overhead bound failed there 3 times in 10 on a
+   2-vCPU host while holding 10 times in 10 alone. They therefore live
+   in this executable, outside the `runtest` alias, and CI runs it on
+   its own:
+
+     dune exec test/timing/timing_gates.exe
+
+   The speedup gates need real cores behind the pool: below 4 cores
+   they skip with the reason printed. *)
+
+module Events = Ftes_util.Events
+module Strategy = Ftes_optim.Strategy
+module Tabu = Ftes_optim.Tabu
+module Evalcache = Ftes_optim.Evalcache
+module E = Ftes_core.Experiments
+
+let cores = Domain.recommended_domain_count ()
+
+let skip_below_4_cores () = if cores < 4 then Alcotest.skip ()
+
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* ------------------------------------------------------------------ *)
+(* Event-stream overhead: nft baseline + MXR with emission off and on  *)
+(* ------------------------------------------------------------------ *)
+
+let test_events_overhead () =
+  (* Quiesce the domain pool: even parked domains take part in every
+     stop-the-world minor collection, which roughly doubles the wall
+     time of this sequential search and drowns the effect being
+     measured. The pool re-arms on the next fan-out. *)
+  Ftes_util.Par.shutdown ();
+  let app, arch, wcet =
+    Ftes_workload.Gen.instance
+      { Ftes_workload.Gen.default with processes = 25; nodes = 3; seed = 29 }
+  in
+  let inputs = { Strategy.app; arch; wcet; k = 2 } in
+  (* Sequential: sub-second searches on a domain pool swing with host
+     scheduling far more than with the emission overhead. Sized so a
+     run takes tens of milliseconds — the per-rep noise floor on a busy
+     1-core host is a couple of milliseconds, which must stay well
+     inside the asserted bound. *)
+  let opts = { Tabu.default_options with Tabu.iterations = 120; jobs = 1 } in
+  let run_once () =
+    let nft = Strategy.nft_length ~opts inputs in
+    Strategy.run ~opts ~nft inputs Strategy.MXR
+  in
+  (* The "on" configuration is emission plus one in-process sink that
+     counts incumbents — the shape a live progress consumer has,
+     without disk I/O. *)
+  let incumbents = ref 0 in
+  let capture (e : Events.event) =
+    match e.Events.payload with
+    | Events.Incumbent _ -> incr incumbents
+    | _ -> ()
+  in
+  Events.disable ();
+  ignore (run_once ());
+  (* Paired off/on samples; the ratio of per-side minima is taken
+     below, which is robust to one-sided scheduler noise. *)
+  let reps = 7 in
+  let dropped = ref 0 in
+  let pairs =
+    List.init reps (fun _ ->
+        Events.disable ();
+        let off = time run_once in
+        incumbents := 0;
+        Events.enable ();
+        let sink = Events.add_sink capture in
+        let on = time run_once in
+        Events.drain ();
+        dropped := Events.dropped ();
+        Events.remove_sink sink;
+        (off, on))
+  in
+  Events.disable ();
+  (* Scheduler noise only ever adds time, so the minimum over reps is
+     the most stable estimate of each side's true cost — medians of
+     paired ratios swing +/-10% on a loaded single-core host, which is
+     wider than the bound being asserted. *)
+  let minimum = List.fold_left min infinity in
+  let wall_off = minimum (List.map (fun ((_, w), _) -> w) pairs) in
+  let wall_on = minimum (List.map (fun (_, (_, w)) -> w) pairs) in
+  let overhead_pct = ((wall_on /. wall_off) -. 1.) *. 100. in
+  let (off, _), (on, _) = List.hd pairs in
+  Alcotest.(check bool) "events leave the search unchanged" true
+    (off.Strategy.length = on.Strategy.length
+    && Evalcache.signature off.Strategy.problem
+       = Evalcache.signature on.Strategy.problem);
+  Alcotest.(check int) "no event dropped" 0 !dropped;
+  Alcotest.(check bool) "incumbents captured" true (!incumbents >= 1);
+  (* Well above the ~2% the stream actually costs, well below anything
+     that would signal emission on the off path or a sink doing
+     per-event work it should not. *)
+  let bound_pct = 5.0 in
+  Printf.printf "events off %.4f s, on %.4f s: overhead %+.2f%% (bound %.1f%%)\n"
+    wall_off wall_on overhead_pct bound_pct;
+  if overhead_pct > bound_pct then
+    Alcotest.failf "event overhead %+.2f%% exceeds the %.1f%% bound"
+      overhead_pct bound_pct
+
+(* ------------------------------------------------------------------ *)
+(* Packed validation: jobs=4 against jobs=1                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_validate_speedup () =
+  skip_below_4_cores ();
+  let p =
+    Ftes_workload.Gen.problem ~k:4
+      { Ftes_workload.Gen.default with processes = 10; nodes = 2; seed = 11 }
+  in
+  let table = Ftes_sched.Conditional.schedule (Ftes_ftcpg.Ftcpg.build p) in
+  let validate jobs () = Ftes_sim.Sim.validate ~jobs table in
+  (* A single pass is short; calibrate a repetition count off a jobs=1
+     warmup so each timed point aggregates ~0.25 s of work. *)
+  let _, warm = time (validate 1) in
+  let reps =
+    max 1 (min 1000 (int_of_float (Float.ceil (0.25 /. Float.max warm 1e-6))))
+  in
+  let mean_wall jobs =
+    let total = ref 0. in
+    for _ = 1 to reps do
+      total := !total +. snd (time (validate jobs))
+    done;
+    !total /. float_of_int reps
+  in
+  let w1 = mean_wall 1 in
+  let w4 = mean_wall 4 in
+  let speedup = w1 /. Float.max w4 1e-9 in
+  Printf.printf "validate jobs=1 %.5f s, jobs=4 %.5f s: speedup %.2fx (%d reps)\n"
+    w1 w4 speedup reps;
+  (* The packed validator's jobs=4 point ran >= 2.5x jobs=1 on a 4-core
+     host; 1.5x absorbs runner noise. *)
+  if speedup < 1.5 then
+    Alcotest.failf "validate jobs=4 speedup %.2fx is below 1.5x" speedup
+
+(* ------------------------------------------------------------------ *)
+(* Portfolio race against its own sequential replay                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_portfolio_speedup () =
+  (* Five members race; widen the race to the core count (up to the
+     member count) so the speedup reflects the hardware. *)
+  let jobs = max 2 (min cores 5) in
+  let races =
+    E.fig7_portfolio ~jobs ~seeds_per_point:1 ~sizes:[ 20 ]
+      ~tabu:{ Tabu.default_options with Tabu.iterations = 25 }
+      ()
+  in
+  (* Deterministic mode: the race never loses to the best member of its
+     own sequential replay. *)
+  List.iter
+    (fun (r : E.race) ->
+      Format.printf "%a@." E.pp_race r;
+      Alcotest.(check bool)
+        (Printf.sprintf "size %d seed %d: match or beat" r.E.size r.E.seed)
+        true
+        (r.E.portfolio_length <= r.E.best_single +. 1e-6))
+    races;
+  skip_below_4_cores ();
+  (* Perfect scaling of 5 members would give ~2.5x; 2x absorbs runner
+     noise. *)
+  List.iter
+    (fun (r : E.race) ->
+      if r.E.speedup < 2.0 then
+        Alcotest.failf "size %d seed %d: race speedup %.2fx is below 2.0x"
+          r.E.size r.E.seed r.E.speedup)
+    races
+
+let () =
+  if cores < 4 then
+    Printf.printf
+      "%d core(s): the speedup gates need >= 4 cores and are skipped\n%!"
+      cores;
+  Alcotest.run "timing-gates"
+    [
+      ( "overhead",
+        [
+          Alcotest.test_case "event emission within 5% (25 procs, MXR)" `Slow
+            test_events_overhead;
+        ] );
+      ( "speedup",
+        [
+          Alcotest.test_case "validate jobs=4 >= 1.5x jobs=1" `Slow
+            test_validate_speedup;
+          Alcotest.test_case "portfolio race >= 2.0x sequential replay" `Slow
+            test_portfolio_speedup;
+        ] );
+    ];
+  Ftes_util.Par.shutdown ()
