@@ -50,6 +50,18 @@ let round_length = function
   | Tdma { slot_order; slot_length; _ } ->
       float_of_int (Array.length slot_order) *. slot_length
 
+let slot_length = function
+  | Single _ -> 0.
+  | Tdma { slot_length; _ } -> slot_length
+
+let slot_offset t ~node =
+  match t with
+  | Single _ -> 0.
+  | Tdma { slot_of_node; slot_length; _ } ->
+      if node < 0 || node >= Array.length slot_of_node then
+        invalid_arg "Bus.slot_offset: unknown node";
+      float_of_int slot_of_node.(node) *. slot_length
+
 (* First occurrence of [node]'s slot starting at or after [earliest]. *)
 let slot_start_at_or_after slot_of_node slot_length round node earliest =
   let offset = float_of_int slot_of_node.(node) *. slot_length in
@@ -85,9 +97,6 @@ let next_window t ~node ~size ~earliest =
         let m = int_of_float (ceil (tx /. slot_length)) in
         let rem = tx -. (float_of_int (m - 1) *. slot_length) in
         (start, start +. (float_of_int (m - 1) *. round) +. rem)
-
-let window_after t ~node ~size ~after =
-  next_window t ~node ~size ~earliest:(after +. 1e-9)
 
 let pp ppf = function
   | Single { setup; bandwidth } ->

@@ -36,6 +36,14 @@ val tx_time : t -> size:float -> float
 val round_length : t -> float
 (** TDMA round length; 0. for a single bus. *)
 
+val slot_length : t -> float
+(** TDMA slot length; 0. for a single bus. *)
+
+val slot_offset : t -> node:int -> float
+(** Start of [node]'s slot within a TDMA round (slot index times slot
+    length), as {!next_window} computes it; 0. for a single bus.
+    @raise Invalid_argument on a node the TDMA round has no slot for. *)
+
 val next_window : t -> node:int -> size:float -> earliest:float -> float * float
 (** [(start, finish)] of the first transmission opportunity for [node]
     to send a message of [size], with [start >= earliest]. For a single
@@ -43,9 +51,5 @@ val next_window : t -> node:int -> size:float -> earliest:float -> float * float
     first occurrence of the node's slot at or after [earliest], and
     [finish] accounts for spanning several rounds when the message
     exceeds the slot payload. *)
-
-val window_after : t -> node:int -> size:float -> after:float -> float * float
-(** Like {!next_window} but with [start > after] strictly — used to step
-    past an occupied window. *)
 
 val pp : Format.formatter -> t -> unit

@@ -42,8 +42,8 @@ let fmax (a : float) b = if a >= b then a else b
 let fmin (a : float) b = if a <= b then a else b
 
 (* Downstream critical-path priorities over the application graph,
-   using average WCETs (mapping-independent, computed once). *)
-let priorities g wcet bus =
+   using average WCETs (mapping-independent). *)
+let compute_priorities g wcet bus =
   let n = Graph.process_count g in
   let prio = Array.make n 0. in
   List.iter
@@ -59,6 +59,83 @@ let priorities g wcet bus =
       prio.(pid) <- Wcet.average_wcet wcet ~pid +. down)
     (List.rev (Graph.topological_order g));
   prio
+
+(* A search evaluates thousands of designs of one universe (graph, WCET
+   table, bus) in a row, and the priorities depend on nothing else. Each
+   domain keeps the last universe's array, keyed by physical identity;
+   the array is never written after it is computed. *)
+type prio_memo = {
+  graph : Graph.t;
+  wcet : Wcet.t;
+  bus : Bus.t;
+  prio : float array;
+}
+
+let prio_memo : prio_memo option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let priorities g wcet bus =
+  match Domain.DLS.get prio_memo with
+  | Some m when m.graph == g && m.wcet == wcet && m.bus == bus -> m.prio
+  | _ ->
+      let prio = compute_priorities g wcet bus in
+      Domain.DLS.set prio_memo (Some { graph = g; wcet; bus; prio });
+      prio
+
+(* What [Bus.next_window] reads, copied out once per evaluation. Dune's
+   dev profile compiles with [-opaque], so every call into [Bus] returns
+   a freshly boxed [(float * float)] tuple; the window arithmetic below
+   runs here instead, on unboxed floats, in [Bus.next_window]'s exact
+   order of operations. The bitwise property against the test oracle,
+   which schedules through [Bus.next_window], pins the mirror. *)
+type bus_view = {
+  tdma : bool;
+  slot : float;
+  round : float;
+  offsets : float array;  (** Per-node slot offset within a round. *)
+}
+
+let bus_view bus ~nodes =
+  let tdma = Bus.is_tdma bus in
+  {
+    tdma;
+    slot = Bus.slot_length bus;
+    round = Bus.round_length bus;
+    offsets =
+      (if tdma then Array.init nodes (fun node -> Bus.slot_offset bus ~node)
+       else [||]);
+  }
+
+(* [fst (Bus.next_window bus ~node ~size ~earliest)] for a message of
+   transmission time [tx], where [offset] is [node]'s slot offset. *)
+let[@inline] window_start v ~offset ~tx earliest =
+  let earliest = fmax 0. earliest in
+  if not v.tdma then earliest
+  else
+    let start =
+      if earliest <= offset then offset
+      else
+        let k = ceil ((earliest -. offset) /. v.round) in
+        offset +. (k *. v.round)
+    in
+    if tx = 0. || tx > v.slot then start
+    else
+      (* Mid-slot packing of a short message. *)
+      let prev_start = start -. v.round in
+      if prev_start <= earliest && earliest +. tx <= prev_start +. v.slot
+      then earliest
+      else start
+
+(* The matching [snd (Bus.next_window ...)]: on every branch the finish
+   is a function of the start and [tx] alone. *)
+let[@inline] window_finish v ~tx start =
+  if tx = 0. then start
+  else if (not v.tdma) || tx <= v.slot then start +. tx
+  else
+    (* Long message: the node's slot in [m] consecutive rounds. *)
+    let m = int_of_float (ceil (tx /. v.slot)) in
+    let rem = tx -. (float_of_int (m - 1) *. v.slot) in
+    start +. (float_of_int (m - 1) *. v.round) +. rem
 
 (* Evaluation-local reservation lane of one resource (a node, or one
    lane of the bus): the [Timeline] of a single evaluation, as two
@@ -114,25 +191,35 @@ module Lane = struct
       !pos
     end
 
-  (* [Busalloc.find_window] on this lane. The walk keeps the candidate
-     window [(s, f)] of the current [t0] and steps past reservation [i]
-     with [t0] unchanged exactly when the window neither fits before it
-     nor overlaps it. While [t0] is still [earliest] the window is the
-     same at every step, so those steps cover a prefix of the ascending
-     arrays, skipped by binary search as above. *)
-  let find_window t bus ~src ~size ~earliest =
-    let window t0 = Bus.next_window bus ~node:src ~size ~earliest:t0 in
-    let s0, f0 = window earliest in
-    let rec go t0 ((s, f) as w) i =
-      if i >= t.len || f <= t.starts.(i) +. eps then w
-      else if s >= t.finishes.(i) -. eps then go t0 w (i + 1)
-      else
-        let t0 = fmax t0 t.finishes.(i) in
-        go t0 (window t0) (i + 1)
-    in
-    go earliest (s0, f0)
-      (prefix t (fun i ->
-           (not (f0 <= t.starts.(i) +. eps)) && s0 >= t.finishes.(i) -. eps))
+  (* [Busalloc.find_window] on this lane, returning the window's start
+     (its finish is [window_finish v ~tx start]). The walk keeps the
+     candidate window [(s, f)] of the current [t0] and steps past
+     reservation [i] with [t0] unchanged exactly when the window neither
+     fits before it nor overlaps it. While [t0] is still [earliest] the
+     window is the same at every step, so those steps cover a prefix of
+     the ascending arrays, skipped by binary search as above (written
+     out here: a [skip] closure would box the window). *)
+  let find_window t v ~src ~tx ~earliest =
+    let offset = if v.tdma then v.offsets.(src) else 0. in
+    let s0 = window_start v ~offset ~tx earliest in
+    let f0 = window_finish v ~tx s0 in
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if (not (f0 <= t.starts.(mid) +. eps)) && s0 >= t.finishes.(mid) -. eps
+      then lo := mid + 1
+      else hi := mid
+    done;
+    let t0 = ref earliest and s = ref s0 and f = ref f0 and i = ref !lo in
+    while !i < t.len && not (!f <= t.starts.(!i) +. eps) do
+      if not (!s >= t.finishes.(!i) -. eps) then begin
+        t0 := fmax !t0 t.finishes.(!i);
+        s := window_start v ~offset ~tx !t0;
+        f := window_finish v ~tx !s
+      end;
+      incr i
+    done;
+    !s
 
   (* [Timeline.reserve]: the new interval goes after every reservation
      ending at or before [start + eps] and must end by eps after the
@@ -177,6 +264,7 @@ let evaluate ?(ft = true) (problem : Problem.t) =
   let nprocs = Graph.process_count g in
   let nmsgs = Graph.message_count g in
   let prio = priorities g problem.Problem.wcet bus in
+  let view = bus_view bus ~nodes:(Arch.node_count arch) in
   let copies pid =
     if ft then Policy.replica_count problem.Problem.policies.(pid) else 1
   in
@@ -200,17 +288,10 @@ let evaluate ?(ft = true) (problem : Problem.t) =
   in
   (* One bus lane per sender on TDMA (senders never collide), one shared
      lane otherwise — the layout of [Busalloc]. *)
-  let tdma = Bus.is_tdma bus in
   let bus_lane =
     Array.init
-      (if tdma then max (Arch.node_count arch) 1 else 1)
+      (if view.tdma then max (Arch.node_count arch) 1 else 1)
       (fun _ -> Lane.create ())
-  in
-  let place_on_bus ~src ~size ~earliest =
-    let lane = bus_lane.(if tdma then src else 0) in
-    let s, f = Lane.find_window lane bus ~src ~size ~earliest in
-    Lane.reserve lane ~start:s ~finish:f;
-    (s, f)
   in
   (* Copy-indexed placements of every placed process, and of the
      transmissions of every placed producer: consumers read their
@@ -297,17 +378,24 @@ let evaluate ?(ft = true) (problem : Problem.t) =
           && (Mapping.node_of mapping ~pid:m.Graph.dst ~copy:c <> node
              || crosses node (c + 1))
         in
+        let tx =
+          if m.Graph.size > 0. then Bus.tx_time bus ~size:m.Graph.size else 0.
+        in
         let mps = Array.make ncopies unplaced_msg in
         for copy = ncopies - 1 downto 0 do
           let pl = pls.(copy) in
           let send_ready = if frozen_m then pl.worst_finish else pl.finish in
           mps.(copy) <-
-            (if m.Graph.size > 0. && crosses pl.node 0 then
-               let s, f =
-                 place_on_bus ~src:pl.node ~size:m.Graph.size
+            (if m.Graph.size > 0. && crosses pl.node 0 then begin
+               let lane = bus_lane.(if view.tdma then pl.node else 0) in
+               let s =
+                 Lane.find_window lane view ~src:pl.node ~tx
                    ~earliest:send_ready
                in
+               let f = window_finish view ~tx s in
+               Lane.reserve lane ~start:s ~finish:f;
                { mid; copy; start = s; finish = f; on_bus = true }
+             end
              else
                { mid; copy; start = send_ready; finish = send_ready;
                  on_bus = false })
@@ -370,13 +458,12 @@ let evaluate ?(ft = true) (problem : Problem.t) =
       msg_by_copy;
     !acc
   in
-  (* Shared recovery slack: at most k faults total, so the worst
-     elongation is bounded by the worst single process group — all k
-     faults hitting its copies. For one copy the raw slack is its
-     recovery cost W - E0; for a replicated process it is the gap
-     between the last copy's worst-case completion (faults may
-     invalidate every earlier replica) and the earliest completion the
-     root schedule relies on.
+  (* Shared recovery slack: at most k faults total, so the estimate
+     charges the worst single process group — all k faults hitting its
+     copies. For one copy the raw slack is its recovery cost W - E0; for
+     a replicated process it is the gap between the last copy's
+     worst-case completion (faults may invalidate every earlier replica)
+     and the earliest completion the root schedule relies on.
 
      A delay at a process only extends the makespan past its downstream
      laxity: the distance between the completion of its successor cone

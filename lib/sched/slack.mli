@@ -5,18 +5,28 @@
 
     The estimator list-schedules the fault-free {e root schedule} of all
     process copies (replicas run unconditionally — active replication)
-    and all cross-node transmissions on the bus, then accounts for
-    faults with a shared-slack bound: at most [k] transient faults occur
+    and all cross-node transmissions on the bus, then adds a shared
+    recovery-slack term for faults: at most [k] transient faults occur
     per cycle, and each fault delays the affected chain by one recovery
-    of the faulted process, so the total worst-case elongation is
-    bounded by [max_i k-bounded-recovery-slack(i)] — slack is shared
-    ("max", not "sum"), achieved when all [k] faults hit the process
-    with the costliest recoveries.
+    of the faulted process, so the term is the largest per-process
+    [k]-fault recovery slack left after that process's downstream
+    laxity — slack is shared ("max", not "sum").
 
-    Transparency is respected conservatively: a frozen message departs
-    only after its producer's worst-case completion, and a frozen
-    process starts no earlier than the worst-case arrival of its
-    inputs. *)
+    Transparency enters as follows: a frozen message departs only after
+    its producer's worst-case completion, and a frozen process starts no
+    earlier than the worst-case arrival of its inputs.
+
+    The result is an {e estimate}, not a bound on the conditional
+    schedule tables: condition broadcasts are not placed, and on
+    optimized designs the estimate often falls below the worst case of
+    the table [Ftes_sched.Conditional] builds for the same design (see
+    ROADMAP item 1).
+
+    Priorities depend only on the application graph, the WCET table and
+    the bus; each domain memoizes the last universe's priorities, keyed
+    by the physical identity of the three. A WCET table must therefore
+    not be changed in place ([Ftes_arch.Wcet.set]/[forbid]) once a
+    problem built on it has been evaluated. *)
 
 type placement = {
   pid : int;
@@ -38,7 +48,7 @@ type msg_placement = {
 
 type result = {
   root_makespan : float;  (** Fault-free schedule length. *)
-  slack_term : float;  (** Shared recovery-slack bound. *)
+  slack_term : float;  (** Shared recovery-slack term. *)
   length : float;  (** Estimated worst-case fault-tolerant schedule
                        length: [root_makespan + slack_term]. *)
   placements : placement list;

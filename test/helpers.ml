@@ -27,9 +27,15 @@ let fig3_problem ~k =
   Problem.make ~app ~arch ~wcet ~k ~policies ~mapping
 
 (* A seeded random instance with mixed fault-tolerance policies, as used
-   by the fuzz-style integration tests. *)
+   by the fuzz-style integration tests. [tdma_slot] sets the TDMA slot
+   length (the generator's messages are 2-8 units long, so a slot below
+   8 makes some of them span several rounds); [slot_order] replaces the
+   identity TDMA slot order with the given permutation of the nodes.
+   Both leave a single bus alone. *)
 let random_problem ?(frozen = true) ?(mixed_policies = true)
-    ?(bus = Ftes_workload.Gen.default.bus) ~processes ~nodes ~k ~seed () =
+    ?(bus = Ftes_workload.Gen.default.bus)
+    ?(tdma_slot = Ftes_workload.Gen.default.tdma_slot) ?slot_order
+    ~processes ~nodes ~k ~seed () =
   let spec =
     {
       Ftes_workload.Gen.default with
@@ -37,11 +43,25 @@ let random_problem ?(frozen = true) ?(mixed_policies = true)
       nodes;
       seed;
       bus;
+      tdma_slot;
       frozen_msg_prob = (if frozen then 0.25 else 0.);
       frozen_proc_prob = (if frozen then 0.2 else 0.);
     }
   in
   let p = Ftes_workload.Gen.problem ~k spec in
+  let p =
+    match (slot_order, bus) with
+    | Some slot_order, Ftes_workload.Gen.Tdma ->
+        let bus =
+          Ftes_arch.Bus.tdma ~slot_order ~slot_length:tdma_slot ~bandwidth:1.
+            nodes
+        in
+        Problem.make ~app:p.Problem.app
+          ~arch:(Ftes_arch.Arch.make ~node_count:nodes ~bus ())
+          ~wcet:p.Problem.wcet ~k ~policies:p.Problem.policies
+          ~mapping:p.Problem.mapping
+    | _ -> p
+  in
   if not mixed_policies then p
   else begin
     let n = Ftes_app.Graph.process_count (Problem.graph p) in

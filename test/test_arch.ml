@@ -14,6 +14,8 @@ let test_single_tx_time () =
   Helpers.check_float "tx" 4.5 (Bus.tx_time b ~size:10.);
   Helpers.check_float "zero size" 0. (Bus.tx_time b ~size:0.);
   Helpers.check_float "round length" 0. (Bus.round_length b);
+  Helpers.check_float "slot length" 0. (Bus.slot_length b);
+  Helpers.check_float "slot offset" 0. (Bus.slot_offset b ~node:3);
   Alcotest.(check bool) "not tdma" false (Bus.is_tdma b)
 
 let test_single_window () =
@@ -67,12 +69,19 @@ let test_tdma_slot_order () =
   let s, _ = Bus.next_window b ~node:2 ~size:1. ~earliest:0. in
   Helpers.check_float "node 2 first" 0. s;
   let s, _ = Bus.next_window b ~node:0 ~size:1. ~earliest:0. in
-  Helpers.check_float "node 0 second" 10. s
+  Helpers.check_float "node 0 second" 10. s;
+  Helpers.check_float "slot length" 10. (Bus.slot_length b);
+  List.iter
+    (fun (node, offset) ->
+      Helpers.check_float
+        (Printf.sprintf "node %d slot offset" node)
+        offset (Bus.slot_offset b ~node))
+    [ (2, 0.); (0, 10.); (1, 20.) ]
 
 let test_tdma_window_after () =
   let b = tdma3 () in
   let s0, _ = Bus.next_window b ~node:0 ~size:4. ~earliest:0. in
-  let s1, _ = Bus.window_after b ~node:0 ~size:4. ~after:s0 in
+  let s1, _ = Bus.next_window b ~node:0 ~size:4. ~earliest:(s0 +. 1e-9) in
   Alcotest.(check bool) "strictly later" true (s1 > s0)
 
 let test_tdma_errors () =
@@ -83,7 +92,10 @@ let test_tdma_errors () =
     (fun () ->
       ignore (Bus.tdma ~slot_order:[| 0; 3; 1 |] ~slot_length:1. ~bandwidth:1. 3));
   Alcotest.check_raises "slot length" (Invalid_argument "Bus.tdma: slot_length <= 0")
-    (fun () -> ignore (Bus.tdma ~slot_length:0. ~bandwidth:1. 2))
+    (fun () -> ignore (Bus.tdma ~slot_length:0. ~bandwidth:1. 2));
+  Alcotest.check_raises "slot offset of an unknown node"
+    (Invalid_argument "Bus.slot_offset: unknown node") (fun () ->
+      ignore (Bus.slot_offset (Bus.tdma ~slot_length:1. ~bandwidth:1. 2) ~node:2))
 
 let tdma_props =
   let arb =

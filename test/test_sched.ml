@@ -651,24 +651,42 @@ let remapped ~seed ~remaps (p : Problem.t) =
   in
   go p remaps
 
+(* Half the cases keep the generator's 10-unit TDMA slot; the others
+   draw a slot of 1-9 units, so the 2-8 unit messages often span
+   several rounds. Independently, half shuffle the slot order. *)
 let oracle_props =
   let arb =
     QCheck.make
-      ~print:(fun ((seed, n, k), (tdma, ft, frozen, remaps)) ->
-        Printf.sprintf "seed=%d n=%d k=%d tdma=%b ft=%b frozen=%b remaps=%d"
-          seed n k tdma ft frozen remaps)
+      ~print:(fun ((seed, n, k), (tdma, ft, frozen, remaps), (slot, shuffle)) ->
+        Printf.sprintf
+          "seed=%d n=%d k=%d tdma=%b ft=%b frozen=%b remaps=%d slot=%h \
+           shuffle=%b"
+          seed n k tdma ft frozen remaps slot shuffle)
       QCheck.Gen.(
-        pair
+        triple
           (triple (int_bound 10_000) (int_range 2 30) (int_range 1 4))
-          (quad bool bool bool (int_bound 12)))
+          (quad bool bool bool (int_bound 12))
+          (pair
+             (oneof [ return Ftes_workload.Gen.default.tdma_slot;
+                      float_range 1. 9. ])
+             bool))
   in
   [
     Helpers.qtest ~count:1000 "matches the list-based oracle bit for bit" arb
-      (fun ((seed, n, k), (tdma, ft, frozen, remaps)) ->
+      (fun ((seed, n, k), (tdma, ft, frozen, remaps), (slot, shuffle)) ->
         let bus = if tdma then Ftes_workload.Gen.Tdma else Single in
+        let nodes = 2 + (seed mod 3) in
+        let slot_order =
+          if not shuffle then None
+          else begin
+            let order = Array.init nodes Fun.id in
+            Ftes_util.Rng.shuffle (Ftes_util.Rng.create (seed + 3)) order;
+            Some order
+          end
+        in
         let p =
-          Helpers.random_problem ~processes:n ~nodes:(2 + (seed mod 3)) ~k
-            ~seed ~frozen ~bus ()
+          Helpers.random_problem ~processes:n ~nodes ~k ~seed ~frozen ~bus
+            ~tdma_slot:slot ?slot_order ()
         in
         matches_oracle ~ft (remapped ~seed ~remaps p));
   ]
@@ -814,6 +832,89 @@ let test_slack_oracle_edges () =
             (matches_oracle (twins_problem ~bus ~k)))
         [ 1; 2 ])
     buses
+
+(* Three universes over one [App.t]: a TDMA base, the same bus with the
+   WCET order reversed, and the base WCETs on a single bus whose setup
+   and bandwidth change every transmission time. The estimator memoizes
+   its priorities per domain and universe; evaluations alternate
+   between the universes, so a stale entry would list-schedule in
+   another universe's priority order. *)
+let memo_universes () =
+  let base = Helpers.random_problem ~processes:14 ~nodes:3 ~k:2 ~seed:41 () in
+  let variant ~arch ~wcet =
+    Problem.make ~app:base.Problem.app ~arch ~wcet ~k:2
+      ~policies:base.Problem.policies ~mapping:base.Problem.mapping
+  in
+  [|
+    base;
+    variant ~arch:base.Problem.arch
+      ~wcet:(Ftes_arch.Wcet.map (fun c -> 120. -. c) base.Problem.wcet);
+    variant
+      ~arch:
+        (Ftes_arch.Arch.make ~node_count:3
+           ~bus:(Bus.single ~setup:15. ~bandwidth:0.25 ())
+           ())
+      ~wcet:base.Problem.wcet;
+  |]
+
+let test_slack_priority_memo () =
+  let universes = memo_universes () in
+  let order = [ 0; 1; 0; 2; 1; 2; 0; 2; 1; 1; 0; 0; 2 ] in
+  let tasks =
+    List.concat_map
+      (fun remaps ->
+        List.mapi
+          (fun i u ->
+            (remapped ~seed:(remaps + i) ~remaps universes.(u), i mod 3 <> 2))
+          order)
+      [ 0; 3 ]
+  in
+  let check (p, ft) = matches_oracle ~ft p in
+  List.iteri
+    (fun i task ->
+      Alcotest.(check bool) (Printf.sprintf "one domain, evaluation %d" i) true
+        (check task))
+    tasks;
+  List.iteri
+    (fun i ok ->
+      Alcotest.(check bool) (Printf.sprintf "jobs 4, evaluation %d" i) true ok)
+    (Ftes_util.Par.map ~jobs:4 check tasks)
+
+(* Minor-heap words per [Slack.evaluate] on a fixed 40-process TDMA
+   design with every process actively replicated, k = 3 (512 bus
+   transmissions). The count is deterministic for a given compiler and
+   build profile. The bound is 1.5x the 37,705 words measured once the
+   bus walk stopped boxing a window per reservation it passes and the
+   priorities were memoized; with the boxing walk it was 181,413, so
+   bringing that back fails here long before it shows in a timing. *)
+let slack_alloc_bound = 56_558.
+
+let test_slack_allocation () =
+  let k = 3 in
+  let p =
+    Ftes_workload.Gen.problem ~k
+      { Ftes_workload.Gen.default with processes = 40; nodes = 3; seed = 17 }
+  in
+  let policies =
+    Array.make (Array.length p.Problem.policies) (Policy.replication ~k)
+  in
+  let p =
+    Problem.with_policies p policies
+      (Problem.fastest_mapping ~app:p.Problem.app ~wcet:p.Problem.wcet
+         ~policies)
+  in
+  ignore (Slack.evaluate p);
+  let reps = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Slack.evaluate p)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int reps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per evaluation <= %.0f" words
+       slack_alloc_bound)
+    true
+    (words <= slack_alloc_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic invariants                                              *)
@@ -961,6 +1062,10 @@ let () =
           Alcotest.test_case "fto" `Quick test_slack_fto;
           Alcotest.test_case "oracle edge cases" `Quick
             test_slack_oracle_edges;
+          Alcotest.test_case "priority memo across universes" `Quick
+            test_slack_priority_memo;
+          Alcotest.test_case "allocation per evaluation" `Quick
+            test_slack_allocation;
         ]
         @ slack_props @ oracle_props );
       ("metamorphic", metamorphic_props);
