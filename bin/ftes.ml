@@ -95,66 +95,98 @@ let strategy_conv =
   in
   Arg.conv (parse, print)
 
+(* Exit status of a run that cannot open one of its output files. *)
+let exit_unwritable = 2
+
+(* Open every output file before the run starts, truncating none until
+   all have opened: an unwritable path costs one line, no synthesis and
+   no other file's contents, and the files this run created are
+   removed again. *)
+let open_outputs files =
+  let opened = ref [] in
+  let open_one file =
+    let existed = Sys.file_exists file in
+    match open_out_gen [ Open_wronly; Open_creat; Open_text ] 0o666 file with
+    | oc ->
+        opened := (file, oc, existed) :: !opened;
+        (file, oc)
+    | exception Sys_error msg ->
+        List.iter
+          (fun (f, oc, existed) ->
+            close_out_noerr oc;
+            if not existed then try Sys.remove f with Sys_error _ -> ())
+          !opened;
+        let prefix = file ^ ": " in
+        let reason =
+          if String.starts_with ~prefix msg then
+            String.sub msg (String.length prefix)
+              (String.length msg - String.length prefix)
+          else msg
+        in
+        Format.eprintf "ftes: cannot write %s: %s@." file reason;
+        exit exit_unwritable
+  in
+  let outs = List.map (Option.map open_one) files in
+  List.iter
+    (fun (_, oc, _) -> Unix.ftruncate (Unix.descr_of_out_channel oc) 0)
+    !opened;
+  outs
+
 let synthesize path strategy portfolio deadline fto checkpointing no_tables
     matrix validate explain json symbolic jobs no_cache stats trace metrics
     progress events metrics_json prometheus =
-  if trace <> None || metrics || metrics_json <> None || prometheus <> None
-  then Ftes_util.Telemetry.enable ();
-  let events_oc = Option.map open_out events in
-  let event_sinks = ref [] in
-  if progress || events_oc <> None then begin
-    Ftes_util.Events.enable ();
-    (match events_oc with
-    | Some oc ->
-        event_sinks :=
-          Ftes_util.Events.add_sink (Ftes_util.Events.ndjson_sink oc)
-          :: !event_sinks
-    | None -> ());
-    if progress then
-      event_sinks :=
-        Ftes_util.Events.add_sink (Ftes_util.Events.progress_sink stderr)
-        :: !event_sinks
-  end;
+  let module Events = Ftes_util.Events in
+  let module Telemetry = Ftes_util.Telemetry in
+  let doc = read_doc path in
+  let events_out, trace_out, metrics_json_out, prometheus_out =
+    match open_outputs [ events; trace; metrics_json; prometheus ] with
+    | [ e; t; m; p ] -> (e, t, m, p)
+    | _ -> assert false
+  in
+  let recording =
+    progress || metrics
+    || List.exists Option.is_some [ events; trace; metrics_json; prometheus ]
+  in
+  if recording then Events.enable ();
+  let sinks =
+    List.map Events.add_sink
+      (Option.to_list
+         (Option.map (fun (_, oc) -> Events.ndjson_sink oc) events_out)
+      @ (if progress then [ Events.progress_sink stderr ] else [])
+      @ if trace <> None || metrics then [ Telemetry.span_sink ] else [])
+  in
   (* Emitted on every exit path, including validation failure. *)
   let finish_telemetry () =
-    if Ftes_util.Events.enabled () then begin
-      Ftes_util.Events.drain ();
-      let dropped = Ftes_util.Events.dropped () in
+    if recording then begin
+      Events.drain ();
+      let dropped = Events.dropped () in
       if dropped > 0 then
-        Format.eprintf "events: %d event(s) dropped (ring buffer full)@."
+        Format.eprintf "ftes: %d record(s) dropped (ring buffer full)@."
           dropped;
-      Ftes_util.Events.disable ()
+      Events.disable ()
     end;
-    List.iter Ftes_util.Events.remove_sink !event_sinks;
-    (match (events_oc, events) with
-    | Some oc, Some file ->
-        close_out oc;
-        Format.printf "wrote %s@." file
-    | _ -> ());
-    (match trace with
-    | Some file ->
-        Ftes_util.Telemetry.write_chrome_trace file;
-        Format.printf "wrote %s@." file
-    | None -> ());
+    List.iter Events.remove_sink sinks;
+    let write out render =
+      Option.iter
+        (fun (file, oc) ->
+          render oc;
+          close_out oc;
+          Format.printf "wrote %s@." file)
+        out
+    in
+    write events_out ignore;
+    write trace_out (fun oc ->
+        output_string oc (Telemetry.to_chrome_json ()));
     if metrics then
-      Format.printf "@.-- telemetry --@.%a@." Ftes_util.Telemetry.pp_summary ();
-    (match metrics_json with
-    | Some file ->
-        Out_channel.with_open_bin file (fun oc ->
-            output_string oc (Ftes_util.Telemetry.to_metrics_json ());
-            output_char oc '\n');
-        Format.printf "wrote %s@." file
-    | None -> ());
-    match prometheus with
-    | Some file ->
-        Out_channel.with_open_text file (fun oc ->
-            let ppf = Format.formatter_of_out_channel oc in
-            Ftes_util.Telemetry.pp_prometheus ppf ();
-            Format.pp_print_flush ppf ());
-        Format.printf "wrote %s@." file
-    | None -> ()
+      Format.printf "@.-- telemetry --@.%a@." Telemetry.pp_summary ();
+    write metrics_json_out (fun oc ->
+        output_string oc (Telemetry.to_metrics_json ());
+        output_char oc '\n');
+    write prometheus_out (fun oc ->
+        let ppf = Format.formatter_of_out_channel oc in
+        Telemetry.pp_prometheus ppf ();
+        Format.pp_print_flush ppf ())
   in
-  let doc = read_doc path in
   let cache =
     if no_cache then None else Some (Ftes_optim.Evalcache.create ())
   in
@@ -337,47 +369,58 @@ let synthesize_cmd =
            ~doc:"Print evaluation-cache statistics (lookups, hit rate, \
                  evictions) after synthesis.")
   in
+  let recorder = "Turns on the run's one instrumentation recorder, as do \
+                  --events, --progress, --trace, --metrics, \
+                  --metrics-json and --prometheus."
+  in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record telemetry spans and write a Chrome trace-event \
-                 JSON file, loadable in chrome://tracing or Perfetto.")
+           ~doc:("Write the recorded spans to FILE as a Chrome \
+                  trace-event JSON file, loadable in chrome://tracing or \
+                  Perfetto. " ^ recorder))
   in
   let metrics =
     Arg.(value & flag & info [ "metrics" ]
-           ~doc:"Record telemetry and print a per-phase summary \
-                 (span tree with totals and self-time, counters, \
-                 histograms) after synthesis.")
+           ~doc:("Print a per-phase summary (span tree with totals and \
+                  self-time, counters, histograms) after synthesis. "
+                 ^ recorder))
   in
   let progress =
     Arg.(value & flag & info [ "progress" ]
-           ~doc:"Stream live progress to stderr while synthesis runs: \
-                 phase boundaries, optimizer incumbent improvements \
-                 (cost, evaluations, wall time), validation progress \
-                 and GC samples.")
+           ~doc:("Stream live progress to stderr while synthesis runs: \
+                  phase boundaries, optimizer incumbent improvements \
+                  (cost, evaluations, wall time), validation progress \
+                  and GC samples. " ^ recorder))
   in
   let events =
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE"
-           ~doc:"Stream typed progress events to FILE as NDJSON (one \
-                 JSON object per line) while synthesis runs. Event \
-                 emission never blocks the search: a full buffer drops \
-                 events and reports the count instead.")
+           ~doc:("Stream typed progress events to FILE as NDJSON (one \
+                  JSON object per line) while synthesis runs. Recording \
+                  never blocks the search: a full buffer drops records \
+                  and reports the count instead. " ^ recorder))
   in
   let metrics_json =
     Arg.(value & opt (some string) None
            & info [ "metrics-json" ] ~docv:"FILE"
-               ~doc:"Record telemetry and write the final \
-                     counters/gauges/histograms snapshot to FILE as \
-                     JSON.")
+               ~doc:("Write the final counters/gauges/histograms \
+                      snapshot to FILE as JSON. " ^ recorder))
   in
   let prometheus =
     Arg.(value & opt (some string) None
            & info [ "prometheus" ] ~docv:"FILE"
-               ~doc:"Record telemetry and write the final metrics \
-                     snapshot to FILE in the Prometheus text \
-                     exposition format.")
+               ~doc:("Write the final metrics snapshot to FILE in the \
+                      Prometheus text exposition format. " ^ recorder))
+  in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on fault-injection validation failure."
+    :: Cmd.Exit.info exit_unwritable
+         ~doc:"when an output file (--events, --trace, --metrics-json, \
+               --prometheus) cannot be opened for writing; nothing is \
+               synthesized."
+    :: Cmd.Exit.defaults
   in
   Cmd.v
-    (Cmd.info "synthesize"
+    (Cmd.info "synthesize" ~exits
        ~doc:"Synthesize a fault-tolerant configuration and its tables.")
     Term.(const synthesize $ file $ strategy $ portfolio $ deadline $ fto
           $ checkpointing $ no_tables $ matrix $ validate $ explain $ json

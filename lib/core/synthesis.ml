@@ -5,7 +5,6 @@ module Strategy = Ftes_optim.Strategy
 module Tabu = Ftes_optim.Tabu
 module Slack = Ftes_sched.Slack
 module Table = Ftes_sched.Table
-module Telemetry = Ftes_util.Telemetry
 module Events = Ftes_util.Events
 
 type t = {
@@ -42,8 +41,7 @@ let default_options =
 let try_tables ~conditional ~max_vertices ~jobs problem =
   if not conditional then (None, None)
   else
-    Telemetry.with_span ~cat:"core" "synthesize.tables" @@ fun () ->
-    Events.with_phase "synthesize.tables" @@ fun () ->
+    Events.with_phase ~cat:"core" "synthesize.tables" @@ fun () ->
     match Ftcpg.build ~max_vertices problem with
     | exception Ftcpg.Too_large _ -> (None, None)
     | ftcpg -> (
@@ -62,16 +60,15 @@ let of_problem ?(conditional = true) ?(max_vertices = 20_000) ?(sched_jobs = 1)
 
 let synthesize ?(options = default_options) ~app ~arch ~wcet ~k () =
   let args =
-    (* Only pay for the attribute list when telemetry is recording. *)
-    if Telemetry.enabled () then
+    (* Only pay for the attribute list when recording. *)
+    if Events.enabled () then
       [
-        ("strategy", Telemetry.Str (Strategy.name_to_string options.strategy));
-        ("k", Telemetry.Int k);
+        ("strategy", Events.Str (Strategy.name_to_string options.strategy));
+        ("k", Events.Int k);
       ]
     else []
   in
-  Telemetry.with_span ~cat:"core" ~args "synthesize" @@ fun () ->
-  Events.with_phase "synthesize" @@ fun () ->
+  Events.with_phase ~cat:"core" ~args "synthesize" @@ fun () ->
   let inputs = { Strategy.app; arch; wcet; k } in
   let optimized, nft =
     match options.portfolio with
@@ -103,16 +100,14 @@ let synthesize ?(options = default_options) ~app ~arch ~wcet ~k () =
   in
   let problem =
     if options.checkpointing && options.portfolio = None then
-      Telemetry.with_span ~cat:"core" "synthesize.checkpointing" (fun () ->
-          Events.with_phase "synthesize.checkpointing" (fun () ->
-              Ftes_optim.Checkpoint.global_optimize
-                ?cache:options.tabu.Tabu.cache optimized))
+      Events.with_phase ~cat:"core" "synthesize.checkpointing" (fun () ->
+          Ftes_optim.Checkpoint.global_optimize ?cache:options.tabu.Tabu.cache
+            optimized)
     else optimized
   in
   let estimate =
-    Telemetry.with_span ~cat:"core" "synthesize.estimate" (fun () ->
-        Events.with_phase "synthesize.estimate" (fun () ->
-            Slack.evaluate problem))
+    Events.with_phase ~cat:"core" "synthesize.estimate" (fun () ->
+        Slack.evaluate problem)
   in
   let ftcpg, table =
     try_tables ~conditional:options.conditional

@@ -70,7 +70,7 @@ let add_vertex b ~kind ~name ~guard ~duration ~conditional ~exec_node
   vid
 
 let build ?(max_vertices = 50_000) (problem : Problem.t) =
-  Ftes_util.Telemetry.with_span ~cat:"ftcpg" "ftcpg.build" @@ fun () ->
+  Ftes_util.Events.with_span ~cat:"ftcpg" "ftcpg.build" @@ fun () ->
   let g = Problem.graph problem in
   let app = problem.Problem.app in
   let transparency = app.App.transparency in

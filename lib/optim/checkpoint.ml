@@ -53,7 +53,7 @@ let assign_local ?max_checkpoints problem =
         local_optimum ?max_checkpoints ~c o ~k:plan.Policy.recoveries)
 
 let global_optimize ?cache ?(max_checkpoints = 100) ?(max_passes = 32) problem =
-  Telemetry.with_span ~cat:"optim" "checkpoint.global_optimize" @@ fun () ->
+  Events.with_span ~cat:"optim" "checkpoint.global_optimize" @@ fun () ->
   let g = Problem.graph problem in
   let nprocs = Graph.process_count g in
   let objective p =

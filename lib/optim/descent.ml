@@ -83,7 +83,7 @@ let policy_sweep ?cache ?(kinds = [ Tabu.Reexec; Tabu.Repl; Tabu.Combined ])
           round (i + 1) cand len
     end
   in
-  Telemetry.with_span ~cat:"optim" "descent.policy_sweep" (fun () ->
+  Events.with_span ~cat:"optim" "descent.policy_sweep" (fun () ->
       round 0 problem (objective problem))
 
 let remap_sweep ?cache ?max_rounds problem =
@@ -147,5 +147,5 @@ let remap_sweep ?cache ?max_rounds problem =
           round (i + 1) cand len
     end
   in
-  Telemetry.with_span ~cat:"optim" "descent.remap_sweep" (fun () ->
+  Events.with_span ~cat:"optim" "descent.remap_sweep" (fun () ->
       round 0 problem (objective problem))

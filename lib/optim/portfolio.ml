@@ -5,7 +5,6 @@ module Problem = Ftes_ftcpg.Problem
 module Slack = Ftes_sched.Slack
 module Par = Ftes_util.Par
 module Events = Ftes_util.Events
-module Telemetry = Ftes_util.Telemetry
 
 type engine =
   | Strategy of Strategy.name
@@ -82,11 +81,10 @@ let initial_problem (i : Strategy.inputs) =
   Problem.make ~app:i.app ~arch:i.arch ~wcet:i.wcet ~k:i.k ~policies ~mapping
 
 let run ?(opts = default_options) ?members (i : Strategy.inputs) =
-  Telemetry.with_span ~cat:"optim"
-    ~args:[ ("jobs", Telemetry.Int opts.jobs) ]
+  Events.with_phase ~cat:"optim"
+    ~args:[ ("jobs", Events.Int opts.jobs) ]
     "portfolio"
   @@ fun () ->
-  Events.with_phase "portfolio" @@ fun () ->
   let members =
     match members with
     | Some (_ :: _ as ms) -> ms

@@ -1,7 +1,6 @@
 module Problem = Ftes_ftcpg.Problem
 module Policy = Ftes_app.Policy
 module Graph = Ftes_app.Graph
-module Telemetry = Ftes_util.Telemetry
 module Events = Ftes_util.Events
 
 type name = MXR | MX | MR | SFX | MC_local | MC_global
@@ -45,8 +44,7 @@ let repl_policies (i : inputs) =
     (fun _ -> Policy.replication ~k:i.k)
 
 let nft_length ?(opts = Tabu.default_options) (i : inputs) =
-  Telemetry.with_span ~cat:"optim" "strategy.nft-baseline" @@ fun () ->
-  Events.with_phase "strategy.nft-baseline" @@ fun () ->
+  Events.with_phase ~cat:"optim" "strategy.nft-baseline" @@ fun () ->
   let p = initial_problem i (reexec_policies i) in
   let opts =
     { opts with ft_objective = false; policy_moves = false; remap_moves = true }
@@ -55,9 +53,8 @@ let nft_length ?(opts = Tabu.default_options) (i : inputs) =
   len
 
 let run ?(opts = Tabu.default_options) ?nft (i : inputs) name =
-  Telemetry.with_span ~cat:"optim" ("strategy." ^ name_to_string name)
+  Events.with_phase ~cat:"optim" ("strategy." ^ name_to_string name)
   @@ fun () ->
-  Events.with_phase ("strategy." ^ name_to_string name) @@ fun () ->
   let nft =
     match nft with Some v -> v | None -> nft_length ~opts i
   in

@@ -247,7 +247,7 @@ let optimize_body opts problem =
           | cand -> Some (mv, cand, objective cand))
         (dedup_moves (List.rev !drawn))
     in
-    if Telemetry.enabled () then
+    if Events.enabled () then
       Telemetry.add c_moves_evaluated (List.length evaluated);
     if ev_on then ev_evals := !ev_evals + List.length evaluated;
     let chosen = ref None in
@@ -308,9 +308,9 @@ let optimize_body opts problem =
      for iter = 1 to opts.iterations do
        if !stall > opts.stall_limit then raise Exit;
        if stopped () then raise Exit;
-       (if Telemetry.enabled () then
-          Telemetry.with_span ~cat:"optim"
-            ~args:[ ("iter", Telemetry.Int iter) ]
+       (if Events.enabled () then
+          Events.with_span ~cat:"optim"
+            ~args:[ ("iter", Events.Int iter) ]
             "tabu.iter"
             (fun () -> step iter)
         else step iter);
@@ -320,14 +320,14 @@ let optimize_body opts problem =
   (!best, !best_len)
 
 let optimize opts problem =
-  if Telemetry.enabled () then
-    Telemetry.with_span ~cat:"optim"
+  if Events.enabled () then
+    Events.with_span ~cat:"optim"
       ~args:
         [
-          ("iterations", Telemetry.Int opts.iterations);
-          ("sample", Telemetry.Int opts.sample);
-          ("jobs", Telemetry.Int opts.jobs);
-          ("seed", Telemetry.Int opts.seed);
+          ("iterations", Events.Int opts.iterations);
+          ("sample", Events.Int opts.sample);
+          ("jobs", Events.Int opts.jobs);
+          ("seed", Events.Int opts.seed);
         ]
       "tabu.optimize"
       (fun () -> optimize_body opts problem)

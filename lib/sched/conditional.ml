@@ -8,6 +8,7 @@ module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 module Cowarray = Ftes_util.Cowarray
 module Telemetry = Ftes_util.Telemetry
+module Events = Ftes_util.Events
 
 let c_fix_iterations = Telemetry.counter "sched.fix_iterations"
 let c_ready_hits = Telemetry.counter "sched.ready_hits"
@@ -127,7 +128,7 @@ type state = {
 }
 
 let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
-  Telemetry.with_span ~cat:"sched" "sched.conditional" @@ fun () ->
+  Events.with_span ~cat:"sched" "sched.conditional" @@ fun () ->
   let problem = Ftcpg.problem ftcpg in
   let k = problem.Problem.k in
   let g = Problem.graph problem in
@@ -660,7 +661,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     Hashtbl.reset demands;
     Atomic.set leaf_count 0;
     let results =
-      Telemetry.with_span ~cat:"sched" "sched.fix_iter" run_tracks
+      Events.with_span ~cat:"sched" "sched.fix_iter" run_tracks
     in
     let changed = ref false in
     Hashtbl.iter
@@ -678,7 +679,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
          commit order. *)
       let entries = List.concat_map fst results in
       let tracks = List.map snd results in
-      if Telemetry.enabled () then begin
+      if Events.enabled () then begin
         Telemetry.set_gauge "sched.tracks"
           (float_of_int (List.length tracks));
         (* Distinct commits: a prefix shared by several tracks counts
@@ -686,7 +687,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
         Telemetry.set_gauge "sched.commits"
           (float_of_int (List.length entries))
       end;
-      Telemetry.with_span ~cat:"sched" "sched.table.assemble" (fun () ->
+      Events.with_span ~cat:"sched" "sched.table.assemble" (fun () ->
           Table.make ~ftcpg ~entries ~tracks)
     end
   in

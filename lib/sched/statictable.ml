@@ -5,12 +5,12 @@ module Ftcpg = Ftes_ftcpg.Ftcpg
 module Problem = Ftes_ftcpg.Problem
 module Graph = Ftes_app.Graph
 module Arch = Ftes_arch.Arch
-module Telemetry = Ftes_util.Telemetry
+module Events = Ftes_util.Events
 
 exception Not_transparent of string
 
 let schedule ?(params = Conditional.default_params) ftcpg =
-  Telemetry.with_span ~cat:"sched" "sched.static" @@ fun () ->
+  Events.with_span ~cat:"sched" "sched.static" @@ fun () ->
   let problem = Ftcpg.problem ftcpg in
   let g = Problem.graph problem in
   let arch = problem.Problem.arch in

@@ -16,6 +16,7 @@ module App = Ftes_app.App
 module Arch = Ftes_arch.Arch
 module Bus = Ftes_arch.Bus
 module Telemetry = Ftes_util.Telemetry
+module Events = Ftes_util.Events
 
 let c_scenarios = Telemetry.counter "sim.scenarios"
 let c_violations = Telemetry.counter "sim.violations"
@@ -416,7 +417,7 @@ let replay_range c sp lo hi =
     Telemetry.incr c_scenarios;
     let vs = replay_one c sp i scr in
     if vs <> [] then begin
-      if Telemetry.enabled () then Telemetry.add c_violations (List.length vs);
+      if Events.enabled () then Telemetry.add c_violations (List.length vs);
       acc := List.rev_append vs !acc
     end
   done;

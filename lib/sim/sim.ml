@@ -407,7 +407,7 @@ let replay_until_space ?jobs ~limit c sp =
                Telemetry.incr c_scenarios;
                let vs = replay_one c sp (pos + off) scr in
                if vs <> [] then begin
-                 if Telemetry.enabled () then
+                 if Events.enabled () then
                    Telemetry.add c_violations (List.length vs);
                  out.(off) <- vs
                end
@@ -456,9 +456,9 @@ let check_space ?jobs ?stop_after table sp =
         else vs @ frozen_start_violations table
     | _ -> replay_space ?jobs c sp @ frozen_start_violations table
   in
-  if Telemetry.enabled () then
-    Telemetry.with_span ~cat:"sim"
-      ~args:[ ("scenarios", Telemetry.Int (Condvec.count sp)) ]
+  if Events.enabled () then
+    Events.with_span ~cat:"sim"
+      ~args:[ ("scenarios", Events.Int (Condvec.count sp)) ]
       "sim.validate" body
   else body ()
 
@@ -482,8 +482,8 @@ let validate ?jobs ?stop_after ?(mode = `Explicit) table =
       | Some limit when limit > 0 && List.length vs >= limit -> vs
       | _ -> vs @ frozen_start_violations table
     in
-    if Telemetry.enabled () then
-      Telemetry.with_span ~cat:"sim" "sim.validate.symbolic" body
+    if Events.enabled () then
+      Events.with_span ~cat:"sim" "sim.validate.symbolic" body
     else body ()
   in
   match mode with

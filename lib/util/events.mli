@@ -1,54 +1,61 @@
-(** Live, typed progress events: a bounded, non-blocking per-domain
-    event stream with subscriber sinks.
+(** The one instrumentation stream: a recording switch, a clock and a
+    bounded per-domain ring of typed records — span begin/end and live
+    progress events — drained in sequence order into subscriber sinks.
+    {!Telemetry}'s summary tree and Chrome trace are folds over the
+    drained span records; the NDJSON and TTY sinks below render the
+    same stream live.
 
-    {!Telemetry} is post-mortem: spans and counters are dumped after a
-    run ends. This module is the live half of observability — while a
-    multi-minute tabu search or a 1e9-scenario symbolic validation is
-    running, the synthesis pipeline {e emits} typed progress events
-    (phase start/finish, optimizer incumbent improvements, validation
-    progress, per-instance corpus outcomes, sampled GC gauges) and
-    registered {e sinks} consume them: NDJSON to a file or stderr, a
-    live TTY progress renderer, or an arbitrary in-process callback.
-    This is the substrate both the service front end (spans →
-    server-sent progress) and the cross-commit trajectory store build
-    on.
+    {b Pay for what you use.} One process-wide atomic switch, off by
+    default, gates every recorder: spans, events, counters, gauges and
+    histograms. Disabled, {!emit}, {!with_span} and {!with_phase} cost
+    one atomic load and a branch; guard payload construction with
+    {!enabled} so the off path allocates nothing.
 
-    {b Never block, never crash.} Each domain owns one bounded
-    single-producer ring (registered via [Domain.DLS], like the
-    telemetry buffers). {!emit} either writes into the calling domain's
-    ring or — when the ring is full because no drain has happened —
-    drops the event and bumps the process-wide {!dropped} counter. An
-    emitter therefore never waits on a consumer, never allocates
-    unboundedly, and never raises.
+    {b Never block, never crash.} Each domain owns one single-producer
+    ring of {!capacity} records, registered once via [Domain.DLS]. A
+    record that finds its ring full is dropped and counted by
+    {!dropped}: a recorder never waits, never grows and never raises.
 
-    {b Delivery.} Sinks run on the {e draining} domain, not the
-    emitting one: {!drain} (called from phase boundaries, optimizer
-    iterations and validation batch loops — always from outside the
-    [Par] worker pool) collects the pending events of every ring,
-    orders them by their global sequence number and feeds each to every
-    registered sink. Events emitted by pool workers during one fan-out
-    are delivered at the next drain point after the fan-out returns.
+    {b Delivery.} Sinks run only on the domain that called {!enable}:
+    {!drain} (at phase edges, optimizer iterations and validation
+    batches) collects the pending records of every ring and feeds them
+    to every sink in sequence order. Each domain's records arrive in
+    recording order; pool workers' records arrive at the next drain.
 
-    {b Determinism.} Like telemetry, events observe and never steer: no
-    RNG is consumed, no ordering is changed, no result depends on an
-    emitted value. Search results are bit-identical with events on or
-    off and for every [jobs] value (pinned by [test/test_events.ml]).
-    The event {e stream} itself is not deterministic — worker
-    interleaving and wall-clock timestamps vary between runs.
+    {b Determinism.} Recording observes and never steers: search results
+    are bit-identical with recording on or off and for every [jobs]
+    value (pinned by [test/test_events.ml] and [test/test_telemetry.ml]).
+    The stream itself varies between runs.
 
-    {b Pay for what you use.} With events disabled, {!emit} is one
-    atomic load and a branch; guard any payload construction with
-    {!enabled} so the off path allocates nothing. *)
+    {b Clock.} Record times are seconds since {!enable} from
+    [Unix.gettimeofday], clamped non-decreasing per ring, so a span's
+    children always lie inside it. *)
 
-(** {1 Event types} *)
+(** {1 Record types} *)
+
+type value = Int of int | Float of float | Str of string | Bool of bool
+(** Attribute values attached to a span. *)
+
+type span = {
+  id : int;  (** The [seq] of the span's begin record; never 0. *)
+  parent : int;  (** The enclosing span on the same domain; 0 at a root. *)
+  name : string;
+  cat : string;  (** Chrome trace category. *)
+  args : (string * value) list;  (** Chrome trace arguments. *)
+  phase : bool;
+      (** Opened by {!with_phase}: the sinks render its begin and end as
+          [phase-start] and [phase-finish]. *)
+}
 
 type payload =
-  | Phase_start of { phase : string }
-  | Phase_finish of { phase : string; wall_s : float }
+  | Span_begin of span
+  | Span_end of { span : span; wall_s : float }
+      (** [span] is the record its begin carried; [wall_s] the time
+          between the two records. *)
   | Incumbent of {
       source : string;
           (** Which engine improved: ["tabu"], ["descent.policy"],
-              ["descent.remap"], ["checkpoint"]. *)
+              ["descent.remap"], ["checkpoint"], ["portfolio:<member>"]. *)
       cost : float;  (** The new best objective (schedule length). *)
       evals : int;  (** Design evaluations performed so far by that
                         engine invocation. *)
@@ -83,90 +90,100 @@ type payload =
           configuration name, e.g. ["MXR#0"] or ["LNS#4"]). *)
   | Worker_finish of { member : string; cost : float; wall_s : float }
       (** A portfolio member finished with its final objective and its
-          own wall clock. Together with the ["portfolio:*"]-sourced
-          {!Incumbent} events these let [--progress] show the race
-          live. *)
+          own wall clock. *)
 
 type event = {
-  seq : int;  (** Global emission order (atomic ticket). *)
+  seq : int;  (** Global record order (atomic ticket). *)
   t : float;  (** Seconds since {!enable}. *)
-  dom : int;  (** Emitting domain id. *)
+  dom : int;  (** Recording domain id. *)
   payload : payload;
 }
 
 (** {1 Recording switch} *)
 
-val enable : ?capacity:int -> unit -> unit
-(** Start recording. [capacity] (default 4096) bounds each per-domain
-    ring; existing rings are resized and cleared. Resets the clock
-    origin and the {!dropped} counter. Call only while the [Par] pool
-    is idle. *)
+val capacity : int
+(** Records each per-domain ring holds between two drains (4096). *)
+
+val enable : unit -> unit
+(** Start recording: clears every ring, zeroes {!dropped}, restarts the
+    clock and makes the calling domain the draining one. Call only while
+    the [Par] pool is idle. *)
 
 val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Drop all buffered events and zero {!dropped}. Sinks stay
+(** Drop all buffered records and zero {!dropped}. Sinks stay
     registered. *)
 
-(** {1 Emission} *)
+val now : unit -> float
+(** Seconds since {!enable}; [0.] while disabled. Engines take [now]
+    deltas for [Incumbent.wall_s]. *)
+
+(** {1 Recording} *)
 
 val emit : payload -> unit
 (** Non-blocking append to the calling domain's ring; drops (and
-    counts) when the ring is full; no-op while disabled. Guard payload
-    construction with {!enabled} to keep the disabled path
-    allocation-free. *)
+    counts) when the ring is full; no-op while disabled. *)
 
 val dropped : unit -> int
-(** Events dropped since the last {!enable}/{!reset} because a ring was
-    full. Exposed so overflow is an observable number, never a block or
-    a crash. *)
+(** Records — spans and events alike — dropped since the last
+    {!enable}/{!reset} because a ring was full. *)
 
-val now : unit -> float
-(** Seconds since {!enable} on the event clock; [0.] while disabled.
-    Engine instrumentation takes [now] deltas for [Incumbent.wall_s] so
-    emitters need no clock dependency of their own. *)
+val with_span :
+  ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
+(** [with_span name f] runs [f ()] between a [Span_begin] and a
+    [Span_end] record in the calling domain's ring. The span's parent is
+    the innermost span open on the domain. The end is recorded when [f]
+    returns {e or raises} (the exception is re-raised). [cat] defaults
+    to ["ftes"]. [f ()] after one branch while disabled. *)
 
-val with_phase : string -> (unit -> 'a) -> 'a
-(** [with_phase name f] brackets [f] with [Phase_start]/[Phase_finish]
-    events, samples the GC ([Gc.quick_stat] → [Gc_sample]) at the end
-    of the phase, and drains on both edges. [f ()] with one branch when
-    disabled. Exceptions re-raise after the finish event. *)
+val with_phase :
+  ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
+(** {!with_span} for a pipeline phase: the sinks also see it, a
+    [Gc_sample] is recorded just before its end, and the stream is
+    drained on both edges. *)
 
 (** {1 Sinks and draining} *)
 
 val add_sink : (event -> unit) -> int
-(** Register a sink; returns a handle for {!remove_sink}. Sinks run on
-    the draining domain in event order. A sink must not call back into
-    this module's drain. *)
+(** Register a sink; returns a handle for {!remove_sink}. Sinks see
+    every record, span records included, on the draining domain in
+    sequence order. A sink must not call back into {!drain}. *)
 
 val remove_sink : int -> unit
 
 val drain : unit -> unit
-(** Deliver every buffered event to the registered sinks, ordered by
-    sequence number. No-op from inside a [Par] worker and when another
-    drain is in flight ([Mutex.try_lock] — emitters and other drain
-    points never wait). Instrumented call sites drain at coarse points:
-    phase edges, optimizer iterations, validation batches; long
-    fan-outs deliver at the next drain after they return. *)
+(** Deliver every buffered record to the registered sinks, ordered by
+    sequence number. A no-op on any domain but the one that called
+    {!enable}, and while another drain is in flight ([Mutex.try_lock] —
+    recorders and other drain points never wait). *)
 
 (** {1 Rendering} *)
 
-val to_json : event -> string
-(** One JSON object (single line, no trailing newline): always [seq],
-    [t], [dom] and a [type] tag (["phase-start"], ["phase-finish"],
+val json_string : string -> string
+(** A JSON string literal: quoted, with quotes, backslashes and control
+    characters escaped. *)
+
+val json_float : float -> string
+(** A JSON number with 9 significant digits; non-finite values become
+    strings. *)
+
+val to_json : event -> string option
+(** One JSON object (single line, no trailing newline): [seq], [t],
+    [dom] and a [type] tag (["phase-start"], ["phase-finish"],
     ["incumbent"], ["validation-progress"], ["corpus-outcome"],
     ["gc-sample"], ["worker-start"], ["worker-finish"]), plus the
-    payload's fields. *)
+    payload's fields. [None] for the records of spans that are not
+    phases. *)
 
 val ndjson_sink : out_channel -> event -> unit
-(** A sink writing {!to_json} plus a newline per event, flushed per
-    drain batch (the channel is flushed on every event — callers
-    wanting buffering can wrap the channel). Close the channel after a
-    final {!drain}. *)
+(** A sink writing {!to_json} plus a newline per rendered record,
+    flushing the channel each time. Close the channel after a final
+    {!drain}. *)
 
 val progress_sink : out_channel -> event -> unit
-(** A human-oriented live renderer (one line per event, flushed):
-    phases, incumbents with cost/evals/time, validation progress,
-    corpus outcomes. Intended for [ftes synthesize --progress] on
-    stderr. *)
+(** A human-oriented live renderer (one flushed line per rendered
+    record): phases, incumbents with cost/evals/time, validation
+    progress, corpus outcomes, portfolio members. Intended for
+    [ftes synthesize --progress] on stderr. *)

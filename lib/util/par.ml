@@ -98,12 +98,11 @@ let worker_body () =
       Mutex.unlock pool.lock;
       (match j with
       | Some j when Atomic.fetch_and_add j.participants 1 < j.max_workers ->
-          if Telemetry.enabled () then begin
+          if Events.enabled () then begin
             if Float.is_finite j.published then
-              Telemetry.observe h_queue_wait
-                (Unix.gettimeofday () -. j.published);
-            Telemetry.with_span ~cat:"par"
-              ~args:[ ("tasks", Telemetry.Int j.n) ]
+              Telemetry.observe h_queue_wait (Events.now () -. j.published);
+            Events.with_span ~cat:"par"
+              ~args:[ ("tasks", Events.Int j.n) ]
               "par.worker" (fun () -> run_tasks j)
           end
           else run_tasks j
@@ -165,7 +164,7 @@ let run_pool_impl ~jobs ~n ~(task : int -> unit) =
       max_workers = jobs - 1;
       participants = Atomic.make 0;
       published =
-        (if Telemetry.enabled () then Unix.gettimeofday () else Float.nan);
+        (if Events.enabled () then Events.now () else Float.nan);
     }
   in
   Telemetry.observe h_fanout (float_of_int n);
@@ -206,9 +205,9 @@ let run_pool_impl ~jobs ~n ~(task : int -> unit) =
    gated here (not just inside with_span) so the disabled path does not
    even allocate the args list. *)
 let run_pool ~jobs ~n ~task =
-  if Telemetry.enabled () then
-    Telemetry.with_span ~cat:"par"
-      ~args:[ ("tasks", Telemetry.Int n); ("jobs", Telemetry.Int jobs) ]
+  if Events.enabled () then
+    Events.with_span ~cat:"par"
+      ~args:[ ("tasks", Events.Int n); ("jobs", Events.Int jobs) ]
       "par.dispatch"
       (fun () -> run_pool_impl ~jobs ~n ~task)
   else run_pool_impl ~jobs ~n ~task
@@ -248,7 +247,7 @@ let run_pool_live ~jobs ~n ~(task : int -> unit) ~poll =
       max_workers = jobs;
       participants = Atomic.make 0;
       published =
-        (if Telemetry.enabled () then Unix.gettimeofday () else Float.nan);
+        (if Events.enabled () then Events.now () else Float.nan);
     }
   in
   Telemetry.observe h_fanout (float_of_int n);

@@ -1,169 +1,52 @@
-(* Process-wide instrumentation: spans into per-domain append-only
-   buffers, atomic counters/gauges/histograms, a summary tree and a
-   Chrome trace-event exporter. See telemetry.mli for the contract. *)
+(* Spans, counters, gauges and histograms on the Events stream, and the
+   post-mortem folds over its span records. See telemetry.mli for the
+   contract. *)
 
-type value = Int of int | Float of float | Str of string | Bool of bool
+let enabled = Events.enabled
 
-type event =
-  | Begin of {
-      id : int;
-      parent : int;
-      name : string;
-      cat : string;
-      ts : float;
-      args : (string * value) list;
-    }
-  | End of { id : int; ts : float }
-
-(* ------------------------------------------------------------------ *)
-(* Recording switch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let on = Atomic.make false
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
-let enabled () = Atomic.get on
-
-(* Bumped by [reset]: a span that began before a reset must not emit
-   its end event into the freshly cleared buffer. *)
-let epoch = Atomic.make 0
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain event buffers                                            *)
-(* ------------------------------------------------------------------ *)
-
-type buf = {
-  dom : int;
-  mutable evs : event array;
-  mutable len : int;
-  mutable stack : int list;  (* open span ids, innermost first *)
-  mutable last_ts : float;
-}
-
-let filler = End { id = 0; ts = 0. }
-
-(* Registry of every domain's buffer. The mutex guards registration and
-   the exporters' reads; recording itself only touches the calling
-   domain's own buffer. *)
-let registry_lock = Mutex.create ()
-let registry : buf list ref = ref []
-
-let buf_key : buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b =
-        {
-          dom = (Domain.self () :> int);
-          evs = Array.make 256 filler;
-          len = 0;
-          stack = [];
-          last_ts = 0.;
-        }
-      in
-      Mutex.lock registry_lock;
-      registry := b :: !registry;
-      Mutex.unlock registry_lock;
-      b)
-
-let my_buf () = Domain.DLS.get buf_key
-
-let push b ev =
-  if b.len = Array.length b.evs then begin
-    let bigger = Array.make (2 * b.len) filler in
-    Array.blit b.evs 0 bigger 0 b.len;
-    b.evs <- bigger
-  end;
-  b.evs.(b.len) <- ev;
-  b.len <- b.len + 1
-
-(* Wall clock, clamped to be non-decreasing within the buffer so span
-   nesting is always well-formed even if gettimeofday steps back. *)
-let now b =
-  let t = Unix.gettimeofday () in
-  let t = if t < b.last_ts then b.last_ts else t in
-  b.last_ts <- t;
-  t
-
-let next_id = Atomic.make 1
-
-let with_span ?(cat = "ftes") ?(args = []) name f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let b = my_buf () in
-    let e0 = Atomic.get epoch in
-    let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match b.stack with [] -> 0 | p :: _ -> p in
-    push b (Begin { id; parent; name; cat; ts = now b; args });
-    b.stack <- id :: b.stack;
-    Fun.protect
-      ~finally:(fun () ->
-        if Atomic.get epoch = e0 then begin
-          (match b.stack with
-          | top :: rest when top = id -> b.stack <- rest
-          | _ -> ());
-          push b (End { id; ts = now b })
-        end)
-      f
-  end
+(* One lock guards the metric registries and the span log; recording
+   into a cell or a ring never takes it. *)
+let lock = Mutex.create ()
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type counter = { cname : string; cell : int Atomic.t }
+type counter = int Atomic.t
 
-let counters_lock = Mutex.create ()
 let counter_registry : (string, counter) Hashtbl.t = Hashtbl.create 32
 
 let counter name =
-  Mutex.lock counters_lock;
-  let c =
-    match Hashtbl.find_opt counter_registry name with
-    | Some c -> c
-    | None ->
-        let c = { cname = name; cell = Atomic.make 0 } in
-        Hashtbl.add counter_registry name c;
-        c
-  in
-  Mutex.unlock counters_lock;
-  c
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt counter_registry name with
+      | Some c -> c
+      | None ->
+          let c = Atomic.make 0 in
+          Hashtbl.add counter_registry name c;
+          c)
 
-let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.cell n)
+let add c n = if Events.enabled () then ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let counter_value c = Atomic.get c.cell
+let counter_value = Atomic.get
 
-let counters () =
-  Mutex.lock counters_lock;
-  let cs =
-    Hashtbl.fold (fun name c acc -> (name, Atomic.get c.cell) :: acc)
-      counter_registry []
-  in
-  Mutex.unlock counters_lock;
-  List.sort compare cs
+let snapshot registry value =
+  Mutex.protect lock (fun () ->
+      Hashtbl.fold (fun name x acc -> (name, value x) :: acc) registry [])
+  |> List.sort compare
+
+let counters () = snapshot counter_registry Atomic.get
 
 (* ------------------------------------------------------------------ *)
 (* Gauges                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let gauges_lock = Mutex.create ()
-let gauge_registry : (string, float Atomic.t) Hashtbl.t = Hashtbl.create 16
+let gauge_registry : (string, float) Hashtbl.t = Hashtbl.create 16
 
 let set_gauge name v =
-  if Atomic.get on then begin
-    Mutex.lock gauges_lock;
-    (match Hashtbl.find_opt gauge_registry name with
-    | Some cell -> Atomic.set cell v
-    | None -> Hashtbl.add gauge_registry name (Atomic.make v));
-    Mutex.unlock gauges_lock
-  end
+  if Events.enabled () then
+    Mutex.protect lock (fun () -> Hashtbl.replace gauge_registry name v)
 
-let gauges () =
-  Mutex.lock gauges_lock;
-  let gs =
-    Hashtbl.fold (fun name cell acc -> (name, Atomic.get cell) :: acc)
-      gauge_registry []
-  in
-  Mutex.unlock gauges_lock;
-  List.sort compare gs
+let gauges () = snapshot gauge_registry Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -190,37 +73,30 @@ let check_bounds name bounds =
         (Printf.sprintf "Telemetry.histogram %s: bounds not increasing" name)
   done
 
-let hist_lock = Mutex.create ()
 let hist_registry : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let histogram ?(bounds = default_bounds) name =
   check_bounds name bounds;
-  Mutex.lock hist_lock;
-  let h =
-    match Hashtbl.find_opt hist_registry name with
-    | Some h ->
-        if h.bounds <> bounds then begin
-          Mutex.unlock hist_lock;
-          invalid_arg
-            (Printf.sprintf "Telemetry.histogram %s: conflicting bounds" name)
-        end;
-        h
-    | None ->
-        let h =
-          {
-            hname = name;
-            bounds = Array.copy bounds;
-            buckets =
-              Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-            total = Atomic.make 0;
-            sum = Atomic.make 0.;
-          }
-        in
-        Hashtbl.add hist_registry name h;
-        h
-  in
-  Mutex.unlock hist_lock;
-  h
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt hist_registry name with
+      | Some h ->
+          if h.bounds <> bounds then
+            invalid_arg
+              (Printf.sprintf "Telemetry.histogram %s: conflicting bounds" name);
+          h
+      | None ->
+          let h =
+            {
+              hname = name;
+              bounds = Array.copy bounds;
+              buckets =
+                Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
+              total = Atomic.make 0;
+              sum = Atomic.make 0.;
+            }
+          in
+          Hashtbl.add hist_registry name h;
+          h)
 
 let rec atomic_add_float cell d =
   let v = Atomic.get cell in
@@ -232,49 +108,81 @@ let bucket_of h x =
   find 0
 
 let observe h x =
-  if Atomic.get on then begin
+  if Events.enabled () then begin
     ignore (Atomic.fetch_and_add h.buckets.(bucket_of h x) 1);
     ignore (Atomic.fetch_and_add h.total 1);
     atomic_add_float h.sum x
   end
 
+let sorted_histograms () = List.map snd (snapshot hist_registry Fun.id)
+
 (* ------------------------------------------------------------------ *)
-(* Reset / dump                                                        *)
+(* Span log: the drained span records, kept for the folds              *)
 (* ------------------------------------------------------------------ *)
+
+let log : Events.event list ref = ref []  (* newest first *)
+
+let span_sink ev =
+  match ev.Events.payload with
+  | Events.Span_begin _ | Events.Span_end _ ->
+      Mutex.protect lock (fun () -> log := ev :: !log)
+  | _ -> ()
 
 let reset () =
-  Atomic.incr epoch;
-  Mutex.lock registry_lock;
-  List.iter
-    (fun b ->
-      b.len <- 0;
-      b.stack <- [])
-    !registry;
-  Mutex.unlock registry_lock;
-  Mutex.lock counters_lock;
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counter_registry;
-  Mutex.unlock counters_lock;
-  Mutex.lock gauges_lock;
-  Hashtbl.reset gauge_registry;
-  Mutex.unlock gauges_lock;
-  Mutex.lock hist_lock;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun c -> Atomic.set c 0) h.buckets;
-      Atomic.set h.total 0;
-      Atomic.set h.sum 0.)
-    hist_registry;
-  Mutex.unlock hist_lock
+  Events.reset ();
+  Mutex.protect lock (fun () ->
+      log := [];
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) counter_registry;
+      Hashtbl.reset gauge_registry;
+      Hashtbl.iter
+        (fun _ h ->
+          Array.iter (fun c -> Atomic.set c 0) h.buckets;
+          Atomic.set h.total 0;
+          Atomic.set h.sum 0.)
+        hist_registry)
+
+(* Keep the spans of one domain's records that both began and ended.
+   An end closes the innermost open span with its id and discards the
+   spans still open inside it (their ends were dropped); an end with no
+   open begin (its begin was dropped, or came before a reset) closes
+   nothing. What remains nests exactly. *)
+let closed_spans evs =
+  let closed = Hashtbl.create 64 in
+  let rec close id = function
+    | top :: rest -> if top = id then Some rest else close id rest
+    | [] -> None
+  in
+  ignore
+    (List.fold_left
+       (fun stack ev ->
+         match ev.Events.payload with
+         | Events.Span_begin s -> s.id :: stack
+         | Events.Span_end { span = s; _ } -> (
+             match close s.id stack with
+             | Some rest ->
+                 Hashtbl.replace closed s.id ();
+                 rest
+             | None -> stack)
+         | _ -> stack)
+       [] evs);
+  List.filter
+    (fun ev ->
+      match ev.Events.payload with
+      | Events.Span_begin s | Events.Span_end { span = s; _ } ->
+          Hashtbl.mem closed s.id
+      | _ -> false)
+    evs
 
 let dump () =
-  Mutex.lock registry_lock;
-  let snap =
-    List.map
-      (fun b -> (b.dom, Array.to_list (Array.sub b.evs 0 b.len)))
-      !registry
-  in
-  Mutex.unlock registry_lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) snap
+  Events.drain ();
+  let by_dom = Hashtbl.create 8 in
+  List.iter
+    (fun (ev : Events.event) ->
+      Hashtbl.replace by_dom ev.dom
+        (ev :: Option.value (Hashtbl.find_opt by_dom ev.dom) ~default:[]))
+    (Mutex.protect lock (fun () -> !log));
+  Hashtbl.fold (fun d evs acc -> (d, closed_spans evs) :: acc) by_dom []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Summary tree                                                        *)
@@ -287,56 +195,41 @@ type node = {
   children : (string, node) Hashtbl.t;
 }
 
-let new_node () = { total = 0.; self = 0.; count = 0; children = Hashtbl.create 4 }
-
 let find_node tbl name =
   match Hashtbl.find_opt tbl name with
   | Some n -> n
   | None ->
-      let n = new_node () in
+      let n = { total = 0.; self = 0.; count = 0; children = Hashtbl.create 4 } in
       Hashtbl.add tbl name n;
       n
 
-type frame = {
-  fid : int;
-  fnode : node;
-  fstart : float;
-  mutable child_time : float;
-}
-
-(* Fold every domain's event stream into one tree keyed by span name
-   within parent: totals aggregate across domains and across calls. *)
+(* Fold every domain's spans into one tree keyed by span name within
+   parent: totals aggregate across domains and across calls. [dump]
+   leaves only closed spans, so every end closes the top frame. *)
 let build_tree () =
   let roots : (string, node) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (_dom, evs) ->
-      let stack = ref [] in
-      List.iter
-        (fun ev ->
-          match ev with
-          | Begin { id; name; ts; _ } ->
-              let tbl =
-                match !stack with
-                | [] -> roots
-                | f :: _ -> f.fnode.children
-              in
-              stack :=
-                { fid = id; fnode = find_node tbl name; fstart = ts;
-                  child_time = 0. }
-                :: !stack
-          | End { id; ts } -> (
-              match !stack with
-              | f :: rest when f.fid = id ->
-                  stack := rest;
-                  let dur = ts -. f.fstart in
-                  f.fnode.total <- f.fnode.total +. dur;
-                  f.fnode.self <- f.fnode.self +. (dur -. f.child_time);
-                  f.fnode.count <- f.fnode.count + 1;
-                  (match rest with
-                  | parent :: _ -> parent.child_time <- parent.child_time +. dur
-                  | [] -> ())
-              | _ -> () (* orphan end: span began before a reset *)))
-        evs)
+      ignore
+        (List.fold_left
+           (fun stack ev ->
+             match (ev.Events.payload, stack) with
+             | Events.Span_begin s, _ ->
+                 let tbl =
+                   match stack with [] -> roots | (n, _) :: _ -> n.children
+                 in
+                 (find_node tbl s.Events.name, ref 0.) :: stack
+             | Events.Span_end { wall_s; _ }, (n, child_time) :: rest ->
+                 n.total <- n.total +. wall_s;
+                 n.self <- n.self +. (wall_s -. !child_time);
+                 n.count <- n.count + 1;
+                 (match rest with
+                 | (_, parent_time) :: _ ->
+                     parent_time := !parent_time +. wall_s
+                 | [] -> ());
+                 rest
+             | _ -> stack)
+           [] evs))
     (dump ());
   roots
 
@@ -395,12 +288,6 @@ let pp_summary ppf () =
   else
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-36s %12g@," name v) gs;
   Format.fprintf ppf "histograms:@,";
-  Mutex.lock hist_lock;
-  let hs =
-    Hashtbl.fold (fun _ h acc -> h :: acc) hist_registry []
-    |> List.sort (fun a b -> compare a.hname b.hname)
-  in
-  Mutex.unlock hist_lock;
   let printed = ref false in
   List.iter
     (fun h ->
@@ -415,7 +302,7 @@ let pp_summary ppf () =
           (Stats.percentile 50. samples)
           (Stats.percentile 99. samples)
       end)
-    hs;
+    (sorted_histograms ());
   if not !printed then Format.fprintf ppf "  (none)@,";
   Format.fprintf ppf "@]"
 
@@ -423,108 +310,62 @@ let pp_summary ppf () =
 (* Chrome trace-event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_value = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.6g" f
-      else Printf.sprintf "\"%s\"" (string_of_float f)
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Bool b -> string_of_bool b
-
-let json_args args =
-  String.concat ", "
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (json_value v))
-       args)
+  | Events.Int i -> string_of_int i
+  | Events.Float f -> Events.json_float f
+  | Events.Str s -> Events.json_string s
+  | Events.Bool b -> string_of_bool b
 
 let to_chrome_json () =
-  let per_dom = dump () in
-  let t0 =
-    List.fold_left
-      (fun acc (_, evs) ->
-        List.fold_left
-          (fun acc ev ->
-            let ts = match ev with Begin { ts; _ } | End { ts; _ } -> ts in
-            Float.min acc ts)
-          acc evs)
-      infinity per_dom
-  in
-  let t0 = if Float.is_finite t0 then t0 else 0. in
-  let us ts = (ts -. t0) *. 1e6 in
   let items = ref [] in
-  let emit fmt = Printf.ksprintf (fun s -> items := s :: !items) fmt in
+  let item fmt = Printf.ksprintf (fun s -> items := s :: !items) fmt in
+  let us t = t *. 1e6 in
   let t_max = ref 0. in
   List.iter
     (fun (dom, evs) ->
-      let label = if dom = 0 then "main" else Printf.sprintf "domain %d" dom in
-      emit
+      item
         "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \
          \"args\": {\"name\": \"%s\"}}"
-        dom (json_escape label);
+        dom
+        (if dom = 0 then "main" else Printf.sprintf "domain %d" dom);
       List.iter
-        (fun ev ->
-          match ev with
-          | Begin { name; cat; ts; args; parent; id; _ } ->
-              t_max := Float.max !t_max (us ts);
-              let extra =
-                ("span_id", Int id)
-                :: (if parent = 0 then [] else [ ("parent_id", Int parent) ])
+        (fun (ev : Events.event) ->
+          t_max := Float.max !t_max (us ev.t);
+          match ev.payload with
+          | Events.Span_begin { id; parent; name; cat; args; _ } ->
+              let args =
+                args @ (("span_id", Events.Int id)
+                :: (if parent = 0 then []
+                    else [ ("parent_id", Events.Int parent) ]))
               in
-              emit
-                "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"B\", \"ts\": \
-                 %.3f, \"pid\": 1, \"tid\": %d, \"args\": {%s}}"
-                (json_escape name) (json_escape cat) (us ts) dom
-                (json_args (args @ extra))
-          | End { ts; _ } ->
-              t_max := Float.max !t_max (us ts);
-              emit "{\"ph\": \"E\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d}"
-                (us ts) dom)
+              item
+                "{\"name\": %s, \"cat\": %s, \"ph\": \"B\", \"ts\": %.3f, \
+                 \"pid\": 1, \"tid\": %d, \"args\": {%s}}"
+                (Events.json_string name) (Events.json_string cat) (us ev.t)
+                dom
+                (String.concat ", "
+                   (List.map
+                      (fun (k, v) ->
+                        Events.json_string k ^ ": " ^ json_value v)
+                      args))
+          | _ ->
+              item "{\"ph\": \"E\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d}"
+                (us ev.t) dom)
         evs)
-    per_dom;
+    (dump ());
   List.iter
     (fun (name, v) ->
       if v <> 0 then
-        emit
-          "{\"name\": \"%s\", \"ph\": \"C\", \"ts\": %.3f, \"pid\": 1, \
+        item
+          "{\"name\": %s, \"ph\": \"C\", \"ts\": %.3f, \"pid\": 1, \
            \"tid\": 0, \"args\": {\"value\": %d}}"
-          (json_escape name) !t_max v)
+          (Events.json_string name) !t_max v)
     (counters ());
   "[\n" ^ String.concat ",\n" (List.rev !items) ^ "\n]\n"
-
-let write_chrome_trace path =
-  let oc = open_out path in
-  output_string oc (to_chrome_json ());
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Metrics exposition (JSON snapshot + Prometheus text format)         *)
 (* ------------------------------------------------------------------ *)
-
-let sorted_histograms () =
-  Mutex.lock hist_lock;
-  let hs = Hashtbl.fold (fun _ h acc -> h :: acc) hist_registry [] in
-  Mutex.unlock hist_lock;
-  List.sort (fun a b -> compare a.hname b.hname) hs
-
-let jfloat f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f
-  else Printf.sprintf "\"%s\"" (string_of_float f)
 
 let to_metrics_json () =
   let b = Buffer.create 1024 in
@@ -540,32 +381,33 @@ let to_metrics_json () =
   Buffer.add_string b "{";
   obj "counters"
     (fun (name, v) ->
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (json_escape name) v))
+      Buffer.add_string b (Printf.sprintf "%s: %d" (Events.json_string name) v))
     (counters ());
   Buffer.add_string b ", ";
   obj "gauges"
     (fun (name, v) ->
       Buffer.add_string b
-        (Printf.sprintf "\"%s\": %s" (json_escape name) (jfloat v)))
+        (Printf.sprintf "%s: %s" (Events.json_string name) (Events.json_float v)))
     (gauges ());
   Buffer.add_string b ", ";
   obj "histograms"
     (fun h ->
       let buckets, total, sum = hist_snapshot h in
-      Buffer.add_string b (Printf.sprintf "\"%s\": {" (json_escape h.hname));
+      Buffer.add_string b (Printf.sprintf "%s: {" (Events.json_string h.hname));
       Buffer.add_string b "\"buckets\": [";
       Array.iteri
         (fun i c ->
           if i > 0 then Buffer.add_string b ", ";
           let le =
-            if i < Array.length h.bounds then jfloat h.bounds.(i)
+            if i < Array.length h.bounds then Events.json_float h.bounds.(i)
             else "\"+Inf\""
           in
           Buffer.add_string b
             (Printf.sprintf "{\"le\": %s, \"count\": %d}" le c))
         buckets;
       Buffer.add_string b
-        (Printf.sprintf "], \"total\": %d, \"sum\": %s}" total (jfloat sum)))
+        (Printf.sprintf "], \"total\": %d, \"sum\": %s}" total
+           (Events.json_float sum)))
     (sorted_histograms ());
   Buffer.add_string b "}";
   Buffer.contents b

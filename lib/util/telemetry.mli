@@ -1,67 +1,36 @@
-(** Process-wide, domain-safe instrumentation: spans, counters, gauges
-    and latency histograms, with a human summary tree and a Chrome
-    trace-event JSON exporter.
+(** Spans, counters, gauges and latency histograms on the {!Events}
+    stream, with a human summary tree, a Chrome trace-event exporter and
+    metrics snapshots.
 
     The synthesis flow is a multi-phase pipeline — FT-CPG generation,
     policy/mapping optimization, conditional scheduling, fault-injection
-    validation — fanned out over the {!Par} domain pool. This module
-    makes a run observable end to end: every phase opens a {e span}
-    (recorded into a per-domain append-only buffer, so recording never
-    takes a lock), hot components bump {e counters} (atomic ints), and
-    the pool reports fan-out sizes and queue waits into {e histograms}.
+    validation — fanned out over the {!Par} domain pool. Every phase
+    opens a span, hot components bump counters (atomic ints), and the
+    pool reports fan-out sizes and queue waits into histograms.
 
-    {b Pay for what you use.} Recording is gated by a single process-wide
-    atomic flag, off by default: with telemetry disabled, {!with_span}
-    costs one atomic load and a branch before calling its thunk, and
-    counter increments cost the same. Nothing is allocated and no clock
-    is read until {!enable} is called.
-
-    {b Determinism.} Telemetry observes; it never steers. No RNG is
-    consumed, no ordering is changed, no result depends on a recorded
-    value — search trajectories are bit-identical with telemetry on or
-    off and for every [jobs] value (pinned by [test/test_telemetry.ml],
-    the same discipline as the evaluation cache).
-
-    {b Domain safety.} Each domain owns one event buffer (registered
-    once, via [Domain.DLS]); only the owning domain appends to it.
-    Counters and histogram buckets are [Atomic] cells. The exporters
-    read the buffers of parked or finished domains; export while worker
-    domains are actively recording is not supported (the [Par] pool is
-    idle between calls, so exporting after a run is always safe).
-
-    {b Clock.} Timestamps come from [Unix.gettimeofday], clamped to be
-    non-decreasing per buffer; span nesting therefore always has
-    children contained within their parents. *)
-
-(** {1 Recording switch} *)
-
-val enable : unit -> unit
-val disable : unit -> unit
+    {b One substrate.} Spans are records in the {!Events} rings, so the
+    switch, the clock, the drop policy and the drain are those of
+    {!Events}: turn recording on with [Events.enable] and open spans
+    with [Events.with_span]. Counters, gauges and histograms are atomic
+    cells outside the rings, recorded while that one switch is on; the
+    metric exporters read them directly. The span tree and the Chrome
+    trace are folds over the span records {!span_sink} kept. Export
+    after a run, while the [Par] pool is idle. *)
 
 val enabled : unit -> bool
-(** True between {!enable} and {!disable}. Read this before computing
-    anything that exists only to be recorded (e.g. a [List.length] fed
-    to {!add}). *)
+(** [Events.enabled]: the same one switch, read under either name. *)
 
 val reset : unit -> unit
-(** Drop all recorded events and zero every counter, gauge and
-    histogram (registrations survive). Call only while no other domain
-    is recording — i.e. between [Par] fan-outs. *)
+(** [Events.reset], then forget the kept span records and zero every
+    counter, gauge and histogram (registrations survive). Call only
+    while no other domain is recording — i.e. between [Par] fan-outs. *)
 
-(** {1 Spans} *)
-
-type value = Int of int | Float of float | Str of string | Bool of bool
-(** Attribute values attached to a span. *)
-
-val with_span :
-  ?cat:string -> ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f ()] inside a span: a begin event is
-    recorded in the calling domain's buffer (with a fresh span id and
-    the id of the enclosing span as parent), and the matching end event
-    is recorded when [f] returns {e or raises} (the exception is
-    re-raised). With telemetry disabled this is [f ()] after one branch.
-    [cat] is the Chrome trace category (defaults to ["ftes"]); [args]
-    become the trace event's arguments. *)
+val span_sink : Events.event -> unit
+(** An [Events] sink that keeps the span records it sees for {!dump},
+    {!pp_summary} and {!to_chrome_json}. Nothing else keeps them, so a
+    run that records without it holds no span log: register it once
+    with [Events.add_sink] for a run whose span tree or trace is
+    wanted. *)
 
 (** {1 Counters, gauges, histograms} *)
 
@@ -96,20 +65,12 @@ val observe : histogram -> float -> unit
 
 (** {1 Inspection (tests, exporters)} *)
 
-type event =
-  | Begin of {
-      id : int;
-      parent : int;  (** 0 when the span is a root of its domain. *)
-      name : string;
-      cat : string;
-      ts : float;  (** seconds, non-decreasing within a buffer *)
-      args : (string * value) list;
-    }
-  | End of { id : int; ts : float }
-
-val dump : unit -> (int * event list) list
-(** Recorded events per domain (domain id, events in recording order),
-    sorted by domain id. *)
+val dump : unit -> (int * Events.event list) list
+(** Drain, then the kept span records per domain (domain id, records in
+    recording order), sorted by domain id. Only spans whose begin and
+    end both survived the rings appear, so the records nest exactly: a
+    span whose begin or end was dropped, or that began before a
+    {!reset}, is left out. Empty unless {!span_sink} is registered. *)
 
 val counters : unit -> (string * int) list
 (** All registered counters with their current values, sorted by name. *)
@@ -131,9 +92,6 @@ val to_chrome_json : unit -> string
     thread-name metadata per track, and one [C] (counter) sample per
     registered counter at the end of the trace. Load the result in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}. *)
-
-val write_chrome_trace : string -> unit
-(** {!to_chrome_json} written to a file. *)
 
 val to_metrics_json : unit -> string
 (** The current counters, gauges and histograms as one JSON object:

@@ -287,9 +287,9 @@ let test_lns_memo_pinned () =
   let reused = ref 0 in
   let pinned label p (len, digest) =
     Ftes_util.Telemetry.reset ();
-    Ftes_util.Telemetry.enable ();
+    Ftes_util.Events.enable ();
     let best, l =
-      Fun.protect ~finally:Ftes_util.Telemetry.disable (fun () ->
+      Fun.protect ~finally:Ftes_util.Events.disable (fun () ->
           Lns.optimize lns_opts p)
     in
     reused := !reused + Ftes_util.Telemetry.counter_value reuses;

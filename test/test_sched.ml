@@ -273,10 +273,10 @@ let test_incremental_matches_reference_fig5 () =
               ~params:{ Conditional.default_params with fan_depth }
               ~jobs:4 f)))
     [ 0; 1; 2 ];
-  Ftes_util.Telemetry.enable ();
+  Ftes_util.Events.enable ();
   let d_tel1 = table_digest (Conditional.schedule ~jobs:1 f) in
   let d_tel4 = table_digest (Conditional.schedule ~jobs:4 f) in
-  Ftes_util.Telemetry.disable ();
+  Ftes_util.Events.disable ();
   Ftes_util.Telemetry.reset ();
   Alcotest.(check string) "telemetry on, jobs=1" d_ref d_tel1;
   Alcotest.(check string) "telemetry on, jobs=4" d_ref d_tel4

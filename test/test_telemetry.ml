@@ -5,6 +5,7 @@
    and the Chrome trace-event export must be valid JSON. *)
 
 module Telemetry = Ftes_util.Telemetry
+module Events = Ftes_util.Events
 module Evalcache = Ftes_optim.Evalcache
 module Tabu = Ftes_optim.Tabu
 module Problem = Ftes_ftcpg.Problem
@@ -27,12 +28,18 @@ let config_string (p : Problem.t) =
 let quick_opts =
   { Tabu.default_options with iterations = 30; sample = 8; jobs = 2 }
 
-(* Every test leaves the process-wide switch off so suites stay
-   independent of their execution order. *)
+(* Record with the span log kept. Every test leaves the process-wide
+   switch off and the log unsubscribed so suites stay independent of
+   their execution order. *)
 let recording f =
   Telemetry.reset ();
-  Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable f
+  Events.enable ();
+  let log = Events.add_sink Telemetry.span_sink in
+  Fun.protect
+    ~finally:(fun () ->
+      Events.disable ();
+      Events.remove_sink log)
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: telemetry observes, it never steers                     *)
@@ -46,8 +53,8 @@ let test_trajectory_identity () =
           ~processes:10 ~nodes:3 ~k:2 ~seed ()
       in
       let run ~telemetry ~jobs =
-        if telemetry then Telemetry.enable () else Telemetry.disable ();
-        Fun.protect ~finally:Telemetry.disable (fun () ->
+        if telemetry then Events.enable () else Events.disable ();
+        Fun.protect ~finally:Events.disable (fun () ->
             let b, l = Tabu.optimize { quick_opts with jobs } p in
             (l, config_string b))
       in
@@ -70,40 +77,36 @@ let test_trajectory_identity () =
 (* Span streams: nesting, timestamps, expected phases                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay one domain's event stream against a stack: every End must
-   close the innermost open span, every Begin must name the innermost
+(* Replay one domain's span records against a stack: every end must
+   close the innermost open span, every begin must name the innermost
    open span as its parent, and timestamps never go backwards. *)
 let check_stream dom events =
   let stack = ref [] in
   let last_ts = ref neg_infinity in
   List.iter
-    (fun ev ->
-      let ts =
-        match ev with
-        | Telemetry.Begin { id; parent; ts; _ } ->
-            let expected_parent =
-              match !stack with [] -> 0 | top :: _ -> top
-            in
-            Alcotest.(check int)
-              (Printf.sprintf "domain %d: parent of span %d" dom id)
-              expected_parent parent;
-            stack := id :: !stack;
-            ts
-        | Telemetry.End { id; ts } ->
-            (match !stack with
-            | top :: rest ->
-                Alcotest.(check int)
-                  (Printf.sprintf "domain %d: End closes innermost span" dom)
-                  top id;
-                stack := rest
-            | [] -> Alcotest.fail (Printf.sprintf "domain %d: orphan End" dom));
-            ts
-      in
+    (fun (ev : Events.event) ->
+      (match ev.payload with
+      | Events.Span_begin { id; parent; _ } ->
+          let expected_parent =
+            match !stack with [] -> 0 | top :: _ -> top
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "domain %d: parent of span %d" dom id)
+            expected_parent parent;
+          stack := id :: !stack
+      | Events.Span_end { span = { id; _ }; _ } -> (
+          match !stack with
+          | top :: rest ->
+              Alcotest.(check int)
+                (Printf.sprintf "domain %d: end closes innermost span" dom)
+                top id;
+              stack := rest
+          | [] -> Alcotest.fail (Printf.sprintf "domain %d: orphan end" dom))
+      | _ -> Alcotest.fail (Printf.sprintf "domain %d: not a span" dom));
       Alcotest.(check bool)
         (Printf.sprintf "domain %d: non-decreasing ts" dom)
-        true
-        (ts >= !last_ts);
-      last_ts := ts)
+        true (ev.t >= !last_ts);
+      last_ts := ev.t)
     events;
   Alcotest.(check (list int))
     (Printf.sprintf "domain %d: all spans closed" dom)
@@ -113,29 +116,61 @@ let span_names dump =
   List.concat_map
     (fun (_, evs) ->
       List.filter_map
-        (function
-          | Telemetry.Begin { name; _ } -> Some name
-          | Telemetry.End _ -> None)
+        (fun (ev : Events.event) ->
+          match ev.payload with
+          | Events.Span_begin { name; _ } -> Some name
+          | _ -> None)
         evs)
     dump
   |> List.sort_uniq compare
 
 let test_span_well_formedness () =
   recording (fun () ->
-      let app, arch, wcet =
-        Ftes_workload.Gen.instance
-          { Ftes_workload.Gen.default with processes = 6; nodes = 2; seed = 5 }
+      (* The raw span records as drained, before [dump] leaves out the
+         spans whose begin or end was lost. *)
+      let raw = ref [] in
+      let collect (ev : Events.event) =
+        match ev.payload with
+        | Events.Span_begin _ | Events.Span_end _ -> raw := ev :: !raw
+        | _ -> ()
       in
-      let options =
-        { Synthesis.default_options with tabu = quick_opts }
-      in
-      let result = Synthesis.synthesize ~options ~app ~arch ~wcet ~k:2 () in
-      let violations = Synthesis.validate ~jobs:2 result in
-      Alcotest.(check (list string))
-        "tables validate" []
-        (List.map Ftes_sim.Violation.to_string violations);
+      let sink = Events.add_sink collect in
+      Fun.protect ~finally:(fun () -> Events.remove_sink sink) (fun () ->
+          let app, arch, wcet =
+            Ftes_workload.Gen.instance
+              {
+                Ftes_workload.Gen.default with
+                processes = 6;
+                nodes = 2;
+                seed = 5;
+              }
+          in
+          let options =
+            { Synthesis.default_options with tabu = quick_opts }
+          in
+          let result =
+            Synthesis.synthesize ~options ~app ~arch ~wcet ~k:2 ()
+          in
+          let violations = Synthesis.validate ~jobs:2 result in
+          Alcotest.(check (list string))
+            "tables validate" []
+            (List.map Ftes_sim.Violation.to_string violations);
+          (* A pool worker records its span end after the fan-out it
+             served returns; joining the workers publishes every
+             record. *)
+          Ftes_util.Par.shutdown ();
+          Events.drain ());
+      Alcotest.(check int) "no record dropped" 0 (Events.dropped ());
+      let raw = List.rev !raw in
+      List.iter
+        (fun dom ->
+          check_stream dom
+            (List.filter (fun (ev : Events.event) -> ev.dom = dom) raw))
+        (List.sort_uniq compare
+           (List.map (fun (ev : Events.event) -> ev.dom) raw));
       let dump = Telemetry.dump () in
-      List.iter (fun (dom, evs) -> check_stream dom evs) dump;
+      Alcotest.(check int) "dump keeps every span record" (List.length raw)
+        (List.length (List.concat_map snd dump));
       let names = span_names dump in
       List.iter
         (fun expected ->
@@ -152,26 +187,29 @@ let test_span_well_formedness () =
       (* Assembly is its own span inside the conditional scheduler, a
          sibling of the DFS walk ([sched.fix_iter]). *)
       let evs = List.concat_map snd dump in
-      let name_of id =
-        List.find_map
-          (function
-            | Telemetry.Begin b when b.id = id -> Some b.name
-            | Telemetry.Begin _ | Telemetry.End _ -> None)
+      let begins =
+        List.filter_map
+          (fun (ev : Events.event) ->
+            match ev.payload with Events.Span_begin s -> Some s | _ -> None)
           evs
       in
+      let name_of id =
+        List.find_map
+          (fun (s : Events.span) -> if s.id = id then Some s.name else None)
+          begins
+      in
       List.iter
-        (function
-          | Telemetry.Begin b when b.name = "sched.table.assemble" ->
-              Alcotest.(check (option string))
-                "assembly nests in sched.conditional" (Some "sched.conditional")
-                (name_of b.parent)
-          | Telemetry.Begin _ | Telemetry.End _ -> ())
-        evs)
+        (fun (s : Events.span) ->
+          if s.name = "sched.table.assemble" then
+            Alcotest.(check (option string))
+              "assembly nests in sched.conditional" (Some "sched.conditional")
+              (name_of s.parent))
+        begins)
 
 let test_exception_closes_span () =
   recording (fun () ->
       (match
-         Telemetry.with_span "doomed" (fun () -> failwith "expected")
+         Events.with_span "doomed" (fun () -> failwith "expected")
        with
       | () -> Alcotest.fail "exception swallowed"
       | exception Failure m ->
@@ -182,8 +220,8 @@ let test_exception_closes_span () =
 
 let test_disabled_records_nothing () =
   Telemetry.reset ();
-  Telemetry.disable ();
-  let v = Telemetry.with_span "ghost" (fun () -> 41 + 1) in
+  Events.disable ();
+  let v = Events.with_span "ghost" (fun () -> 41 + 1) in
   Alcotest.(check int) "with_span returns the thunk's value" 42 v;
   let c = Telemetry.counter "test.ghost" in
   Telemetry.incr c;
@@ -199,25 +237,31 @@ let test_disabled_records_nothing () =
 (* Counter totals: telemetry agrees with the legacy accounting          *)
 (* ------------------------------------------------------------------ *)
 
+(* There is one switch: [Events.enable] alone records the counters, and
+   both modules read it. *)
 let test_evalcache_counters_match_stats () =
-  recording (fun () ->
-      let p =
-        Helpers.random_problem ~frozen:false ~mixed_policies:false
-          ~processes:8 ~nodes:3 ~k:2 ~seed:9 ()
-      in
+  let p =
+    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:8
+      ~nodes:3 ~k:2 ~seed:9 ()
+  in
+  Telemetry.reset ();
+  Events.enable ();
+  Fun.protect ~finally:Events.disable (fun () ->
+      Alcotest.(check (pair bool bool))
+        "both modules see the switch" (true, true)
+        (Telemetry.enabled (), Events.enabled ());
       let cache = Evalcache.create () in
       let _, _ = Tabu.optimize { quick_opts with cache = Some cache } p in
       let s = Evalcache.stats cache in
-      let v name =
-        Telemetry.counter_value (Telemetry.counter name)
-      in
+      let v name = Telemetry.counter_value (Telemetry.counter name) in
       Alcotest.(check bool) "cache saw traffic" true (s.Evalcache.lookups > 0);
       Alcotest.(check int) "hits" s.Evalcache.hits (v "evalcache.hits");
       Alcotest.(check int) "misses" s.Evalcache.misses (v "evalcache.misses");
-      Alcotest.(check int) "inserts" s.Evalcache.inserts
-        (v "evalcache.inserts");
+      Alcotest.(check int) "inserts" s.Evalcache.inserts (v "evalcache.inserts");
       Alcotest.(check int) "evictions" s.Evalcache.evictions
-        (v "evalcache.evictions"))
+        (v "evalcache.evictions"));
+  Alcotest.(check (pair bool bool)) "both modules see it off" (false, false)
+    (Telemetry.enabled (), Events.enabled ())
 
 let test_sim_scenario_counter () =
   recording (fun () ->
@@ -354,18 +398,18 @@ let count_occurrences needle hay =
 
 let test_chrome_export () =
   recording (fun () ->
-      Telemetry.with_span ~cat:"test"
+      Events.with_span ~cat:"test"
         ~args:
           [
-            ("quote", Telemetry.Str "she said \"hi\"\nand left");
-            ("count", Telemetry.Int 3);
-            ("ratio", Telemetry.Float 0.5);
-            ("ok", Telemetry.Bool true);
+            ("quote", Events.Str "she said \"hi\"\nand left");
+            ("count", Events.Int 3);
+            ("ratio", Events.Float 0.5);
+            ("ok", Events.Bool true);
           ]
         "outer"
         (fun () ->
-          Telemetry.with_span "inner" (fun () -> ());
-          Telemetry.with_span "inner" (fun () -> ()));
+          Events.with_span "inner" (fun () -> ());
+          Events.with_span "inner" (fun () -> ()));
       Telemetry.incr (Telemetry.counter "test.export");
       let json = Telemetry.to_chrome_json () in
       (match parse_json json with

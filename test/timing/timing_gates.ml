@@ -1,4 +1,4 @@
-(* Wall-clock gates: the event-stream overhead bound and the two
+(* Wall-clock gates: the instrumentation overhead bound and the two
    parallel speedups. They compare wall clocks, so another process on
    the same cores skews them; `dune runtest` runs the test suites side
    by side, and the overhead bound failed there 3 times in 10 on a
@@ -12,6 +12,7 @@
    they skip with the reason printed. *)
 
 module Events = Ftes_util.Events
+module Telemetry = Ftes_util.Telemetry
 module Strategy = Ftes_optim.Strategy
 module Tabu = Ftes_optim.Tabu
 module Evalcache = Ftes_optim.Evalcache
@@ -27,10 +28,10 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Event-stream overhead: nft baseline + MXR with emission off and on  *)
+(* Recording overhead: nft baseline + MXR with the one switch off/on   *)
 (* ------------------------------------------------------------------ *)
 
-let test_events_overhead () =
+let test_recording_overhead () =
   (* Quiesce the domain pool: even parked domains take part in every
      stop-the-world minor collection, which roughly doubles the wall
      time of this sequential search and drowns the effect being
@@ -42,7 +43,7 @@ let test_events_overhead () =
   in
   let inputs = { Strategy.app; arch; wcet; k = 2 } in
   (* Sequential: sub-second searches on a domain pool swing with host
-     scheduling far more than with the emission overhead. Sized so a
+     scheduling far more than with the recording overhead. Sized so a
      run takes tens of milliseconds — the per-rep noise floor on a busy
      1-core host is a couple of milliseconds, which must stay well
      inside the asserted bound. *)
@@ -51,13 +52,15 @@ let test_events_overhead () =
     let nft = Strategy.nft_length ~opts inputs in
     Strategy.run ~opts ~nft inputs Strategy.MXR
   in
-  (* The "on" configuration is emission plus one in-process sink that
-     counts incumbents — the shape a live progress consumer has,
-     without disk I/O. *)
-  let incumbents = ref 0 in
+  (* The "on" configuration is everything the switch turns on — spans,
+     counters, gauges, histograms and events — plus one in-process sink
+     that counts incumbents and span ends: the shape a live progress
+     consumer has, without disk I/O. *)
+  let incumbents = ref 0 and spans = ref 0 in
   let capture (e : Events.event) =
     match e.Events.payload with
     | Events.Incumbent _ -> incr incumbents
+    | Events.Span_end _ -> incr spans
     | _ -> ()
   in
   Events.disable ();
@@ -71,6 +74,8 @@ let test_events_overhead () =
         Events.disable ();
         let off = time run_once in
         incumbents := 0;
+        spans := 0;
+        Telemetry.reset ();
         Events.enable ();
         let sink = Events.add_sink capture in
         let on = time run_once in
@@ -89,20 +94,23 @@ let test_events_overhead () =
   let wall_on = minimum (List.map (fun (_, (_, w)) -> w) pairs) in
   let overhead_pct = ((wall_on /. wall_off) -. 1.) *. 100. in
   let (off, _), (on, _) = List.hd pairs in
-  Alcotest.(check bool) "events leave the search unchanged" true
+  Alcotest.(check bool) "recording leaves the search unchanged" true
     (off.Strategy.length = on.Strategy.length
     && Evalcache.signature off.Strategy.problem
        = Evalcache.signature on.Strategy.problem);
-  Alcotest.(check int) "no event dropped" 0 !dropped;
+  Alcotest.(check int) "no record dropped" 0 !dropped;
   Alcotest.(check bool) "incumbents captured" true (!incumbents >= 1);
-  (* Well above the ~2% the stream actually costs, well below anything
-     that would signal emission on the off path or a sink doing
-     per-event work it should not. *)
+  Alcotest.(check bool) "spans recorded" true (!spans >= 1);
+  (* Well above what recording actually costs, well below anything
+     that would signal recording on the off path or a sink doing
+     per-record work it should not. *)
   let bound_pct = 5.0 in
-  Printf.printf "events off %.4f s, on %.4f s: overhead %+.2f%% (bound %.1f%%)\n"
-    wall_off wall_on overhead_pct bound_pct;
+  Printf.printf
+    "recording off %.4f s, on %.4f s (%d spans): overhead %+.2f%% (bound \
+     %.1f%%)\n"
+    wall_off wall_on !spans overhead_pct bound_pct;
   if overhead_pct > bound_pct then
-    Alcotest.failf "event overhead %+.2f%% exceeds the %.1f%% bound"
+    Alcotest.failf "recording overhead %+.2f%% exceeds the %.1f%% bound"
       overhead_pct bound_pct
 
 (* ------------------------------------------------------------------ *)
@@ -182,8 +190,8 @@ let () =
     [
       ( "overhead",
         [
-          Alcotest.test_case "event emission within 5% (25 procs, MXR)" `Slow
-            test_events_overhead;
+          Alcotest.test_case "recording within 5% (25 procs, MXR)" `Slow
+            test_recording_overhead;
         ] );
       ( "speedup",
         [
