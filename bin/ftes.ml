@@ -4,7 +4,24 @@
 
 open Cmdliner
 
-let read_doc path = Ftes_dsl.Dsl.load path
+(* Exit status of a run whose input file cannot be read or parsed, or
+   whose output file cannot be opened for writing. *)
+let exit_bad_file = 2
+
+let read_doc path =
+  match Ftes_dsl.Dsl.load path with
+  | doc -> doc
+  | exception Ftes_dsl.Dsl.Parse_error { line; message } ->
+      Format.eprintf "ftes: %s:%d: %s@." path line message;
+      exit exit_bad_file
+  | exception Sys_error msg ->
+      let prefix = path ^ ": " in
+      Format.eprintf "ftes: %s@."
+        (if String.starts_with ~prefix msg then msg else prefix ^ msg);
+      exit exit_bad_file
+
+let exit_bad_input =
+  Cmd.Exit.info exit_bad_file ~doc:"when FILE cannot be read or parsed."
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -72,7 +89,8 @@ let info_cmd =
     Format.printf "%a@." Ftes_arch.Wcet.pp doc.Ftes_dsl.Dsl.wcet
   in
   Cmd.v
-    (Cmd.info "info" ~doc:"Print a parsed synthesis instance.")
+    (Cmd.info "info" ~exits:(exit_bad_input :: Cmd.Exit.defaults)
+       ~doc:"Print a parsed synthesis instance.")
     Term.(const run $ file)
 
 (* ------------------------------------------------------------------ *)
@@ -94,9 +112,6 @@ let strategy_conv =
       (String.lowercase_ascii (Ftes_optim.Strategy.name_to_string s))
   in
   Arg.conv (parse, print)
-
-(* Exit status of a run that cannot open one of its output files. *)
-let exit_unwritable = 2
 
 (* Open every output file before the run starts, truncating none until
    all have opened: an unwritable path costs one line, no synthesis and
@@ -124,7 +139,7 @@ let open_outputs files =
           else msg
         in
         Format.eprintf "ftes: cannot write %s: %s@." file reason;
-        exit exit_unwritable
+        exit exit_bad_file
   in
   let outs = List.map (Option.map open_one) files in
   List.iter
@@ -413,10 +428,10 @@ let synthesize_cmd =
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"on fault-injection validation failure."
-    :: Cmd.Exit.info exit_unwritable
-         ~doc:"when an output file (--events, --trace, --metrics-json, \
-               --prometheus) cannot be opened for writing; nothing is \
-               synthesized."
+    :: Cmd.Exit.info exit_bad_file
+         ~doc:"when FILE cannot be read or parsed, or an output file \
+               (--events, --trace, --metrics-json, --prometheus) cannot \
+               be opened for writing; nothing is synthesized."
     :: Cmd.Exit.defaults
   in
   Cmd.v
@@ -438,48 +453,54 @@ let simulate path faults trace jobs =
   let table =
     Ftes_sched.Conditional.schedule ?jobs ftcpg
   in
-  (* Count and filter over the packed scenario arena; only the selected
-     scenarios are unpacked to guards for replay. *)
+  (* Select rows of the packed scenario arena by fault count and replay
+     them against one compiled table; only failing rows and the one
+     whose trace is printed are unpacked to guards. *)
   let space = Ftes_ftcpg.Ftcpg.scenario_space ftcpg in
   let total = Ftes_ftcpg.Condvec.count space in
   let selected = ref [] in
   for i = total - 1 downto 0 do
     if Ftes_ftcpg.Condvec.fault_count space i = faults then
-      selected := Ftes_ftcpg.Condvec.guard_at space i :: !selected
+      selected := i :: !selected
   done;
-  let selected = !selected in
+  let selected = Array.of_list !selected in
   Format.printf "%d scenarios total, %d with exactly %d fault(s)@."
-    total (List.length selected) faults;
-  (* Replay the scenarios on the domain pool; the ordered merge keeps
-     the report order identical to the sequential run. *)
-  let outcomes =
-    Ftes_util.Par.map ?jobs
-      (fun s -> Ftes_sim.Sim.run table ~scenario:s)
-      selected
+    total (Array.length selected) faults;
+  let c = Ftes_sim.Compiled.compile table space.Ftes_ftcpg.Condvec.u in
+  (* Replay ranges on the domain pool; the ordered merge keeps the
+     report order identical to the sequential run. *)
+  let replayed =
+    Ftes_util.Par.map_ranges ?jobs (Array.length selected) (fun lo hi ->
+        let scr = Ftes_sim.Compiled.make_scratch c in
+        List.init (hi - lo) (fun off ->
+            let i = selected.(lo + off) in
+            let vs = Ftes_sim.Compiled.replay_one c space i scr in
+            (i, vs, Ftes_sim.Compiled.makespan scr)))
+    |> List.concat
   in
   let worst = ref None in
   List.iter
-    (fun o ->
-      if o.Ftes_sim.Sim.violations <> [] then begin
+    (fun (i, vs, makespan) ->
+      if vs <> [] then begin
         Format.printf "VIOLATIONS in %s:@."
           (Ftes_ftcpg.Cond.to_string
              ~name:(Ftes_ftcpg.Ftcpg.cond_name ftcpg)
-             o.Ftes_sim.Sim.scenario);
+             (Ftes_ftcpg.Condvec.guard_at space i));
         List.iter
-          (fun v ->
-            Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
-          o.Ftes_sim.Sim.violations
+          (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
+          vs
       end;
       match !worst with
-      | Some w when w.Ftes_sim.Sim.makespan >= o.Ftes_sim.Sim.makespan -> ()
-      | _ -> worst := Some o)
-    outcomes;
+      | Some (_, w) when w >= makespan -> ()
+      | _ -> worst := Some (i, makespan))
+    replayed;
   match !worst with
   | None -> Format.printf "no scenario with %d fault(s)@." faults
-  | Some o ->
-      Format.printf "worst makespan with %d fault(s): %g@." faults
-        o.Ftes_sim.Sim.makespan;
-      if trace then Format.printf "%a@." Ftes_sim.Sim.pp_outcome o
+  | Some (i, makespan) ->
+      Format.printf "worst makespan with %d fault(s): %g@." faults makespan;
+      if trace then
+        Format.printf "%a@." Ftes_sim.Sim.pp_outcome
+          (Ftes_sim.Sim.replay c space i)
 
 let simulate_cmd =
   let file =
@@ -500,7 +521,7 @@ let simulate_cmd =
                  scheduling; 1 = fully sequential).")
   in
   Cmd.v
-    (Cmd.info "simulate"
+    (Cmd.info "simulate" ~exits:(exit_bad_input :: Cmd.Exit.defaults)
        ~doc:"Execute the synthesized tables under injected faults.")
     Term.(const simulate $ file $ faults $ trace $ jobs)
 

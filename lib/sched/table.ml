@@ -252,9 +252,6 @@ let no_fault_length t =
   | Some tr -> tr.makespan
   | None -> schedule_length t
 
-let entries_of_item t item =
-  List.filter (fun e -> e.item = item) t.entries
-
 let entries_on t resource = List.filter (fun e -> e.resource = resource) t.entries
 
 let starts_of_vertex t vid =

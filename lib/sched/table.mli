@@ -61,9 +61,6 @@ val schedule_length : t -> float
 val no_fault_length : t -> float
 (** Makespan of the fault-free scenario. *)
 
-val entries_of_item : t -> item -> entry list
-(** Sorted by start time. *)
-
 val entries_on : t -> resource -> entry list
 
 val starts_of_vertex : t -> int -> float list

@@ -1,9 +1,11 @@
 (* The compiled form of a schedule table shared by the explicit
-   (arena-replay) and symbolic (cube-replay) validation backends. See
-   compiled.mli for the representation story; the checks and their
-   emission order in [replay_one] mirror [Sim.run] exactly, so the
-   violation list (values, order, rendered messages) is byte-identical
-   to one [Sim.run] per scenario — the composition the tests keep as
+   (arena-replay) and symbolic (cube-replay) validation backends, and
+   the one single-scenario replay behind [Sim.run] and
+   [Diagnose.shrink]. See compiled.mli for the representation story;
+   the checks and their emission order in [replay_one] mirror the
+   reference simulator [Sim_oracle.run] exactly, so the violation list
+   (values, order, rendered messages) is byte-identical to one
+   [Sim_oracle.run] per scenario — the composition the tests keep as
    their oracle ([Sim_oracle.validate]). *)
 
 module Cond = Ftes_ftcpg.Cond
@@ -62,7 +64,8 @@ let compile (table : Table.t) (u : Condvec.universe) =
   let g = app.App.graph in
   let n = Ftcpg.vertex_count ftcpg in
   let tdma = Bus.is_tdma (Arch.bus problem.Problem.arch) in
-  (* Lane encoding preserving the distinctions of [run]'s lane_of:
+  (* Lane encoding preserving the distinctions of the reference
+     simulator's lane_of:
      CPUs on even ids, TDMA bus lanes (per sending node) on odd ids,
      the single non-TDMA bus lane on -1. *)
   let lane_of vid (e : Table.entry) =
@@ -85,9 +88,8 @@ let compile (table : Table.t) (u : Condvec.universe) =
       c_lane = lane_of vid e;
     }
   in
-  (* Group the entry list by item in one pass; per-item order is the
-     [entries_of_item] filter order, which the selection and ambiguity
-     checks below depend on. *)
+  (* Group the entry list by item in one pass, keeping table order per
+     item, which the selection and ambiguity checks below depend on. *)
   let exec_rev = Array.make n [] in
   let bcast_rev = Array.make n [] in
   List.iter
@@ -164,19 +166,32 @@ let compile (table : Table.t) (u : Condvec.universe) =
     locals;
   }
 
-(* Per-worker scratch, reused across every scenario of a range. *)
+(* Per-worker scratch, reused across every scenario of a range. After a
+   replay it holds the columns that replay chose. *)
 type scratch = {
   s_chosen : int array;  (* vid -> column index in exec.(vid); -1 none *)
-  s_bfinish : float array;  (* vid -> broadcast completion; nan unknown *)
+  s_bchosen : int array;  (* vid -> column index in bcast.(vid); -1 none *)
   s_active : int array;  (* vids with nonzero-duration activations *)
+  s_makespan : float array;  (* one cell, unboxed: latest chosen finish *)
 }
 
 let make_scratch c =
   {
     s_chosen = Array.make c.nverts (-1);
-    s_bfinish = Array.make c.nverts Float.nan;
+    s_bchosen = Array.make c.nverts (-1);
     s_active = Array.make (max 1 c.nverts) 0;
+    s_makespan = [| 0. |];
   }
+
+let chosen_exec c scr vid =
+  let j = scr.s_chosen.(vid) in
+  if j < 0 then None else Some c.exec.(vid).(j)
+
+let chosen_bcast c scr vid =
+  let j = scr.s_bchosen.(vid) in
+  if j < 0 then None else Some c.bcast.(vid).(j)
+
+let makespan scr = scr.s_makespan.(0)
 
 let replay_one c sp i scr =
   let n = c.nverts in
@@ -247,55 +262,53 @@ let replay_one c sp i scr =
       end
     end
   done;
-  (* Broadcast arrival of each condition revealed in this scenario. *)
-  let bfinish = scr.s_bfinish in
-  Array.fill bfinish 0 n Float.nan;
+  (* Broadcast column of each condition revealed in this scenario; a
+     single node broadcasts nothing. *)
+  let bchosen = scr.s_bchosen in
+  Array.fill bchosen 0 n (-1);
   for vid = 0 to n - 1 do
-    if c.vconditional.(vid) && chosen.(vid) >= 0 then begin
+    if c.nnodes > 1 && c.vconditional.(vid) && chosen.(vid) >= 0 then begin
       let e = c.exec.(vid).(chosen.(vid)) in
-      if c.nnodes <= 1 then bfinish.(vid) <- e.c_finish
+      let cols = c.bcast.(vid) in
+      let best = ref (-1) in
+      let best_size = ref (-1) in
+      for j = 0 to Array.length cols - 1 do
+        let b = cols.(j) in
+        if b.c_size > !best_size && Condvec.implies sp i b.c_guard then begin
+          best := j;
+          best_size := b.c_size
+        end
+      done;
+      if !best < 0 then
+        fail (Violation.Never_broadcast { vid; cond = c.vcond_name.(vid) })
       else begin
-        let cols = c.bcast.(vid) in
-        let best = ref (-1) in
-        let best_size = ref (-1) in
+        let b = cols.(!best) in
         for j = 0 to Array.length cols - 1 do
-          let b = cols.(j) in
-          if b.c_size > !best_size && Condvec.implies sp i b.c_guard then begin
-            best := j;
-            best_size := b.c_size
-          end
-        done;
-        if !best < 0 then
-          fail (Violation.Never_broadcast { vid; cond = c.vcond_name.(vid) })
-        else begin
-          let b = cols.(!best) in
-          for j = 0 to Array.length cols - 1 do
-            let b' = cols.(j) in
-            if
-              b'.c_size = b.c_size
-              && Float.abs (b'.c_start -. b.c_start) > eps
-              && Condvec.implies sp i b'.c_guard
-            then
-              fail
-                (Violation.Ambiguous_broadcast
-                   {
-                     vid;
-                     cond = c.vcond_name.(vid);
-                     start = b.c_start;
-                     alt_start = b'.c_start;
-                   })
-          done;
-          if b.c_start < e.c_finish -. eps then
+          let b' = cols.(j) in
+          if
+            b'.c_size = b.c_size
+            && Float.abs (b'.c_start -. b.c_start) > eps
+            && Condvec.implies sp i b'.c_guard
+          then
             fail
-              (Violation.Broadcast_before_produced
+              (Violation.Ambiguous_broadcast
                  {
                    vid;
                    cond = c.vcond_name.(vid);
-                   bcast_start = b.c_start;
-                   produced = e.c_finish;
-                 });
-          bfinish.(vid) <- b.c_finish
-        end
+                   start = b.c_start;
+                   alt_start = b'.c_start;
+                 })
+        done;
+        if b.c_start < e.c_finish -. eps then
+          fail
+            (Violation.Broadcast_before_produced
+               {
+                 vid;
+                 cond = c.vcond_name.(vid);
+                 bcast_start = b.c_start;
+                 produced = e.c_finish;
+               });
+        bchosen.(vid) <- !best
       end
     end
   done;
@@ -324,8 +337,10 @@ let replay_one c sp i scr =
       let know = c.vknow.(vid) in
       for li = 0 to Array.length know - 1 do
         let cv = know.(li) in
-        let bf = bfinish.(cv) in
-        if (not (Float.is_nan bf)) && e.c_start < bf -. eps then
+        (* [cv] was produced on another node, so the architecture has
+           several and the condition is learned from its broadcast. *)
+        let bj = bchosen.(cv) in
+        if bj >= 0 && e.c_start < c.bcast.(cv).(bj).c_finish -. eps then
           fail
             (Violation.Distributed_knowledge
                {
@@ -334,7 +349,7 @@ let replay_one c sp i scr =
                  start = e.c_start;
                  cond_vid = cv;
                  cond = c.vcond_name.(cv);
-                 learned = bf;
+                 learned = c.bcast.(cv).(bj).c_finish;
                })
       done;
       let r = c.vrelease.(vid) in
@@ -387,6 +402,7 @@ let replay_one c sp i scr =
       if f > !makespan then makespan := f
     end
   done;
+  scr.s_makespan.(0) <- !makespan;
   if !makespan > c.deadline +. eps then
     fail
       (Violation.Deadline_missed

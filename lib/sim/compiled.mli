@@ -13,10 +13,13 @@
     concretized witness, which is what keeps the two backends'
     verdicts aligned by construction.
 
-    The checks of {!replay_one} and their emission order mirror
-    [Sim.run] exactly; the violation list (values, order, rendered
-    messages) is byte-identical to one [Sim.run] per scenario, the
-    composition the tests keep as their oracle
+    {!replay_one} is the only single-scenario replay of the library:
+    {!Sim.run} and {!Diagnose.shrink} replay one-row spaces through it
+    and read the chosen columns back from the scratch. Its checks and
+    their emission order mirror the list-walking reference simulator
+    [Sim_oracle.run] exactly; the violation list (values, order,
+    rendered messages) is byte-identical to one [Sim_oracle.run] per
+    scenario, the composition the tests keep as their oracle
     ([test/sim_oracle.ml]). *)
 
 type centry = {
@@ -65,14 +68,31 @@ val scenario_name : Ftes_ftcpg.Ftcpg.t -> Ftes_ftcpg.Cond.guard -> string
 (** Scenario rendering used in violation labels ("FP2^4 ..."). *)
 
 type scratch
-(** Per-worker replay scratch, reused across scenarios. *)
+(** Per-worker replay scratch, reused across scenarios. After a replay
+    it holds the columns that replay chose. *)
 
 val make_scratch : t -> scratch
 
 val replay_one :
   t -> Ftes_ftcpg.Condvec.space -> int -> scratch -> Violation.t list
-(** Replay scenario [i] of the space; violations in [Sim.run]'s
-    emission order. *)
+(** Replay scenario [i] of the space; violations in [Sim_oracle.run]'s
+    emission order. The row may be partial: a vertex exists, and a
+    column applies, when every literal of its guard is present in the
+    row. *)
+
+val chosen_exec : t -> scratch -> int -> centry option
+(** The activation column the last replay chose for vertex [vid];
+    [None] when the vertex does not exist in that scenario or has no
+    applicable column. *)
+
+val chosen_bcast : t -> scratch -> int -> centry option
+(** The broadcast column the last replay chose for condition [vid];
+    always [None] on a single-node architecture, where no condition is
+    broadcast. *)
+
+val makespan : scratch -> float
+(** Latest finish over the activations the last replay chose; [0.]
+    when none was chosen. *)
 
 val replay_range :
   t -> Ftes_ftcpg.Condvec.space -> int -> int -> Violation.t list

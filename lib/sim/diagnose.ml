@@ -1,32 +1,37 @@
 module Cond = Ftes_ftcpg.Cond
+module Condvec = Ftes_ftcpg.Condvec
 module Ftcpg = Ftes_ftcpg.Ftcpg
 module Table = Ftes_sched.Table
 
-let still_fails table scenario =
-  (Sim.run table ~scenario).Sim.violations <> []
-
-let shrink table ~scenario =
-  if not (still_fails table scenario) then scenario
-  else begin
-    let drop_one g =
-      let lits = Cond.literals g in
-      (* Fault literals first: dropping one lowers the fault count,
-         dropping a no-fault literal only generalizes the guard. *)
-      let ordered =
-        List.filter (fun (l : Cond.literal) -> l.Cond.fault) lits
-        @ List.filter (fun (l : Cond.literal) -> not l.Cond.fault) lits
-      in
-      List.find_map
-        (fun (l : Cond.literal) ->
-          let remaining = List.filter (fun l' -> l' <> l) lits in
-          match Cond.of_literals remaining with
-          | Some g' when still_fails table g' -> Some g'
-          | Some _ | None -> None)
-        ordered
+(* The table is compiled once; every candidate scenario is then one
+   row replay. *)
+let shrinker table =
+  let u = (Ftcpg.scenario_family table.Table.ftcpg).Ftcpg.funiverse in
+  let c = Compiled.compile table u in
+  let scr = Compiled.make_scratch c in
+  let still_fails g =
+    Compiled.replay_one c (Condvec.of_guards u [ g ]) 0 scr <> []
+  in
+  let drop_one g =
+    let lits = Cond.literals g in
+    (* Fault literals first: dropping one lowers the fault count,
+       dropping a no-fault literal only generalizes the guard. *)
+    let ordered =
+      List.filter (fun (l : Cond.literal) -> l.Cond.fault) lits
+      @ List.filter (fun (l : Cond.literal) -> not l.Cond.fault) lits
     in
-    let rec fix g = match drop_one g with Some g' -> fix g' | None -> g in
-    fix scenario
-  end
+    List.find_map
+      (fun (l : Cond.literal) ->
+        let remaining = List.filter (fun l' -> l' <> l) lits in
+        match Cond.of_literals remaining with
+        | Some g' when still_fails g' -> Some g'
+        | Some _ | None -> None)
+      ordered
+  in
+  let rec fix g = match drop_one g with Some g' -> fix g' | None -> g in
+  fun scenario -> if still_fails scenario then fix scenario else scenario
+
+let shrink table ~scenario = shrinker table scenario
 
 type group = {
   kind : string;
@@ -61,6 +66,7 @@ let group_violations violations =
 
 let of_violations ?(max_shrinks = 8) table violations =
   let ftcpg = table.Table.ftcpg in
+  let shrink = lazy (shrinker table) in
   let grouped = group_violations violations in
   let sorted =
     List.stable_sort
@@ -75,9 +81,7 @@ let of_violations ?(max_shrinks = 8) table violations =
         let shrunk =
           if rank >= max_shrinks then None
           else
-            Option.map
-              (fun scenario -> shrink table ~scenario)
-              example.Violation.scenario
+            Option.map (Lazy.force shrink) example.Violation.scenario
         in
         {
           kind;

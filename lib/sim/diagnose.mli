@@ -15,12 +15,14 @@ val shrink :
   scenario:Ftes_ftcpg.Cond.guard ->
   Ftes_ftcpg.Cond.guard
 (** Greedy literal-dropping 1-minimization: repeatedly drop any single
-    literal whose removal keeps {!Sim.run} failing (fault literals are
-    tried first so the fault count shrinks fastest), until no literal
-    can be dropped. The result fails {!Sim.run}, consumes at most as
-    many faults as the input, and its literals are a subset of the
-    input's. A scenario that does not fail is returned unchanged. Cost:
-    O(literals²) simulator runs. *)
+    literal whose removal keeps the scenario failing (fault literals
+    are tried first so the fault count shrinks fastest), until no
+    literal can be dropped. The result fails {!Sim.run}, consumes at
+    most as many faults as the input, and its literals are a subset of
+    the input's. A scenario that does not fail is returned unchanged.
+    Cost: one {!Compiled.compile} plus O(literals²) one-row
+    {!Compiled.replay_one} runs; the tests check the result against a
+    shrink driven by the reference simulator [Sim_oracle.run]. *)
 
 type group = {
   kind : string;  (** {!Violation.kind_label} of every member. *)
@@ -50,7 +52,8 @@ val of_violations :
 (** Build a report from violations already collected (e.g. a sampled
     validation). At most [max_shrinks] groups (default 8, largest
     first) get a shrunk counterexample — shrinking replays the
-    simulator many times. *)
+    simulator many times. The table is compiled at most once per
+    call. *)
 
 val report :
   ?jobs:int -> ?max_shrinks:int -> Ftes_sched.Table.t -> report

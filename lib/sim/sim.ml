@@ -1,17 +1,9 @@
 module Cond = Ftes_ftcpg.Cond
 module Condvec = Ftes_ftcpg.Condvec
 module Ftcpg = Ftes_ftcpg.Ftcpg
-module Problem = Ftes_ftcpg.Problem
 module Table = Ftes_sched.Table
-module Graph = Ftes_app.Graph
-module App = Ftes_app.App
-module Arch = Ftes_arch.Arch
-module Bus = Ftes_arch.Bus
 module Telemetry = Ftes_util.Telemetry
 module Events = Ftes_util.Events
-
-let c_scenarios = Telemetry.counter "sim.scenarios"
-let c_violations = Telemetry.counter "sim.violations"
 
 type event = { time : float; what : string }
 
@@ -22,288 +14,42 @@ type outcome = {
   violations : Violation.t list;
 }
 
-let eps = 1e-6
-
-(* The run-time scheduler on each node activates an item according to
-   the most specific table column whose guard currently holds. *)
-let applicable_entry table ~scenario item =
-  let candidates =
-    List.filter
-      (fun (e : Table.entry) -> Cond.implies scenario e.Table.guard)
-      (Table.entries_of_item table item)
-  in
-  match candidates with
-  | [] -> None
-  | _ ->
-      let best =
-        List.fold_left
-          (fun acc (e : Table.entry) ->
-            match acc with
-            | None -> Some e
-            | Some b ->
-                if Cond.size e.Table.guard > Cond.size b.Table.guard then
-                  Some e
-                else acc)
-          None candidates
-      in
-      best
-
-let scenario_name ftcpg scenario =
-  Cond.to_string ~name:(Ftcpg.cond_name ftcpg) scenario
-
-let run table ~scenario =
-  let ftcpg = table.Table.ftcpg in
-  let problem = Ftcpg.problem ftcpg in
-  let app = problem.Problem.app in
-  let g = app.App.graph in
-  let violations = ref [] in
+(* The trace is read back from the columns the replay chose. *)
+let replay c sp i =
+  let scr = Compiled.make_scratch c in
+  let violations = Compiled.replay_one c sp i scr in
+  (* Activations in vertex order, then broadcasts in vertex order,
+     consed up newest first: the sort below keeps that order for equal
+     times, which is part of the trace. *)
   let events = ref [] in
-  (* The rendered scenario only appears in violation records — don't pay
-     for it on the (hot, overwhelmingly common) clean replays. *)
-  let sname = lazy (scenario_name ftcpg scenario) in
-  let fail kind =
-    violations :=
-      Violation.make ~scenario ~scenario_label:(Lazy.force sname) kind
-      :: !violations
-  in
-  let trace time fmt =
-    Format.kasprintf (fun what -> events := { time; what } :: !events) fmt
-  in
-  (* Select the activation of every vertex existing in this scenario. *)
-  let n = Ftcpg.vertex_count ftcpg in
-  let chosen : Table.entry option array = Array.make n None in
-  for vid = 0 to n - 1 do
-    let v = Ftcpg.vertex ftcpg vid in
-    if Cond.implies scenario v.Ftcpg.guard then begin
-      match applicable_entry table ~scenario (Table.Exec vid) with
-      | None ->
-          fail (Violation.Missing_activation { vid; vertex = v.Ftcpg.name })
-      | Some e ->
-          (* Ambiguity: another maximally specific column with a
-             different start would leave the run-time scheduler with two
-             contradictory activation times. *)
-          List.iter
-            (fun (e' : Table.entry) ->
-              if
-                Cond.implies scenario e'.Table.guard
-                && Cond.size e'.Table.guard = Cond.size e.Table.guard
-                && Float.abs (e'.Table.start -. e.Table.start) > eps
-              then
-                fail
-                  (Violation.Ambiguous_activation
-                     {
-                       vid;
-                       vertex = v.Ftcpg.name;
-                       start = e.Table.start;
-                       alt_start = e'.Table.start;
-                     }))
-            (Table.entries_of_item table (Table.Exec vid));
-          chosen.(vid) <- Some e;
-          trace e.Table.start "start %s (until %g)" v.Ftcpg.name e.Table.finish
-    end
-  done;
-  (* Broadcast arrival of each condition revealed in this scenario. *)
-  let bcast_finish = Hashtbl.create 16 in
-  let nnodes = Arch.node_count problem.Problem.arch in
-  for vid = 0 to n - 1 do
-    let v = Ftcpg.vertex ftcpg vid in
-    if v.Ftcpg.conditional && Cond.implies scenario v.Ftcpg.guard then begin
-      match chosen.(vid) with
-      | None -> ()
-      | Some e ->
-          if nnodes <= 1 then Hashtbl.replace bcast_finish vid e.Table.finish
-          else begin
-            match applicable_entry table ~scenario (Table.Bcast vid) with
-            | None ->
-                fail
-                  (Violation.Never_broadcast
-                     { vid; cond = Ftcpg.cond_name ftcpg vid })
-            | Some b ->
-                (* Mirror of the execution-column ambiguity check: two
-                   maximally specific broadcast columns with different
-                   times contradict each other at run time. *)
-                List.iter
-                  (fun (b' : Table.entry) ->
-                    if
-                      Cond.implies scenario b'.Table.guard
-                      && Cond.size b'.Table.guard = Cond.size b.Table.guard
-                      && Float.abs (b'.Table.start -. b.Table.start) > eps
-                    then
-                      fail
-                        (Violation.Ambiguous_broadcast
-                           {
-                             vid;
-                             cond = Ftcpg.cond_name ftcpg vid;
-                             start = b.Table.start;
-                             alt_start = b'.Table.start;
-                           }))
-                  (Table.entries_of_item table (Table.Bcast vid));
-                if b.Table.start < e.Table.finish -. eps then
-                  fail
-                    (Violation.Broadcast_before_produced
-                       {
-                         vid;
-                         cond = Ftcpg.cond_name ftcpg vid;
-                         bcast_start = b.Table.start;
-                         produced = e.Table.finish;
-                       });
-                Hashtbl.replace bcast_finish vid b.Table.finish;
-                trace b.Table.start "broadcast %s" (Ftcpg.cond_name ftcpg vid)
-          end
-    end
-  done;
-  (* Causality + distributed knowledge. *)
-  for vid = 0 to n - 1 do
-    match chosen.(vid) with
-    | None -> ()
-    | Some e ->
-        let v = Ftcpg.vertex ftcpg vid in
-        List.iter
-          (fun p ->
-            match chosen.(p) with
-            | Some pe ->
-                if e.Table.start < pe.Table.finish -. eps then
-                  fail
-                    (Violation.Causality
-                       {
-                         vid;
-                         vertex = v.Ftcpg.name;
-                         start = e.Table.start;
-                         pred = p;
-                         pred_name = (Ftcpg.vertex ftcpg p).Ftcpg.name;
-                         pred_finish = pe.Table.finish;
-                       })
-            | None -> ())
-          v.Ftcpg.preds;
-        let decision_node =
-          match v.Ftcpg.kind with
-          | Ftcpg.Proc_copy _ -> v.Ftcpg.exec_node
-          | Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _ ->
-              if v.Ftcpg.on_bus then v.Ftcpg.src_node else None
-          | Ftcpg.Sync_proc _ -> None
+  for vid = 0 to c.Compiled.nverts - 1 do
+    Option.iter
+      (fun (e : Compiled.centry) ->
+        let what =
+          Printf.sprintf "start %s (until %g)" c.Compiled.vname.(vid)
+            e.Compiled.c_finish
         in
-        List.iter
-          (fun (l : Cond.literal) ->
-            match decision_node with
-            | None -> ()
-            | Some dn -> (
-                match (Ftcpg.vertex ftcpg l.Cond.cond).Ftcpg.exec_node with
-                | Some pn when pn = dn -> ()
-                | Some _ | None -> (
-                    match Hashtbl.find_opt bcast_finish l.Cond.cond with
-                    | Some bf ->
-                        if e.Table.start < bf -. eps then
-                          fail
-                            (Violation.Distributed_knowledge
-                               {
-                                 vid;
-                                 vertex = v.Ftcpg.name;
-                                 start = e.Table.start;
-                                 cond_vid = l.Cond.cond;
-                                 cond = Ftcpg.cond_name ftcpg l.Cond.cond;
-                                 learned = bf;
-                               })
-                    | None -> ())))
-          (Cond.literals v.Ftcpg.guard);
-        (* Release times. *)
-        (match v.Ftcpg.kind with
-        | Ftcpg.Proc_copy { pid; _ } ->
-            let r = (Graph.process g pid).Graph.release in
-            if e.Table.start < r -. eps then
-              fail
-                (Violation.Release
-                   {
-                     vid;
-                     vertex = v.Ftcpg.name;
-                     start = e.Table.start;
-                     release = r;
-                   })
-        | Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _ | Ftcpg.Sync_proc _ -> ())
+        events := { time = e.Compiled.c_start; what } :: !events)
+      (Compiled.chosen_exec c scr vid)
   done;
-  (* Resource exclusivity. *)
-  let active =
-    List.filter_map
-      (fun vid ->
-        match chosen.(vid) with
-        | Some e when e.Table.finish -. e.Table.start > eps -> Some (vid, e)
-        | Some _ | None -> None)
-      (List.init n (fun i -> i))
-  in
-  let overlap (a : Table.entry) (b : Table.entry) =
-    a.Table.start < b.Table.finish -. eps
-    && b.Table.start < a.Table.finish -. eps
-  in
-  let lane_of vid (e : Table.entry) =
-    match e.Table.resource with
-    | Table.Node nid -> Some (`Cpu nid)
-    | Table.Bus ->
-        let v = Ftcpg.vertex ftcpg vid in
-        if Bus.is_tdma (Arch.bus problem.Problem.arch) then
-          Some (`Bus (Option.value v.Ftcpg.src_node ~default:0))
-        else Some (`Bus (-1))
-    | Table.Local -> None
-  in
-  let rec pairs = function
-    | [] -> ()
-    | (vid, e) :: rest ->
-        List.iter
-          (fun (vid', e') ->
-            match (lane_of vid e, lane_of vid' e') with
-            | Some l, Some l' when l = l' && overlap e e' ->
-                fail
-                  (Violation.Resource_overlap
-                     {
-                       vid;
-                       vertex = (Ftcpg.vertex ftcpg vid).Ftcpg.name;
-                       other_vid = vid';
-                       other = (Ftcpg.vertex ftcpg vid').Ftcpg.name;
-                     })
-            | _ -> ())
-          rest;
-        pairs rest
-  in
-  pairs active;
-  (* Deadlines. *)
-  let makespan =
-    Array.fold_left
-      (fun acc e ->
-        match e with Some e -> max acc e.Table.finish | None -> acc)
-      0. chosen
-  in
-  if makespan > app.App.deadline +. eps then
-    fail
-      (Violation.Deadline_missed
-         { deadline = app.App.deadline; completion = makespan });
-  Array.iter
-    (fun (p : Graph.process) ->
-      match p.Graph.local_deadline with
-      | None -> ()
-      | Some d ->
-          let completion =
-            List.fold_left
-              (fun acc vid ->
-                match chosen.(vid) with
-                | Some e -> max acc e.Table.finish
-                | None -> acc)
-              0.
-              (Ftcpg.proc_copies ftcpg ~pid:p.Graph.pid)
-          in
-          if completion > d +. eps then
-            fail
-              (Violation.Local_deadline_missed
-                 {
-                   pid = p.Graph.pid;
-                   process = p.Graph.pname;
-                   deadline = d;
-                   completion;
-                 }))
-    (Graph.processes g);
+  for vid = 0 to c.Compiled.nverts - 1 do
+    Option.iter
+      (fun (b : Compiled.centry) ->
+        let what = "broadcast " ^ c.Compiled.vcond_name.(vid) in
+        events := { time = b.Compiled.c_start; what } :: !events)
+      (Compiled.chosen_bcast c scr vid)
+  done;
   {
-    scenario;
-    makespan;
+    scenario = Condvec.guard_at sp i;
+    makespan = Compiled.makespan scr;
     events = List.sort (fun a b -> compare a.time b.time) !events;
-    violations = List.rev !violations;
+    violations;
   }
+
+(* A possibly partial scenario is the one row of a packed space. *)
+let run table ~scenario =
+  let u = (Ftcpg.scenario_family table.Table.ftcpg).Ftcpg.funiverse in
+  replay (Compiled.compile table u) (Condvec.of_guards u [ scenario ]) 0
 
 let frozen_start_violations table =
   let ftcpg = table.Table.ftcpg in
@@ -330,27 +76,22 @@ let frozen_start_violations table =
 (* Exhaustive validation replays every scenario of the packed arena
    (see {!Ftes_ftcpg.Condvec}) against a pre-compiled form of the
    table — per-vertex arrays of activation columns with packed guards,
-   precomputed specificity, lane ids and release times, now housed in
-   {!Compiled} because the symbolic backend ({!Symbolic}) replays the
-   very same compiled form cube-wise. A replay is pure array
-   arithmetic over shared read-only data plus a small per-worker
+   precomputed specificity, lane ids and release times, housed in
+   {!Compiled} because [run] above and the symbolic backend
+   ({!Symbolic}) replay the very same compiled form. A replay is pure
+   array arithmetic over shared read-only data plus a small per-worker
    scratch — no list walks, no hash tables, and (on the overwhelmingly
    common clean scenario) no allocation at all. That last point is
-   what lets the domain pool actually scale: the legacy per-scenario
-   path allocated guard lists, trace events and hashtable nodes on
-   every replay, serializing workers behind the shared major heap and
-   minor-GC stop-the-world pauses, so the --jobs curve stayed flat.
+   what lets the domain pool actually scale: a per-scenario path that
+   allocates guard lists, trace events and hashtable nodes on every
+   replay serializes workers behind the shared major heap and
+   minor-GC stop-the-world pauses.
 
-   The replay checks and their emission order mirror [run] exactly, so
-   the violation list (values, order, rendered messages) is
-   byte-identical to one [run] per scenario plus the transparency check
-   — the tests keep that composition as the cross-check oracle
-   ([Sim_oracle.validate]). *)
-
-let compile = Compiled.compile
-let make_scratch = Compiled.make_scratch
-let replay_one = Compiled.replay_one
-let replay_range = Compiled.replay_range
+   The replay checks and their emission order mirror the reference
+   simulator [Sim_oracle.run] exactly, so the violation list (values,
+   order, rendered messages) is byte-identical to one [Sim_oracle.run]
+   per scenario plus the transparency check — the tests keep that
+   composition as the cross-check oracle ([Sim_oracle.validate]). *)
 
 (* Scenarios are sharded into coarse contiguous ranges — a handful per
    domain, not a task per scenario — so each worker streams through its
@@ -359,7 +100,8 @@ let replay_range = Compiled.replay_range
 let replay_space ?jobs c sp =
   let total = Condvec.count sp in
   if not (Events.enabled ()) then
-    List.concat (Ftes_util.Par.map_ranges ?jobs total (replay_range c sp))
+    List.concat
+      (Ftes_util.Par.map_ranges ?jobs total (Compiled.replay_range c sp))
   else begin
     (* Progress events ride on a shared cumulative counter: each range
        reports the new running total as it completes (the event lands
@@ -368,7 +110,7 @@ let replay_space ?jobs c sp =
        list stays byte-identical events on/off. *)
     let done_ = Atomic.make 0 in
     let range lo hi =
-      let vs = replay_range c sp lo hi in
+      let vs = Compiled.replay_range c sp lo hi in
       let n = hi - lo in
       let cleared = Atomic.fetch_and_add done_ n + n in
       Events.emit
@@ -402,13 +144,13 @@ let replay_until_space ?jobs ~limit c sp =
       let out = Array.make (hi - pos) [] in
       ignore
         (Ftes_util.Par.map_ranges ?jobs (hi - pos) (fun lo hi' ->
-             let scr = make_scratch c in
+             let scr = Compiled.make_scratch c in
              for off = lo to hi' - 1 do
-               Telemetry.incr c_scenarios;
-               let vs = replay_one c sp (pos + off) scr in
+               Telemetry.incr Compiled.c_scenarios;
+               let vs = Compiled.replay_one c sp (pos + off) scr in
                if vs <> [] then begin
                  if Events.enabled () then
-                   Telemetry.add c_violations (List.length vs);
+                   Telemetry.add Compiled.c_violations (List.length vs);
                  out.(off) <- vs
                end
              done));
@@ -445,7 +187,7 @@ let replay_until_space ?jobs ~limit c sp =
   go 0 0 []
 
 let check_space ?jobs ?stop_after table sp =
-  let c = compile table sp.Condvec.u in
+  let c = Compiled.compile table sp.Condvec.u in
   let body () =
     match stop_after with
     | Some limit when limit > 0 ->

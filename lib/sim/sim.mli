@@ -47,6 +47,22 @@ type outcome = {
 }
 
 val run : Ftes_sched.Table.t -> scenario:Ftes_ftcpg.Cond.guard -> outcome
+(** Replay one scenario. The scenario may be partial (as the shrunk
+    scenarios of {!Diagnose} are): a vertex exists, and a column
+    applies, when the scenario implies its guard. The table is compiled
+    and the scenario packed as the one row of a space for {!replay}.
+    The tests hold it to the list-walking reference simulator
+    [Sim_oracle.run] on complete and partial scenarios.
+    @raise Invalid_argument if the scenario names a vertex that is not
+    a condition of the table's FT-CPG. *)
+
+val replay : Compiled.t -> Ftes_ftcpg.Condvec.space -> int -> outcome
+(** [replay c sp i] replays row [i] of a space over [c]'s universe with
+    {!Compiled.replay_one}, the replay {!validate} runs on every row,
+    and builds the trace from the activation and broadcast columns it
+    chose. Events are sorted by time; equal times keep broadcasts
+    before activations, each in descending vertex order. For callers
+    that replay many rows of one table without recompiling it. *)
 
 type mode = [ `Explicit | `Symbolic | `Auto ]
 (** Validation backend.
@@ -82,9 +98,9 @@ val validate :
     exact sequential code path) with per-range scratch state. The
     per-range violations are merged in scenario order, so the result is
     byte-identical for every [jobs] value — and byte-identical to one
-    {!run} per scenario followed by {!frozen_start_violations}, the
-    composition the tests keep as their oracle
-    ([test/sim_oracle.ml]).
+    reference [Sim_oracle.run] per scenario followed by
+    {!frozen_start_violations}, the composition the tests keep as
+    their oracle ([test/sim_oracle.ml]).
 
     [stop_after] enables early exit for callers that only need to know
     a table is bad (e.g. optimization loops): replay proceeds in

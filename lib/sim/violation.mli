@@ -1,11 +1,11 @@
 (** Typed violation diagnostics for the fault-injection simulator.
 
-    Every check {!Sim.run} performs produces a structured violation
-    instead of an opaque string: the constructor identifies the broken
-    invariant, the payload carries the FT-CPG vertex ids, the activation
-    times involved and the human-readable names needed to render the
-    message, and the enclosing record carries the guilty fault scenario
-    (when the check is per-scenario).
+    Every check {!Compiled.replay_one} performs produces a structured
+    violation instead of an opaque string: the constructor identifies
+    the broken invariant, the payload carries the FT-CPG vertex ids, the
+    activation times involved and the human-readable names needed to
+    render the message, and the enclosing record carries the guilty
+    fault scenario (when the check is per-scenario).
 
     {!to_string} reproduces the historical [Format.kasprintf] renderings
     byte for byte, so log-scraping consumers and the [jobs]-determinism

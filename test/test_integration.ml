@@ -275,6 +275,89 @@ let test_k_for_size () =
   Alcotest.(check int) "20 -> 3" 3 (Experiments.k_for_size 20);
   Alcotest.(check int) "100 -> 7" 7 (Experiments.k_for_size 100)
 
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let ftes_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "ftes.exe" ]
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+(* Runs [ftes args]; returns the exit code, stdout and stderr. *)
+let run_ftes args =
+  let out = Filename.temp_file "ftes-cli" ".out" in
+  let err = Filename.temp_file "ftes-cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command ftes_exe ~stdout:out ~stderr:err args)
+      in
+      (code, read_file out, read_file err))
+
+let with_temp_instance text f =
+  let path = Filename.temp_file "ftes-cli" ".ftes" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let test_cli_malformed_input () =
+  with_temp_instance "k 1\ngarbage\n" (fun path ->
+      List.iter
+        (fun cmd ->
+          let code, out, err = run_ftes [ cmd; path ] in
+          Alcotest.(check int) (cmd ^ ": exit code") 2 code;
+          Alcotest.(check string) (cmd ^ ": one-line message")
+            (Printf.sprintf "ftes: %s:2: unknown directive \"garbage\"\n" path)
+            err;
+          Alcotest.(check string) (cmd ^ ": no output") "" out)
+        [ "info"; "synthesize"; "simulate" ]);
+  (* A directory passes the command line's existence check but cannot
+     be read. *)
+  let dir = Filename.get_temp_dir_name () in
+  let code, _, err = run_ftes [ "info"; dir ] in
+  Alcotest.(check int) "directory: exit code" 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "directory: one-line message, got %S" err)
+    true
+    (String.starts_with ~prefix:(Printf.sprintf "ftes: %s: " dir) err
+    && String.index err '\n' = String.length err - 1)
+
+(* [ftes simulate] on a generated instance, byte for byte against
+   outputs recorded from the list-walking simulator it replaced. *)
+let test_cli_simulate_golden () =
+  let code, text, _ =
+    run_ftes [ "generate"; "-p"; "8"; "-n"; "2"; "-k"; "2"; "--seed"; "3" ]
+  in
+  Alcotest.(check int) "generate exit code" 0 code;
+  let tight =
+    String.split_on_char '\n' text
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"deadline " l then "deadline 400"
+           else l)
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun (instance, args, golden) ->
+      with_temp_instance instance (fun path ->
+          let code, out, _ = run_ftes ("simulate" :: path :: args) in
+          Alcotest.(check int) (golden ^ ": exit code") 0 code;
+          Alcotest.(check string) golden
+            (read_file (Filename.concat "golden" golden))
+            out))
+    [
+      (text, [ "--faults"; "1"; "--trace" ], "simulate_faults1_trace.out");
+      (text, [ "--faults"; "2" ], "simulate_faults2.out");
+      (tight, [ "--faults"; "2"; "--jobs"; "1" ],
+       "simulate_faults2_deadline400.out");
+    ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -310,6 +393,13 @@ let () =
           Alcotest.test_case "transparency trade-off" `Slow
             test_transparency_tradeoff;
           Alcotest.test_case "k for size" `Quick test_k_for_size;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "malformed input exits 2" `Quick
+            test_cli_malformed_input;
+          Alcotest.test_case "simulate output = golden" `Quick
+            test_cli_simulate_golden;
         ] );
       ( "reliability",
         [

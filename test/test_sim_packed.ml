@@ -55,7 +55,9 @@ let test_tight_table_equivalent () =
   Alcotest.(check bool) "tight table does violate" true (Sim.validate t <> []);
   check_equivalent "tight-fig5" t
 
-let test_corrupted_tables_equivalent () =
+(* Three corruptions of the fig5 table: a causality break, a dropped
+   activation and an ambiguous duplicated broadcast. *)
+let corrupted_tables () =
   let t = fig5_table () in
   (* Causality: pull a dependent entry to time 0. *)
   let victim =
@@ -83,7 +85,6 @@ let test_corrupted_tables_equivalent () =
            t.Table.entries)
       ~tracks:t.Table.tracks
   in
-  check_equivalent "causality-corrupted" causality_bad;
   (* Missing activation: drop every entry of one vertex. *)
   let dropped_vid =
     List.rev t.Table.entries
@@ -99,28 +100,34 @@ let test_corrupted_tables_equivalent () =
            t.Table.entries)
       ~tracks:t.Table.tracks
   in
-  check_equivalent "missing-activation" missing_bad;
   (* Ambiguous broadcast: duplicate a broadcast column at another time. *)
-  match
-    List.find_opt
-      (fun e ->
-        match e.Table.item with Table.Bcast _ -> true | Table.Exec _ -> false)
-      t.Table.entries
-  with
-  | None -> Alcotest.fail "fig5 table has no broadcast entry"
-  | Some b ->
-      let dup =
-        {
-          b with
-          Table.start = b.Table.start +. 5.;
-          finish = b.Table.finish +. 5.;
-        }
-      in
-      let bcast_bad =
-        Table.make ~ftcpg:t.Table.ftcpg ~entries:(dup :: t.Table.entries)
-          ~tracks:t.Table.tracks
-      in
-      check_equivalent "ambiguous-broadcast" bcast_bad
+  let b =
+    match
+      List.find_opt
+        (fun e ->
+          match e.Table.item with
+          | Table.Bcast _ -> true
+          | Table.Exec _ -> false)
+        t.Table.entries
+    with
+    | None -> Alcotest.fail "fig5 table has no broadcast entry"
+    | Some b -> b
+  in
+  let dup =
+    { b with Table.start = b.Table.start +. 5.; finish = b.Table.finish +. 5. }
+  in
+  let bcast_bad =
+    Table.make ~ftcpg:t.Table.ftcpg ~entries:(dup :: t.Table.entries)
+      ~tracks:t.Table.tracks
+  in
+  [
+    ("causality-corrupted", causality_bad);
+    ("missing-activation", missing_bad);
+    ("ambiguous-broadcast", bcast_bad);
+  ]
+
+let test_corrupted_tables_equivalent () =
+  List.iter (fun (name, t) -> check_equivalent name t) (corrupted_tables ())
 
 let test_random_instances_equivalent () =
   List.iter
@@ -151,6 +158,99 @@ let test_corpus_smoke_equivalent () =
         let t = Conditional.schedule (Ftcpg.build (I.problem inst)) in
         check_equivalent inst.I.id t)
     instances
+
+(* --- single-scenario replay ------------------------------------------ *)
+
+(* [Sim.run] replays one row of a packed space through the compiled
+   table; the reference walks the entry list. Both must agree on every
+   complete scenario and on every scenario with one literal dropped
+   (the partial guards [Diagnose.shrink] replays): violations
+   structurally, makespan and the trace, including the order of events
+   with equal times. *)
+let check_run_equivalent name t =
+  let complete = Sim_oracle.scenarios t.Table.ftcpg in
+  let dropped s =
+    let lits = Cond.literals s in
+    List.filter_map
+      (fun l -> Cond.of_literals (List.filter (fun l' -> l' <> l) lits))
+      lits
+  in
+  List.iteri
+    (fun i scenario ->
+      let expected = Sim_oracle.run t ~scenario in
+      let got = Sim.run t ~scenario in
+      let what = Printf.sprintf "%s: scenario %d" name i in
+      Alcotest.(check bool) (what ^ " violations") true
+        (got.Sim.violations = expected.Sim.violations);
+      Alcotest.(check (float 0.)) (what ^ " makespan") expected.Sim.makespan
+        got.Sim.makespan;
+      Alcotest.(check bool) (what ^ " events") true
+        (got.Sim.events = expected.Sim.events);
+      Alcotest.(check bool) (what ^ " scenario") true
+        (Cond.equal got.Sim.scenario scenario))
+    (complete @ List.concat_map dropped complete)
+
+let test_run_matches_oracle () =
+  List.iter
+    (fun (name, t) -> check_run_equivalent name t)
+    ([ ("fig5", fig5_table ()); ("tight-fig5", tight_fig5_table ()) ]
+    @ corrupted_tables ()
+    @ List.map
+        (fun (seed, processes, nodes, k) ->
+          ( Printf.sprintf "random seed=%d" seed,
+            Conditional.schedule
+              (Ftcpg.build
+                 (Helpers.random_problem ~processes ~nodes ~k ~seed ())) ))
+        [ (3, 6, 2, 2); (7, 5, 1, 2); (29, 7, 3, 1) ])
+
+(* The counterexample report with every shrink driven by the reference
+   simulator instead of the compiled replay. Every scenario of the
+   table is also shrunk both ways. *)
+let oracle_report table =
+  let r = Ftes_sim.Diagnose.report ~jobs:1 table in
+  let name = Ftcpg.cond_name table.Table.ftcpg in
+  {
+    r with
+    Ftes_sim.Diagnose.groups =
+      List.map
+        (fun (g : Ftes_sim.Diagnose.group) ->
+          match g.Ftes_sim.Diagnose.shrunk with
+          | None -> g
+          | Some _ ->
+              let shrunk =
+                Option.map
+                  (fun scenario -> Sim_oracle.shrink table ~scenario)
+                  g.Ftes_sim.Diagnose.example.Violation.scenario
+              in
+              {
+                g with
+                Ftes_sim.Diagnose.shrunk;
+                shrunk_label = Option.map (Cond.to_string ~name) shrunk;
+              })
+        r.Ftes_sim.Diagnose.groups;
+  }
+
+let test_report_matches_oracle () =
+  List.iter
+    (fun (name, t) ->
+      let r = Ftes_sim.Diagnose.report ~jobs:1 t in
+      Alcotest.(check bool) (name ^ ": has shrunk groups") true
+        (List.exists
+           (fun g -> g.Ftes_sim.Diagnose.shrunk <> None)
+           r.Ftes_sim.Diagnose.groups);
+      Alcotest.(check string) (name ^ ": report json")
+        (Ftes_sim.Diagnose.report_to_json (oracle_report t))
+        (Ftes_sim.Diagnose.report_to_json r);
+      List.iteri
+        (fun i scenario ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: shrink of scenario %d" name i)
+            true
+            (Cond.equal
+               (Sim_oracle.shrink t ~scenario)
+               (Ftes_sim.Diagnose.shrink t ~scenario)))
+        (Sim_oracle.scenarios t.Table.ftcpg))
+    (("tight-fig5", tight_fig5_table ()) :: corrupted_tables ())
 
 (* --- stop_after / replay_until regression -------------------------- *)
 
@@ -194,7 +294,8 @@ let legacy_sampled ~seed ~samples t =
   let no_fault = List.filter (fun s -> Cond.fault_count s = 0) scenarios in
   let sampled = Rng.sample rng samples scenarios in
   let chosen = List.sort_uniq Cond.compare (no_fault @ sampled) in
-  List.concat_map (fun s -> (Sim.run t ~scenario:s).Sim.violations) chosen
+  List.concat_map (fun s -> (Sim_oracle.run t ~scenario:s).Sim.violations)
+    chosen
   @ Sim.frozen_start_violations t
 
 let test_sampled_matches_legacy () =
@@ -331,6 +432,13 @@ let () =
             test_random_instances_equivalent;
           Alcotest.test_case "corpus smoke instances" `Slow
             test_corpus_smoke_equivalent;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "Sim.run = Sim_oracle.run" `Quick
+            test_run_matches_oracle;
+          Alcotest.test_case "shrink report = oracle shrink report" `Quick
+            test_report_matches_oracle;
         ] );
       ( "stop-after",
         [

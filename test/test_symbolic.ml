@@ -5,7 +5,8 @@
    pin its contract against the explicit oracles: the clean/not-clean
    verdict is identical to [Sim_oracle.validate] on every instance,
    every reported violation is an explicitly confirmed witness (its
-   concretized scenario replays to the same violation under [Sim.run]),
+   concretized scenario replays to the same violation under the
+   reference [Sim_oracle.run]),
    and the result is invariant under the [jobs] pool size. The static
    (transparent) table compiler is exercised both in the explicitly
    cross-checkable regime and at a scenario count where only the
@@ -76,7 +77,8 @@ let check_symbolic name t =
       | None -> () (* cross-scenario transparency finding *)
       | Some s ->
           let replayed =
-            List.map Violation.to_string (Sim.run t ~scenario:s).Sim.violations
+            List.map Violation.to_string
+              (Sim_oracle.run t ~scenario:s).Sim.violations
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s: %S replays from its witness scenario" name
