@@ -113,6 +113,24 @@ let strategy_conv =
   in
   Arg.conv (parse, print)
 
+(* [-j/--jobs], shared by every command that fans work out. *)
+let jobs =
+  let parse str =
+    match int_of_string_opt str with
+    | Some j when j >= 1 -> Ok j
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" str))
+  in
+  Arg.(value
+       & opt (some (conv (parse, Format.pp_print_int))) None
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Domains for the parallel work: candidate evaluation, \
+                 scenario replay, corpus instances and the portfolio \
+                 race (default: all cores), and conditional scheduling \
+                 (default: sequential). 1 runs fully sequentially. \
+                 Capped at the core count.")
+
 (* Open every output file before the run starts, truncating none until
    all have opened: an unwritable path costs one line, no synthesis and
    no other file's contents, and the files this run created are
@@ -367,13 +385,6 @@ let synthesize_cmd =
                  scenario count — use it for large k. Implies \
                  --validate.")
   in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ]
-           ~doc:"Domains for candidate evaluation, conditional \
-                 scheduling and validation (default: all cores for \
-                 evaluation/validation, sequential scheduling; 1 = \
-                 fully sequential).")
-  in
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ]
            ~doc:"Disable the memoized design-evaluation cache (the \
@@ -513,12 +524,6 @@ let simulate_cmd =
   let trace =
     Arg.(value & flag & info [ "trace" ]
            ~doc:"Print the event trace of the worst scenario.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ]
-           ~doc:"Domains for table construction and scenario replay \
-                 (default: all cores for replay, sequential \
-                 scheduling; 1 = fully sequential).")
   in
   Cmd.v
     (Cmd.info "simulate" ~exits:(exit_bad_input :: Cmd.Exit.defaults)
@@ -836,11 +841,6 @@ let corpus_cmd =
            & info [ "filter" ]
                ~doc:"Only instances whose id or axis values contain this \
                      substring (e.g. 'bursty', 'single', 'soft').")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ]
-           ~doc:"Domains used to evaluate instances in parallel \
-                 (default: all cores).")
   in
   let manifest_path =
     Arg.(value & opt string "corpus/manifest.json"

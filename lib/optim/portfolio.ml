@@ -173,9 +173,25 @@ let run ?(opts = default_options) ?members (i : Strategy.inputs) =
         (Events.Worker_finish { member = m.label; cost = length; wall_s });
     { member = m; length; wall_s; problem }
   in
-  (* The caller polls (delivering events live) instead of racing: with
-     jobs workers the portfolio-level parallelism is exactly [jobs]. *)
-  let outcomes = Par.map_live ~jobs:opts.jobs ~poll:Events.drain run_member members in
+  (* The caller runs members too, so the race takes [jobs] domains in
+     all. LNS members go first: one is the slowest member of nearly
+     every race (each restart builds and validates a conditional
+     table), so starting it last would leave it running alone at the
+     end. Outcomes go back to member order, on which the winner's
+     tie-break depends. *)
+  let outcomes =
+    let indexed = List.mapi (fun idx m -> (idx, m)) members in
+    let lns, strategies =
+      List.partition
+        (fun (_, m) -> match m.engine with Lns _ -> true | Strategy _ -> false)
+        indexed
+    in
+    Par.map ~jobs:opts.jobs
+      (fun (idx, m) -> (idx, run_member m))
+      (lns @ strategies)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
   let winner =
     match outcomes with
     | [] -> invalid_arg "Portfolio.run: no members"

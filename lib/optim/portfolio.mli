@@ -6,8 +6,9 @@
     or the diagnostics-driven {!Lns} restart engine) plus its seed,
     tabu tenure and neighborhood sample size. {!run} computes the
     fault-free baseline once, launches every member concurrently via
-    [Ftes_util.Par.map_live] (the calling domain pumps the live event
-    stream while up to [jobs] workers race), and every member shares:
+    [Ftes_util.Par.map] on up to [jobs] domains (the calling domain runs
+    members too; LNS members are dispatched first, because one is the
+    slowest member of nearly every race), and every member shares:
 
     - one universe-pinned {!Evalcache} — MXR's descent phases revisit
       designs that MX's tabu has already priced;
@@ -45,8 +46,9 @@ type member_outcome = {
 }
 
 type options = {
-  jobs : int;  (** Concurrent members (pool workers; the caller only
-                   polls). *)
+  jobs : int;
+      (** Concurrent members: domains racing, the caller included, and
+          clamped to the core count by [Ftes_util.Par]. *)
   deadline_s : float option;
       (** Wall-clock budget for the whole race; [None] (default) runs
           every member's full iteration budget. *)

@@ -19,13 +19,23 @@ let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let in_worker () = Domain.DLS.get worker_flag
 
-(* Pool size actually used for [n] tasks: never more domains than
-   tasks, never parallel inside a worker. *)
+(* Domains actually used for [n] tasks: never more than tasks or cores,
+   never parallel inside a worker. A call that asks for more than one
+   domain publishes the request and the clamp as gauges while
+   recording. *)
 let effective_jobs ?jobs n =
   if in_worker () then 1
   else
-    let j = match jobs with Some j -> j | None -> default_jobs () in
-    max 1 (min j n)
+    let requested = match jobs with Some j -> j | None -> default_jobs () in
+    if requested <= 1 then 1
+    else begin
+      let effective = max 1 (min (min requested n) (default_jobs ())) in
+      if Events.enabled () then begin
+        Telemetry.set_gauge "par.jobs_requested" (float_of_int requested);
+        Telemetry.set_gauge "par.jobs_effective" (float_of_int effective)
+      end;
+      effective
+    end
 
 (* A published batch of tasks. Workers pull indices from [next];
    [completed] counts finished tasks so the caller knows when the batch
@@ -144,6 +154,8 @@ let pool_size () =
   Mutex.unlock pool.lock;
   n
 
+let drain_interval_s = 0.002
+
 let run_pool_impl ~jobs ~n ~(task : int -> unit) =
   let error : exn option Atomic.t = Atomic.make None in
   let task i =
@@ -186,8 +198,21 @@ let run_pool_impl ~jobs ~n ~(task : int -> unit) =
   run_tasks j;
   Domain.DLS.set worker_flag saved;
   (* Wait out the workers' in-flight tasks (at most one per worker once
-     [next] is exhausted, so this spin is bounded by a single task). *)
+     [next] is exhausted, so this spin is bounded by a single task).
+     Long tasks, such as portfolio members, would otherwise hold the
+     workers' records back until the fan-out returns: while recording,
+     the caller drains the stream every [drain_interval_s] of waiting.
+     With recording off the loop reads one atomic per spin. *)
+  let next_drain = ref Float.nan in
   while Atomic.get j.completed < n do
+    if Events.enabled () then begin
+      let t = Events.now () in
+      if Float.is_nan !next_drain then next_drain := t +. drain_interval_s
+      else if t >= !next_drain then begin
+        next_drain := t +. drain_interval_s;
+        Events.drain ()
+      end
+    end;
     Domain.cpu_relax ()
   done;
   if parked then begin
@@ -212,127 +237,38 @@ let run_pool ~jobs ~n ~task =
       (fun () -> run_pool_impl ~jobs ~n ~task)
   else run_pool_impl ~jobs ~n ~task
 
+(* [jobs] is already effective and above 1. Each slot is written by
+   exactly one domain and only read after the completion counter reaches
+   [n], which establishes the happens-before edge. *)
+let pool_map_array ~jobs f input =
+  let n = Array.length input in
+  let results = Array.make n None in
+  run_pool ~jobs ~n ~task:(fun i -> results.(i) <- Some (f input.(i)));
+  Array.map (function Some y -> y | None -> assert false) results
+
 let map_array ?jobs f input =
-  let n = Array.length input in
-  let jobs = effective_jobs ?jobs n in
-  if jobs <= 1 then Array.map f input
-  else begin
-    (* Each slot is written by exactly one domain and only read after
-       the completion counter reaches [n], which establishes the
-       happens-before edge. *)
-    let results = Array.make n None in
-    run_pool ~jobs ~n ~task:(fun i -> results.(i) <- Some (f input.(i)));
-    Array.map (function Some y -> y | None -> assert false) results
-  end
-
-(* Like [run_pool_impl], but the calling domain never pulls tasks: it
-   runs [poll] in the completion-wait loop instead, so a caller can
-   deliver live progress (e.g. [Events.drain]) while [jobs] pool
-   workers race through the batch. If the pool is unavailable (mid
-   shutdown) or drains to zero workers while we wait, the caller takes
-   over the remaining tasks inline — the batch always completes. *)
-let run_pool_live ~jobs ~n ~(task : int -> unit) ~poll =
-  let error : exn option Atomic.t = Atomic.make None in
-  let task i =
-    if Atomic.get error = None then
-      try task i
-      with e -> ignore (Atomic.compare_and_set error None (Some e))
-  in
-  let j =
-    {
-      n;
-      task;
-      next = Atomic.make 0;
-      completed = Atomic.make 0;
-      max_workers = jobs;
-      participants = Atomic.make 0;
-      published =
-        (if Events.enabled () then Events.now () else Float.nan);
-    }
-  in
-  Telemetry.observe h_fanout (float_of_int n);
-  Mutex.lock pool.lock;
-  let parked = not pool.shutdown in
-  if parked then begin
-    ensure_workers jobs;
-    Telemetry.set_gauge "par.pool_size"
-      (float_of_int (List.length pool.workers));
-    pool.job <- Some j;
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.wake
-  end;
-  Mutex.unlock pool.lock;
-  let run_inline () =
-    let saved = Domain.DLS.get worker_flag in
-    Domain.DLS.set worker_flag true;
-    let rec go () =
-      let i = Atomic.fetch_and_add j.next 1 in
-      if i < n then begin
-        j.task i;
-        Atomic.incr j.completed;
-        Domain.DLS.set worker_flag saved;
-        poll ();
-        Domain.DLS.set worker_flag true;
-        go ()
-      end
-    in
-    go ();
-    Domain.DLS.set worker_flag saved
-  in
-  if not parked then run_inline ();
-  while Atomic.get j.completed < n do
-    poll ();
-    if pool_size () = 0 then run_inline ()
-    else Unix.sleepf 0.002
-  done;
-  if parked then begin
-    Mutex.lock pool.lock;
-    (match pool.job with
-    | Some j' when j' == j -> pool.job <- None
-    | _ -> ());
-    Mutex.unlock pool.lock
-  end;
-  match Atomic.get error with Some e -> raise e | None -> ()
-
-let map_live ?jobs ~poll f xs =
-  let input = Array.of_list xs in
-  let n = Array.length input in
-  let jobs =
-    if in_worker () then 1
-    else max 1 (min (match jobs with Some j -> j | None -> default_jobs ()) n)
-  in
-  if jobs <= 1 || n = 0 then
-    List.map
-      (fun x ->
-        let y = f x in
-        poll ();
-        y)
-      xs
-  else begin
-    let results = Array.make n None in
-    run_pool_live ~jobs ~n
-      ~task:(fun i -> results.(i) <- Some (f input.(i)))
-      ~poll;
-    Array.to_list
-      (Array.map (function Some y -> y | None -> assert false) results)
-  end
+  let jobs = effective_jobs ?jobs (Array.length input) in
+  if jobs <= 1 then Array.map f input else pool_map_array ~jobs f input
 
 (* One list-to-array conversion up front; its length then serves the
    pool-size decision and the parallel path reuses the same array, so
    the input list is traversed exactly once on either path. *)
 let map ?jobs f xs =
   let input = Array.of_list xs in
-  if effective_jobs ?jobs (Array.length input) <= 1 then List.map f xs
-  else Array.to_list (map_array ?jobs f input)
+  let jobs = effective_jobs ?jobs (Array.length input) in
+  if jobs <= 1 then List.map f xs
+  else Array.to_list (pool_map_array ~jobs f input)
 
 let concat_map ?jobs f xs =
   let input = Array.of_list xs in
-  if effective_jobs ?jobs (Array.length input) <= 1 then List.concat_map f xs
-  else List.concat (Array.to_list (map_array ?jobs f input))
+  let jobs = effective_jobs ?jobs (Array.length input) in
+  if jobs <= 1 then List.concat_map f xs
+  else List.concat (Array.to_list (pool_map_array ~jobs f input))
 
 let init ?jobs n f =
-  if effective_jobs ?jobs n <= 1 then List.init n f
-  else Array.to_list (map_array ?jobs f (Array.init n Fun.id))
+  let jobs = effective_jobs ?jobs n in
+  if jobs <= 1 then List.init n f
+  else Array.to_list (pool_map_array ~jobs f (Array.init n Fun.id))
 
 (* Contiguous balanced ranges: chunk p of [pieces] over [n] items is
    [p*n/pieces, (p+1)*n/pieces) — sizes differ by at most one and the
@@ -347,4 +283,5 @@ let map_ranges ?jobs ?(chunks_per_job = 4) n f =
     if jobs <= 1 then [ f 0 n ]
     else
       let pieces = min n (jobs * chunks_per_job) in
-      Array.to_list (map_array ~jobs (fun (lo, hi) -> f lo hi) (range_bounds ~pieces n))
+      Array.to_list
+        (pool_map_array ~jobs (fun (lo, hi) -> f lo hi) (range_bounds ~pieces n))

@@ -18,6 +18,21 @@
     the domains working on any one call even after the pool has grown
     larger for another. The pool is torn down by an [at_exit] hook.
 
+    {b Domains used.} A call runs on [min jobs tasks cores] domains,
+    where [cores] is [Domain.recommended_domain_count ()]: never more
+    domains than tasks, and never more than the machine runs at once,
+    so [~jobs:16] on a 2-core host uses 2. The calling domain is one of
+    them — it pulls tasks like the [jobs - 1] pool workers — and the
+    pool therefore never holds more than [cores - 1] workers. While
+    recording is on, a call that asks for more than one domain sets the
+    gauges [par.jobs_requested] and [par.jobs_effective].
+
+    {b Live records.} Once the caller runs out of tasks it waits for
+    the workers' last ones; while recording is on it drains the event
+    stream about every 2 ms of that wait, so a long task's records
+    (portfolio members, say) reach the sinks before the call returns.
+    With recording off the wait reads one atomic per spin.
+
     Scheduling is dynamic (workers pull the next task from a shared
     atomic counter), which balances uneven task costs — fault scenarios
     and candidate configurations vary widely in evaluation time.
@@ -27,9 +42,9 @@
     therefore parallelize an outer sweep whose tasks themselves call
     parallel validation without oversubscribing the machine.
 
-    [~jobs:1] is the exact sequential code path ([List.map] /
-    [List.concat_map] / [List.init]); omitting [jobs] uses
-    {!default_jobs}. *)
+    One effective domain is the exact sequential code path
+    ([List.map] / [List.concat_map] / [List.init]); omitting [jobs]
+    uses {!default_jobs}. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the pool size used when
@@ -37,7 +52,7 @@ val default_jobs : unit -> int
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs], computed on up to [jobs]
-    domains. Results are merged in input order. If any [f x] raises,
+    domains (clamped as above). Results are merged in input order. If any [f x] raises,
     the first exception (in scheduling order) is re-raised in the
     calling domain after the pool drains. *)
 
@@ -51,21 +66,6 @@ val init : ?jobs:int -> int -> (int -> 'a) -> 'a list
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}. *)
 
-val map_live :
-  ?jobs:int -> poll:(unit -> unit) -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, but the calling domain never executes tasks: up to
-    [jobs] {e pool workers} (not [jobs - 1]) race through the batch
-    while the caller repeatedly runs [poll] in its completion-wait
-    loop. Built for live observability — pass [Ftes_util.Events.drain]
-    (or any sink pump) as [poll] and events emitted by the workers are
-    delivered while the fan-out is still in flight, instead of at the
-    next drain after it returns. [poll] runs only on the calling
-    domain, every few milliseconds; it must not dispatch another
-    parallel batch. With [jobs <= 1], from inside a worker, or when the
-    pool is unavailable, tasks run sequentially in the caller with
-    [poll] invoked between tasks. Result order and the
-    first-exception-wins error contract match {!map}. *)
-
 val map_ranges :
   ?jobs:int -> ?chunks_per_job:int -> int -> (int -> int -> 'a) -> 'a list
 (** [map_ranges ~jobs n f] splits the index space [0, n)] into coarse
@@ -77,8 +77,8 @@ val map_ranges :
     [jobs]. This is the batch-grained alternative to {!map} for hot
     loops where a task per item is too fine: each range amortizes
     per-task dispatch and lets the worker keep range-local scratch
-    state. [n <= 0] yields [[]]; [jobs <= 1] (or a nested call from a
-    worker) runs [f 0 n] sequentially. *)
+    state. [n <= 0] yields [[]]; one effective domain (or a nested
+    call from a worker) runs [f 0 n] sequentially. *)
 
 val in_worker : unit -> bool
 (** True when called from inside a [Par] worker domain (where nested
@@ -86,7 +86,8 @@ val in_worker : unit -> bool
 
 val pool_size : unit -> int
 (** Number of parked worker domains currently alive (excluding the
-    calling domain). Also published as the [par.pool_size] telemetry
+    calling domain); at most [Domain.recommended_domain_count () - 1].
+    Also published as the [par.pool_size] telemetry
     gauge on every fan-out. *)
 
 val shutdown : unit -> unit

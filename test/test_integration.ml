@@ -358,6 +358,35 @@ let test_cli_simulate_golden () =
        "simulate_faults2_deadline400.out");
     ]
 
+(* [-j/--jobs] takes a domain count of at least 1: anything else is a
+   usage error (cmdliner's exit 124) before any work starts. *)
+let test_cli_jobs_validated () =
+  let code, text, _ =
+    run_ftes [ "generate"; "-p"; "6"; "-n"; "2"; "-k"; "1"; "--seed"; "5" ]
+  in
+  Alcotest.(check int) "generate exit code" 0 code;
+  with_temp_instance text (fun path ->
+      List.iter
+        (fun (args, value) ->
+          let what = String.concat " " (args @ [ "--jobs"; value ]) in
+          let code, out, err = run_ftes (args @ [ "--jobs"; value ]) in
+          Alcotest.(check int) (what ^ ": exit code") 124 code;
+          Alcotest.(check string) (what ^ ": no output") "" out;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: names the option, got %S" what err)
+            true
+            (Astring_contains.contains err "'--jobs'"))
+        (List.concat_map
+           (fun args -> [ (args, "0"); (args, "abc") ])
+           [
+             [ "synthesize"; path ];
+             [ "simulate"; path ];
+             [ "corpus"; "run" ];
+             [ "corpus"; "verify" ];
+           ]);
+      let code, _, _ = run_ftes [ "synthesize"; path; "-j"; "1" ] in
+      Alcotest.(check int) "synthesize -j 1: exit code" 0 code)
+
 let () =
   Alcotest.run "integration"
     [
@@ -400,6 +429,8 @@ let () =
             test_cli_malformed_input;
           Alcotest.test_case "simulate output = golden" `Quick
             test_cli_simulate_golden;
+          Alcotest.test_case "--jobs below 1 is a usage error" `Quick
+            test_cli_jobs_validated;
         ] );
       ( "reliability",
         [

@@ -60,10 +60,14 @@ let test_exception_propagates () =
            (fun x -> if x = 513 then failwith "boom" else x)
            (List.init 1000 Fun.id)))
 
+let cores = Domain.recommended_domain_count ()
+
 let test_nested_runs_sequentially () =
   (* A Par call inside a worker must not spawn further domains — it
      runs sequentially in that worker — and still returns the right
-     ordered results. *)
+     ordered results. The outer call runs on the pool only when the
+     host has a second core: [Par] clamps to the core count, so on one
+     core it is the sequential path and never flags a worker. *)
   let table =
     Par.map ~jobs:4
       (fun i ->
@@ -73,13 +77,99 @@ let test_nested_runs_sequentially () =
   in
   List.iteri
     (fun i (in_worker, inner) ->
-      Alcotest.(check bool) "flagged as worker" true in_worker;
+      Alcotest.(check bool) "flagged as worker" (cores > 1) in_worker;
       Alcotest.(check (list int))
         "inner results"
         (List.init 5 (fun j -> i * j))
         inner)
     table;
   Alcotest.(check bool) "flag restored at top level" false (Par.in_worker ())
+
+let test_jobs_clamped_to_cores () =
+  (* Far more jobs than cores: the call still runs on at most [cores]
+     domains, the caller included, and the recorded gauges say so. *)
+  let module Events = Ftes_util.Events in
+  let module Telemetry = Ftes_util.Telemetry in
+  Telemetry.reset ();
+  Events.enable ();
+  let doms = Array.make 1000 (-1) in
+  let ys =
+    Fun.protect ~finally:Events.disable (fun () ->
+        Par.map ~jobs:64
+          (fun i ->
+            doms.(i) <- (Domain.self () :> int);
+            i + 1)
+          (List.init 1000 Fun.id))
+  in
+  Alcotest.(check (list int)) "results" (List.init 1000 succ) ys;
+  Alcotest.(check bool)
+    (Printf.sprintf "pool of %d worker(s) within %d core(s)" (Par.pool_size ())
+       cores)
+    true
+    (Par.pool_size () <= cores - 1);
+  let used = List.sort_uniq Int.compare (Array.to_list doms) in
+  Alcotest.(check bool) "domains used within the cores" true
+    (List.length used <= cores);
+  let gauge name = List.assoc_opt name (Telemetry.gauges ()) in
+  Alcotest.(check (option (float 0.))) "requested gauge" (Some 64.)
+    (gauge "par.jobs_requested");
+  Alcotest.(check (option (float 0.))) "effective gauge"
+    (Some (float_of_int (min 64 cores)))
+    (gauge "par.jobs_effective")
+
+let test_wait_loop_drains () =
+  (* The caller holds its task until a worker has started one, then
+     runs out of tasks and waits. The worker's task emits a record and
+     waits for the sink to see it: only the caller's wait loop can
+     deliver it before the fan-out returns. *)
+  if cores < 2 then begin
+    Printf.printf "%d core: the wait loop needs a worker domain; skipped\n%!"
+      cores;
+    Alcotest.skip ()
+  end;
+  let module Events = Ftes_util.Events in
+  let caller = (Domain.self () :> int) in
+  let worker_started = Atomic.make false in
+  let seen = Array.init 2 (fun _ -> Atomic.make false) in
+  let capture (e : Events.event) =
+    match e.Events.payload with
+    | Events.Incumbent { evals; _ } -> Atomic.set seen.(evals) true
+    | _ -> ()
+  in
+  let wait_for flag =
+    let t0 = Unix.gettimeofday () in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () -. t0 < 1.0 do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get flag
+  in
+  Events.enable ();
+  let sink = Events.add_sink capture in
+  let outcomes =
+    Fun.protect
+      ~finally:(fun () ->
+        Events.remove_sink sink;
+        Events.disable ())
+      (fun () ->
+        Par.init ~jobs:2 2 (fun i ->
+            if (Domain.self () :> int) = caller then begin
+              ignore (wait_for worker_started);
+              None
+            end
+            else begin
+              Atomic.set worker_started true;
+              Events.emit
+                (Events.Incumbent
+                   { source = "test"; cost = 0.; evals = i; wall_s = 0. });
+              Some (wait_for seen.(i))
+            end))
+  in
+  match List.filter_map Fun.id outcomes with
+  | [] -> Alcotest.fail "no task ran on a worker domain"
+  | delivered ->
+      Alcotest.(check (list bool)) "delivered while the task waited"
+        (List.map (fun _ -> true) delivered)
+        delivered
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the parallel clients (ISSUE satellite)               *)
@@ -142,6 +232,10 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "nested runs sequentially" `Quick
             test_nested_runs_sequentially;
+          Alcotest.test_case "jobs clamped to the cores" `Quick
+            test_jobs_clamped_to_cores;
+          Alcotest.test_case "wait loop delivers workers' records" `Quick
+            test_wait_loop_drains;
         ] );
       ( "determinism",
         [

@@ -394,6 +394,41 @@ let test_race_events () =
   Alcotest.(check bool) "portfolio-tagged incumbent events seen" true
     (!incumbents > 0)
 
+(* The caller runs members itself, so nothing pumps the stream on its
+   behalf: live delivery rests on the drains inside the members it runs
+   and on [Par]'s wait loop. Records of the other domain must reach the
+   sink while a member is still running, not only at the drain that
+   closes the race. *)
+let test_live_delivery () =
+  let cores = Domain.recommended_domain_count () in
+  if cores < 2 then begin
+    Printf.printf "%d core: live delivery needs a second domain; skipped\n%!"
+      cores;
+    Alcotest.skip ()
+  end;
+  let i = inputs ~processes:10 ~seed:23 () in
+  let caller = (Domain.self () :> int) in
+  let foreign = ref [] and last_finish = ref neg_infinity in
+  let capture (e : Events.event) =
+    if e.Events.dom <> caller then foreign := Events.now () :: !foreign;
+    match e.Events.payload with
+    | Events.Worker_finish _ -> last_finish := Float.max !last_finish e.Events.t
+    | _ -> ()
+  in
+  Events.enable ();
+  let sink = Events.add_sink capture in
+  ignore (run_portfolio ~jobs:2 i);
+  let before_return = !foreign in
+  Events.drain ();
+  let dropped = Events.dropped () in
+  Events.remove_sink sink;
+  Events.disable ();
+  Alcotest.(check bool) "a record of another domain reached the sink before \
+                         the race returned" true (before_return <> []);
+  Alcotest.(check bool) "one arrived while a member was still running" true
+    (List.exists (fun d -> d < !last_finish) before_return);
+  Alcotest.(check int) "no record dropped" 0 dropped
+
 (* ------------------------------------------------------------------ *)
 (* Synthesis integration                                               *)
 (* ------------------------------------------------------------------ *)
@@ -457,6 +492,8 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "race events" `Slow test_race_events;
+          Alcotest.test_case "live delivery at jobs=2" `Slow
+            test_live_delivery;
           Alcotest.test_case "Synthesis portfolio option" `Slow
             test_synthesis_portfolio_option;
         ] );

@@ -181,11 +181,89 @@ let test_portfolio_speedup () =
           r.E.size r.E.seed r.E.speedup)
     races
 
+(* ------------------------------------------------------------------ *)
+(* Portfolio race: jobs=2 against jobs=1                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_race_jobs2_vs_jobs1 () =
+  if cores < 2 then Alcotest.skip ();
+  let module Portfolio = Ftes_optim.Portfolio in
+  let module Par = Ftes_util.Par in
+  let instances =
+    List.map
+      (fun (processes, nodes, seed) ->
+        let app, arch, wcet =
+          Ftes_workload.Gen.instance
+            { Ftes_workload.Gen.default with processes; nodes; seed }
+        in
+        { Strategy.app; arch; wcet; k = 2 })
+      [ (12, 2, 401); (14, 3, 402); (16, 2, 403) ]
+  in
+  let race jobs inputs =
+    Portfolio.run
+      ~opts:
+        {
+          Portfolio.jobs;
+          deadline_s = None;
+          exchange = false;
+          cache = None;
+          tabu = { Tabu.default_options with Tabu.iterations = 20; jobs = 1 };
+        }
+      inputs
+  in
+  (* jobs=1 runs with no pool, so parked domains do not tax it; jobs=2
+     runs on a started pool, so it does not pay the domain spawn. *)
+  let timed jobs inputs =
+    if jobs = 1 then Par.shutdown ()
+    else ignore (Par.map ~jobs Fun.id (List.init jobs Fun.id));
+    time (fun () -> race jobs inputs)
+  in
+  let pairs = 5 in
+  let minimum = List.fold_left min infinity in
+  let totals =
+    List.map
+      (fun inputs ->
+        let samples =
+          List.init pairs (fun p ->
+              (* Alternate which side runs first. *)
+              if p mod 2 = 0 then
+                let one = timed 1 inputs in
+                (one, timed 2 inputs)
+              else
+                let two = timed 2 inputs in
+                (timed 1 inputs, two))
+        in
+        let (r1, _), (r2, _) = List.hd samples in
+        let lengths (r : Portfolio.result) =
+          List.map (fun (o : Portfolio.member_outcome) -> o.Portfolio.length)
+            r.Portfolio.members
+        in
+        Alcotest.(check string) "same winner"
+          r1.Portfolio.winner.Portfolio.member.Portfolio.label
+          r2.Portfolio.winner.Portfolio.member.Portfolio.label;
+        Alcotest.(check (list (float 0.))) "same member lengths" (lengths r1)
+          (lengths r2);
+        ( minimum (List.map (fun ((_, w), _) -> w) samples),
+          minimum (List.map (fun (_, (_, w)) -> w) samples) ))
+      instances
+  in
+  let w1 = List.fold_left (fun acc (w, _) -> acc +. w) 0. totals in
+  let w2 = List.fold_left (fun acc (_, w) -> acc +. w) 0. totals in
+  Printf.printf
+    "race jobs=1 %.4f s, jobs=2 %.4f s over %d instances (min of %d pairs \
+     each): speedup %.2fx\n"
+    w1 w2 (List.length instances) pairs (w1 /. w2);
+  if w2 > w1 then
+    Alcotest.failf "race at jobs=2 (%.4f s) is slower than at jobs=1 (%.4f s)"
+      w2 w1
+
 let () =
   if cores < 4 then
     Printf.printf
-      "%d core(s): the speedup gates need >= 4 cores and are skipped\n%!"
-      cores;
+      "%d core(s): the jobs=4 speedup gates need >= 4 cores and are \
+       skipped%s\n%!"
+      cores
+      (if cores < 2 then ", the jobs=2 race gate >= 2" else "");
   Alcotest.run "timing-gates"
     [
       ( "overhead",
@@ -199,6 +277,8 @@ let () =
             test_validate_speedup;
           Alcotest.test_case "portfolio race >= 2.0x sequential replay" `Slow
             test_portfolio_speedup;
+          Alcotest.test_case "portfolio race at jobs=2 no slower than jobs=1"
+            `Slow test_race_jobs2_vs_jobs1;
         ] );
     ];
   Ftes_util.Par.shutdown ()
