@@ -6,9 +6,17 @@ module Arch = Ftes_arch.Arch
 module Bus = Ftes_arch.Bus
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
-module Cowarray = Ftes_util.Cowarray
 module Telemetry = Ftes_util.Telemetry
 module Events = Ftes_util.Events
+
+(* Unrevealed conditions as [(revelation time, cond)]. The elements are
+   distinct (one per conditional vertex), so the minimum is the element
+   a min-heap under the same [compare] would pop. *)
+module Pending = Set.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
 
 let c_fix_iterations = Telemetry.counter "sched.fix_iterations"
 let c_ready_hits = Telemetry.counter "sched.ready_hits"
@@ -63,7 +71,9 @@ let priorities ftcpg =
    enters the ready set exactly when both counters reach zero. The set
    is iterated in ascending vertex id — the same order as the oracle's
    full rescan, which matters because the eps-tolerant "better candidate"
-   comparison is not transitive.
+   comparison is not transitive. A leaf is complete iff no vertex has
+   [ggap = 0] and is unfinished; the track counts those vertices, so
+   only a failing leaf scans them (to name one).
 
    {b Placement memoization.} For a ready vertex the base time is a
    constant of the track (predecessor finishes are final, revelation
@@ -76,16 +86,23 @@ let priorities ftcpg =
    and [Local] items depend on nothing and stay valid for the whole
    track.
 
-   {b Copy-on-write state + parallel subtrees.} The per-node timeline
-   array is a persistent {!Ftes_util.Cowarray} (a commit copies an
-   O(log nodes) path, not the whole array), so forking a track is
-   cheap; the fault and no-fault subtrees of a revelation fork are
-   independent and are fanned out over the {!Ftes_util.Par} pool. The
-   tree is cut at [params.fan_depth] binary forks (a track whose fault
-   budget is exhausted can never fork again and is shipped whole); the
-   frontier is collected in depth-first order and the per-subtree
-   results are spliced back in that order, so the track list — and the
-   resulting table — is byte-identical for every [jobs]. *)
+   {b One mutable track + undo trail, parallel subtrees.} The walk
+   keeps a single copy of the vertex-sized arrays ([unmet], [ggap],
+   [dead], finish times, the placement cache) and of the per-node
+   timeline array.
+   Every in-place write pushes an undo record; a revelation fork marks
+   the trail, runs the fault subtree, pops back to the mark and runs
+   the no-fault subtree on the restored arrays, so a fork costs
+   O(writes below it) instead of O(vertices). Everything else in a
+   track is persistent and simply kept by the fork. With [jobs > 1] the
+   fault and no-fault subtrees are independent and are fanned out over
+   the {!Ftes_util.Par} pool: the tree is cut at [params.fan_depth]
+   binary forks (a track whose fault budget is exhausted can never fork
+   again and is shipped whole), and only a branch shipped there gets its
+   own copy of the arrays. The frontier is collected in depth-first
+   order and the per-subtree results are spliced back in that order, so
+   the track list — and the resulting table — is byte-identical for
+   every [jobs]. *)
 (* ------------------------------------------------------------------ *)
 
 (* Dependency of a cached placement: the physical resource state it was
@@ -100,32 +117,157 @@ type centry = {
   c_dep : dep;
 }
 
+(* The empty cache slot. *)
+let no_entry =
+  { c_start = nan; c_fin = nan; c_res = Table.Local; c_pre = false;
+    c_dep = Dep_none }
+
+(* The persistent part of a track: a fork keeps it by holding on to the
+   value. *)
 type state = {
   guard : Cond.guard;
   faults : int;
-  nodes : Timeline.t Cowarray.t;
   bus : Busalloc.t;
-  finish : float Imap.t;  (* scheduled vertices -> finish time *)
-  reveal : float Imap.t;  (* condition -> revelation time *)
   bcast : float Imap.t;  (* condition -> broadcast arrival *)
-  pending : (float * int) Ftes_util.Pqueue.t;
-      (* unrevealed conditions, min-heap by revelation time. Mutable
-         structures (this queue and the arrays below) are shared only
-         while at most one branch is live: [commit] and [apply_literal]
-         update them in place (the parent state is dead once its
-         successor exists) and a fork hands the fault branch copies
-         while the no-fault branch keeps the originals. *)
+  pending : Pending.t;  (* unrevealed conditions *)
   entries : Table.entry list;  (* reversed *)
   emitted : Table.entry list;
       (* The suffix of [entries] that a track earlier in DFS order
          hands to assembly: a leaf emits only the entries above it. *)
   makespan : float;
   ready : Iset.t;  (* vertices with unmet = 0, ggap = 0, unscheduled *)
+  opened : int;  (* vertices with ggap = 0, unscheduled *)
+}
+
+(* The mutable part of the track one walker is on, with its undo trail.
+   [ops] holds one code [(index lsl 3) lor tag] per write, newest last.
+   [unmet] and [ggap] only ever drop by one, [dead] only ever goes from
+   0 to 1 and [finish] is written once per vertex, so their codes alone
+   undo them; the replaced cache entries and timelines wait on their
+   own stacks, popped in step. *)
+type arrays = {
+  nodes : Timeline.t array;
+  finish : float array;
+      (* finish time per scheduled vertex, [nan] while unscheduled; a
+         condition is revealed when its vertex finishes *)
   unmet : int array;  (* preds neither finished nor dead, per vertex *)
   ggap : int array;  (* guard literals not yet in the track guard *)
   dead : Bytes.t;  (* '\001' when incompatible with the track guard *)
-  cache : centry option array;  (* memoized tentative placements *)
+  cache : centry array;  (* memoized tentative placements *)
+  mutable ops : int array;
+  mutable nops : int;
+  mutable old_cache : centry array;
+  mutable ncache : int;
+  mutable old_nodes : Timeline.t array;
+  mutable nold_nodes : int;
 }
+
+let tag_unmet = 0
+let tag_ggap = 1
+let tag_dead = 2
+let tag_cache = 3
+let tag_node = 4
+let tag_finish = 5
+
+(* [a] with twice the room, its first [len] slots kept. *)
+let grown a len dummy =
+  let b = Array.make (2 * len) dummy in
+  Array.blit a 0 b 0 len;
+  b
+
+let push_op w i tag =
+  if w.nops = Array.length w.ops then w.ops <- grown w.ops w.nops 0;
+  Array.unsafe_set w.ops w.nops ((i lsl 3) lor tag);
+  w.nops <- w.nops + 1
+
+let decr_unmet w i =
+  w.unmet.(i) <- w.unmet.(i) - 1;
+  push_op w i tag_unmet
+
+let decr_ggap w i =
+  w.ggap.(i) <- w.ggap.(i) - 1;
+  push_op w i tag_ggap
+
+let kill w i =
+  Bytes.set w.dead i '\001';
+  push_op w i tag_dead
+
+let set_finish w i f =
+  w.finish.(i) <- f;
+  push_op w i tag_finish
+
+let finished w i = not (Float.is_nan w.finish.(i))
+
+(* Each of [succs] loses one unmet predecessor; those that become ready
+   join [ready]. *)
+let release w ready succs =
+  List.fold_left
+    (fun ready s ->
+      decr_unmet w s;
+      if
+        w.unmet.(s) = 0
+        && w.ggap.(s) = 0
+        && Bytes.get w.dead s = '\000'
+        && not (finished w s)
+      then Iset.add s ready
+      else ready)
+    ready succs
+
+let set_cache w i e =
+  if w.ncache = Array.length w.old_cache then
+    w.old_cache <- grown w.old_cache w.ncache no_entry;
+  Array.unsafe_set w.old_cache w.ncache w.cache.(i);
+  w.ncache <- w.ncache + 1;
+  w.cache.(i) <- e;
+  push_op w i tag_cache
+
+let set_node w n tl =
+  if w.nold_nodes = Array.length w.old_nodes then
+    w.old_nodes <- grown w.old_nodes w.nold_nodes Timeline.empty;
+  Array.unsafe_set w.old_nodes w.nold_nodes w.nodes.(n);
+  w.nold_nodes <- w.nold_nodes + 1;
+  w.nodes.(n) <- tl;
+  push_op w n tag_node
+
+(* Pop every write after [mark], newest first. *)
+let undo w mark =
+  while w.nops > mark do
+    w.nops <- w.nops - 1;
+    let code = w.ops.(w.nops) in
+    let i = code lsr 3 in
+    let tag = code land 7 in
+    if tag = tag_unmet then w.unmet.(i) <- w.unmet.(i) + 1
+    else if tag = tag_ggap then w.ggap.(i) <- w.ggap.(i) + 1
+    else if tag = tag_dead then Bytes.set w.dead i '\000'
+    else if tag = tag_finish then w.finish.(i) <- nan
+    else if tag = tag_cache then begin
+      w.ncache <- w.ncache - 1;
+      w.cache.(i) <- w.old_cache.(w.ncache)
+    end
+    else begin
+      w.nold_nodes <- w.nold_nodes - 1;
+      w.nodes.(i) <- w.old_nodes.(w.nold_nodes)
+    end
+  done
+
+(* The given arrays (taken, not copied) with an empty trail. *)
+let make_arrays ~nodes ~finish ~unmet ~ggap ~dead ~cache =
+  {
+    nodes; finish; unmet; ggap; dead; cache;
+    ops = Array.make 256 0;
+    nops = 0;
+    old_cache = Array.make 64 no_entry;
+    ncache = 0;
+    old_nodes = Array.make 16 Timeline.empty;
+    nold_nodes = 0;
+  }
+
+(* An independent copy of the current track's arrays, for a branch
+   shipped to another walker. *)
+let copy_arrays w =
+  make_arrays ~nodes:(Array.copy w.nodes) ~finish:(Array.copy w.finish)
+    ~unmet:(Array.copy w.unmet) ~ggap:(Array.copy w.ggap)
+    ~dead:(Bytes.copy w.dead) ~cache:(Array.copy w.cache)
 
 let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   Events.with_span ~cat:"sched" "sched.conditional" @@ fun () ->
@@ -162,6 +304,9 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     done;
     !r
   in
+  let opened0 =
+    Array.fold_left (fun acc n -> if n = 0 then acc + 1 else acc) 0 nlits0
+  in
   (* Frozen start times being fixed across iterations. Read-only while
      tracks are explored (including from worker domains); merged with
      the observed demands between fixpoint iterations. *)
@@ -174,11 +319,10 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   in
   let leaf_count = Atomic.make 0 in
 
-  let literal_available st (l : Cond.literal) ~decision_node =
+  let literal_available w st (l : Cond.literal) ~decision_node =
     let reveal =
-      match Imap.find_opt l.Cond.cond st.reveal with
-      | Some t -> t
-      | None -> infinity (* not yet revealed: cannot commit *)
+      if finished w l.Cond.cond then w.finish.(l.Cond.cond)
+      else infinity (* not yet revealed: cannot commit *)
     in
     match decision_node with
     | None -> reveal
@@ -199,13 +343,10 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     | Ftcpg.Sync_proc _ -> None
   in
 
-  let base_time st (v : Ftcpg.vertex) =
+  let base_time w st (v : Ftcpg.vertex) =
     let arrivals =
       List.fold_left
-        (fun acc p ->
-          match Imap.find_opt p st.finish with
-          | Some f -> max acc f
-          | None -> acc)
+        (fun acc p -> if finished w p then max acc w.finish.(p) else acc)
         0. v.Ftcpg.preds
     in
     let release =
@@ -216,7 +357,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     let dn = decision_node v in
     let knowledge =
       List.fold_left
-        (fun acc l -> max acc (literal_available st l ~decision_node:dn))
+        (fun acc l -> max acc (literal_available w st l ~decision_node:dn))
         0.
         (Cond.literals v.Ftcpg.guard)
     in
@@ -224,12 +365,12 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   in
 
   (* Natural (ASAP) placement of a vertex from its base time. *)
-  let natural_place st (v : Ftcpg.vertex) base =
+  let natural_place w st (v : Ftcpg.vertex) base =
     match v.Ftcpg.kind with
     | Ftcpg.Proc_copy _ ->
         let n = Option.get v.Ftcpg.exec_node in
         let s =
-          Timeline.earliest_gap (Cowarray.get st.nodes n) ~from_:base
+          Timeline.earliest_gap w.nodes.(n) ~from_:base
             ~duration:v.Ftcpg.duration
         in
         (s, s +. v.Ftcpg.duration, Table.Node n)
@@ -246,8 +387,8 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   (* Placement respecting a fixed (frozen) start when one exists.
      Returns the placement plus whether the pre-reserved window is
      already accounted for in the timelines. *)
-  let place ~demand st (v : Ftcpg.vertex) =
-    let base = base_time st v in
+  let place ~demand w st (v : Ftcpg.vertex) =
+    let base = base_time w st v in
     match Hashtbl.find_opt fixed v.Ftcpg.vid with
     | Some f when v.Ftcpg.frozen ->
         if base <= f +. eps then
@@ -262,30 +403,30 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
           (f, f +. v.Ftcpg.duration, resource, true)
         else begin
           (* The frozen time is too early in this track: demand more. *)
-          let s, fin, r = natural_place st v base in
+          let s, fin, r = natural_place w st v base in
           demand v.Ftcpg.vid s;
           (s, fin, r, false)
         end
     | Some _ | None ->
-        let s, fin, r = natural_place st v base in
+        let s, fin, r = natural_place w st v base in
         if v.Ftcpg.frozen then demand v.Ftcpg.vid s;
         (s, fin, r, false)
   in
 
-  let dep_valid st e =
+  let dep_valid w st e =
     match e.c_dep with
     | Dep_none -> true
     | Dep_node tl -> (
         match e.c_res with
-        | Table.Node n -> tl == Cowarray.get st.nodes n
+        | Table.Node n -> tl == w.nodes.(n)
         | Table.Bus | Table.Local -> false)
     | Dep_bus b -> b == st.bus
   in
-  let dep_of st res ~prereserved =
+  let dep_of w st res ~prereserved =
     if prereserved then Dep_none
     else
       match res with
-      | Table.Node n -> Dep_node (Cowarray.get st.nodes n)
+      | Table.Node n -> Dep_node w.nodes.(n)
       | Table.Bus -> Dep_bus st.bus
       | Table.Local -> Dep_none
   in
@@ -296,74 +437,60 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
      [demand] side effects are max-accumulated and the demanded start
      only depends on the same state, so skipping the recomputation on a
      hit never loses a demand. *)
-  let cached_place ~demand st (v : Ftcpg.vertex) =
+  let cached_place ~demand w st (v : Ftcpg.vertex) =
     let vid = v.Ftcpg.vid in
-    match st.cache.(vid) with
-    | Some e when dep_valid st e ->
-        Telemetry.incr c_ready_hits;
-        (e.c_start, e.c_fin, e.c_res, e.c_pre)
-    | prev ->
-        if prev <> None then Telemetry.incr c_cache_inval;
-        let ((s, fin, res, pre) as placement) = place ~demand st v in
-        st.cache.(vid) <-
-          Some
-            {
-              c_start = s;
-              c_fin = fin;
-              c_res = res;
-              c_pre = pre;
-              c_dep = dep_of st res ~prereserved:pre;
-            };
-        placement
+    let e = w.cache.(vid) in
+    if e != no_entry && dep_valid w st e then begin
+      Telemetry.incr c_ready_hits;
+      e
+    end
+    else begin
+      if e != no_entry then Telemetry.incr c_cache_inval;
+      let s, fin, res, pre = place ~demand w st v in
+      let e =
+        { c_start = s; c_fin = fin; c_res = res; c_pre = pre;
+          c_dep = dep_of w st res ~prereserved:pre }
+      in
+      set_cache w vid e;
+      e
+    end
   in
 
-  let commit st (v : Ftcpg.vertex) (start, fin, resource, prereserved) =
-    let nodes, bus =
-      if prereserved then (st.nodes, st.bus)
+  let commit w st (v : Ftcpg.vertex) e =
+    let vid = v.Ftcpg.vid in
+    let start = e.c_start and fin = e.c_fin and resource = e.c_res in
+    let bus =
+      if e.c_pre then st.bus
       else
         match resource with
         | Table.Node n ->
-            ( Cowarray.set st.nodes n
-                (Timeline.reserve (Cowarray.get st.nodes n) ~start ~finish:fin),
-              st.bus )
+            set_node w n (Timeline.reserve w.nodes.(n) ~start ~finish:fin);
+            st.bus
         | Table.Bus ->
             let src = Option.get v.Ftcpg.src_node in
-            (st.nodes, Busalloc.reserve_window st.bus ~src ~start ~finish:fin)
-        | Table.Local -> (st.nodes, st.bus)
+            Busalloc.reserve_window st.bus ~src ~start ~finish:fin
+        | Table.Local -> st.bus
     in
     let entry =
-      { Table.item = Table.Exec v.Ftcpg.vid; guard = st.guard; start;
-        finish = fin; resource }
+      { Table.item = Table.Exec vid; guard = st.guard; start; finish = fin;
+        resource }
     in
-    if v.Ftcpg.conditional then
-      Ftes_util.Pqueue.push st.pending (fin, v.Ftcpg.vid);
-    let reveal =
-      if v.Ftcpg.conditional then Imap.add v.Ftcpg.vid fin st.reveal
-      else st.reveal
+    let pending =
+      if v.Ftcpg.conditional then Pending.add (fin, vid) st.pending
+      else st.pending
     in
-    let finish = Imap.add v.Ftcpg.vid fin st.finish in
-    (* The committed vertex leaves the ready set; each successor loses
-       one unmet predecessor and may become ready. *)
-    let ready = ref (Iset.remove v.Ftcpg.vid st.ready) in
-    List.iter
-      (fun s ->
-        st.unmet.(s) <- st.unmet.(s) - 1;
-        if
-          st.unmet.(s) = 0
-          && st.ggap.(s) = 0
-          && Bytes.get st.dead s = '\000'
-          && not (Imap.mem s finish)
-        then ready := Iset.add s !ready)
-      v.Ftcpg.succs;
+    set_finish w vid fin;
+    (* The committed vertex leaves the ready set; its successors may
+       join it. *)
+    let ready = release w (Iset.remove vid st.ready) v.Ftcpg.succs in
     {
       st with
-      nodes;
       bus;
-      finish;
-      reveal;
+      pending;
       entries = entry :: st.entries;
       makespan = max st.makespan fin;
-      ready = !ready;
+      ready;
+      opened = st.opened - 1 (* [v] was ready, so it counted as open *);
     }
   in
 
@@ -374,40 +501,32 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
      ready set yet (its [ggap] was positive), and scheduled vertices
      never appear in either list (their guard literals were already in
      the track guard before this condition existed). *)
-  let apply_literal st (l : Cond.literal) =
+  let apply_literal w st (l : Cond.literal) =
     let ready = ref st.ready in
+    let opened = ref st.opened in
     let same, opp =
       if l.Cond.fault then (by_lit_t.(l.Cond.cond), by_lit_f.(l.Cond.cond))
       else (by_lit_f.(l.Cond.cond), by_lit_t.(l.Cond.cond))
     in
     List.iter
       (fun vid ->
-        if Bytes.get st.dead vid = '\000' then begin
-          st.ggap.(vid) <- st.ggap.(vid) - 1;
-          if
-            st.ggap.(vid) = 0
-            && st.unmet.(vid) = 0
-            && not (Imap.mem vid st.finish)
-          then ready := Iset.add vid !ready
+        if Bytes.get w.dead vid = '\000' then begin
+          decr_ggap w vid;
+          if w.ggap.(vid) = 0 && not (finished w vid) then begin
+            incr opened;
+            if w.unmet.(vid) = 0 then ready := Iset.add vid !ready
+          end
         end)
       same;
     List.iter
       (fun vid ->
-        if Bytes.get st.dead vid = '\000' then begin
-          Bytes.set st.dead vid '\001';
-          List.iter
-            (fun s ->
-              st.unmet.(s) <- st.unmet.(s) - 1;
-              if
-                st.unmet.(s) = 0
-                && st.ggap.(s) = 0
-                && Bytes.get st.dead s = '\000'
-                && not (Imap.mem s st.finish)
-              then ready := Iset.add s !ready)
-            (vert vid).Ftcpg.succs
+        if Bytes.get w.dead vid = '\000' then begin
+          kill w vid;
+          ready := release w !ready (vert vid).Ftcpg.succs
         end)
       opp;
-    { st with guard = Cond.add_exn st.guard l; ready = !ready }
+    { st with guard = Cond.add_exn st.guard l; ready = !ready;
+      opened = !opened }
   in
 
   let schedule_bcast st (tr, vc) =
@@ -433,27 +552,18 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       }
   in
 
-  let fork_copy st =
-    {
-      st with
-      pending = Ftes_util.Pqueue.copy st.pending;
-      unmet = Array.copy st.unmet;
-      ggap = Array.copy st.ggap;
-      dead = Bytes.copy st.dead;
-      cache = Array.copy st.cache;
-    }
-  in
-
   (* Depth-first exploration emitting, in DFS order, either finished
      tracks or — in collection mode, once [split] binary forks have
-     been crossed — whole branch states for the parallel pool. A branch
-     whose fault budget is exhausted can never fork again (exactly one
-     leaf below) and is shipped whole as soon as it appears. With
-     [collect = false] every subtree is explored in place and only
-     tracks are emitted. *)
-  let rec walk ~demand ~collect ~split ~sink st =
+     been crossed — whole branches (state plus a copy of the arrays) for
+     the parallel pool. A branch whose fault budget is exhausted can
+     never fork again (exactly one leaf below) and is shipped whole as
+     soon as it appears. With [collect = false] every subtree is
+     explored in place and only tracks are emitted. On return, [w] may
+     hold writes of the explored subtree; the caller's fork undoes
+     them. *)
+  let rec walk ~demand ~collect ~split ~sink w st =
     let next_reveal =
-      match Ftes_util.Pqueue.peek st.pending with
+      match Pending.min_elt_opt st.pending with
       | None -> infinity
       | Some (t, _) -> t
     in
@@ -461,65 +571,64 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
        ascending vertex id like the oracle's rescan (the eps-tolerant
        comparison is not transitive, so the order is part of the
        pinned behaviour). *)
-    let best = ref None in
+    let best_vid = ref (-1) in
+    let best = ref no_entry in
     Iset.iter
       (fun vid ->
-        let v = vert vid in
-        let ((s, _, _, _) as placement) = cached_place ~demand st v in
+        let e = cached_place ~demand w st (vert vid) in
+        let s = e.c_start in
         if s < next_reveal -. eps then
           let better =
-            match !best with
-            | None -> true
-            | Some (s', v', _) ->
-                s < s' -. eps
-                || (Float.abs (s -. s') <= eps
-                   && pcp.(vid) > pcp.(v'.Ftcpg.vid))
+            !best_vid < 0
+            ||
+            let s' = (!best).c_start in
+            s < s' -. eps
+            || (Float.abs (s -. s') <= eps && pcp.(vid) > pcp.(!best_vid))
           in
-          if better then best := Some (s, v, placement))
+          if better then begin
+            best_vid := vid;
+            best := e
+          end)
       st.ready;
-    match !best with
-    | Some (_, v, placement) ->
-        walk ~demand ~collect ~split ~sink (commit st v placement)
-    | None -> (
-        match Ftes_util.Pqueue.peek st.pending with
-        | Some (tr, vc) ->
-            let st = schedule_bcast st (tr, vc) in
-            ignore (Ftes_util.Pqueue.pop st.pending);
-            let child b ~split =
-              if collect && (split <= 0 || b.faults >= k) then
-                sink (`Branch b)
-              else walk ~demand ~collect ~split ~sink b
-            in
-            if st.faults < k then begin
-              (* The fault branch copies the mutable structures; the
-                 no-fault branch keeps the originals (the parent state
-                 is dead once both children exist). *)
-              let bf = fork_copy st in
-              let bf =
-                apply_literal
-                  { bf with faults = bf.faults + 1 }
-                  { Cond.cond = vc; fault = true }
-              in
-              (* The fault subtree runs first in DFS order, so its first
-                 leaf emits the shared prefix. *)
-              let bnf =
-                apply_literal
-                  { st with emitted = st.entries }
-                  { Cond.cond = vc; fault = false }
-              in
-              child bf ~split:(split - 1);
-              child bnf ~split:(split - 1)
-            end
-            else begin
-              let bnf = apply_literal st { Cond.cond = vc; fault = false } in
-              child bnf ~split
-            end
-        | None ->
-            (* Leaf: every vertex reachable in this scenario must be
-               done. [ggap = 0] is exactly "the track guard implies the
-               vertex guard". *)
+    if !best_vid >= 0 then
+      walk ~demand ~collect ~split ~sink w (commit w st (vert !best_vid) !best)
+    else
+      match Pending.min_elt_opt st.pending with
+      | Some ((tr, vc) as c) ->
+          let st =
+            schedule_bcast { st with pending = Pending.remove c st.pending }
+              (tr, vc)
+          in
+          let child b ~split =
+            if collect && (split <= 0 || b.faults >= k) then
+              sink (`Branch (b, copy_arrays w))
+            else walk ~demand ~collect ~split ~sink w b
+          in
+          if st.faults < k then begin
+            (* The fault subtree runs first in DFS order, so its first
+               leaf emits the shared prefix; the no-fault branch then
+               starts from the arrays as they were at the fork. *)
+            let mark = w.nops in
+            child
+              (apply_literal w
+                 { st with faults = st.faults + 1 }
+                 { Cond.cond = vc; fault = true })
+              ~split:(split - 1);
+            undo w mark;
+            child
+              (apply_literal w
+                 { st with emitted = st.entries }
+                 { Cond.cond = vc; fault = false })
+              ~split:(split - 1)
+          end
+          else child (apply_literal w st { Cond.cond = vc; fault = false }) ~split
+      | None ->
+          (* Leaf: every vertex reachable in this scenario must be
+             done. [ggap = 0] is exactly "the track guard implies the
+             vertex guard". *)
+          if st.opened > 0 then
             for vid = 0 to nverts - 1 do
-              if st.ggap.(vid) = 0 && not (Imap.mem vid st.finish) then
+              if w.ggap.(vid) = 0 && not (finished w vid) then
                 let v = vert vid in
                 raise
                   (Blocked
@@ -527,25 +636,25 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
                         v.Ftcpg.name
                         (Cond.to_string ~name:(Ftcpg.cond_name ftcpg) st.guard)))
             done;
-            if Atomic.fetch_and_add leaf_count 1 + 1 > params.max_tracks then
-              raise (Too_many_tracks params.max_tracks);
-            let rec fresh acc es =
-              if es == st.emitted then acc
-              else
-                match es with
-                | e :: rest -> fresh (e :: acc) rest
-                | [] -> acc
-            in
-            sink
-              (`Track
-                (fresh [] st.entries, { Table.scenario = st.guard; makespan = st.makespan })))
+          if Atomic.fetch_and_add leaf_count 1 + 1 > params.max_tracks then
+            raise (Too_many_tracks params.max_tracks);
+          let rec fresh acc es =
+            if es == st.emitted then acc
+            else
+              match es with
+              | e :: rest -> fresh (e :: acc) rest
+              | [] -> acc
+          in
+          sink
+            (`Track
+              (fresh [] st.entries, { Table.scenario = st.guard; makespan = st.makespan }))
   in
 
-  let walk_all ~demand st =
+  let walk_all ~demand (st, w) =
     let acc = ref [] in
     walk ~demand ~collect:false ~split:0
       ~sink:(fun it -> acc := it :: !acc)
-      st;
+      w st;
     List.rev_map (function `Track r -> r | `Branch _ -> assert false) !acc
   in
 
@@ -584,24 +693,21 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
             bus := Busalloc.reserve_window !bus ~src ~start:s ~finish:fin
         | Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _ | Ftcpg.Sync_proc _ -> ())
       fixed_sorted;
-    {
-      guard = Cond.true_;
-      faults = 0;
-      nodes = Cowarray.of_array nodes;
-      bus = !bus;
-      finish = Imap.empty;
-      reveal = Imap.empty;
-      bcast = Imap.empty;
-      pending = Ftes_util.Pqueue.create ~cmp:compare;
-      entries = [];
-      emitted = [];
-      makespan = 0.;
-      ready = ready0;
-      unmet = Array.copy npreds0;
-      ggap = Array.copy nlits0;
-      dead = Bytes.make (max nverts 1) '\000';
-      cache = Array.make nverts None;
-    }
+    ( {
+        guard = Cond.true_;
+        faults = 0;
+        bus = !bus;
+        bcast = Imap.empty;
+        pending = Pending.empty;
+        entries = [];
+        emitted = [];
+        makespan = 0.;
+        ready = ready0;
+        opened = opened0;
+      },
+      make_arrays ~nodes ~finish:(Array.make nverts nan) ~unmet:(Array.copy npreds0) ~ggap:(Array.copy nlits0)
+        ~dead:(Bytes.make (max nverts 1) '\000')
+        ~cache:(Array.make nverts no_entry) )
   in
 
   (* One exploration of the scenario tree. Sequentially for [jobs <= 1];
@@ -611,23 +717,23 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
      and the per-subtree track lists are spliced back in frontier
      order, reproducing the sequential DFS order exactly. *)
   let run_tracks () =
-    let st0 = initial_state () in
-    if jobs <= 1 then walk_all ~demand:demand_main st0
+    let st0, w0 = initial_state () in
+    if jobs <= 1 then walk_all ~demand:demand_main (st0, w0)
     else begin
       let items = ref [] in
       walk ~demand:demand_main ~collect:true ~split:params.fan_depth
         ~sink:(fun it -> items := it :: !items)
-        st0;
+        w0 st0;
       let items = List.rev !items in
       let branches =
         List.filter_map
-          (function `Branch st -> Some st | `Track _ -> None)
+          (function `Branch b -> Some b | `Track _ -> None)
           items
       in
       Telemetry.add c_par_forks (List.length branches);
       let subtree_results =
         Ftes_util.Par.map ~jobs
-          (fun st ->
+          (fun branch ->
             let local : (int, float) Hashtbl.t = Hashtbl.create 16 in
             let demand vid t =
               let cur =
@@ -635,7 +741,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
               in
               if t > cur then Hashtbl.replace local vid t
             in
-            let tracks = walk_all ~demand st in
+            let tracks = walk_all ~demand branch in
             (tracks, Hashtbl.fold (fun k v acc -> (k, v) :: acc) local []))
           branches
       in

@@ -47,10 +47,12 @@ exception Fixpoint_diverged of int
 
 val schedule : ?params:params -> ?jobs:int -> Ftes_ftcpg.Ftcpg.t -> Table.t
 (** Incremental scheduler: guard-aware ready set, memoized tentative
-    placements (invalidated by physical resource change), persistent
-    copy-on-write timeline array, and — for [jobs > 1] — parallel
-    exploration of independent fault/no-fault subtrees on the
-    {!Ftes_util.Par} pool with a deterministic depth-first merge. The
+    placements (invalidated by physical resource change), one mutable
+    track state restored by an undo trail at every revelation fork (a
+    fork costs the writes below it, not the vertex count), and — for
+    [jobs > 1] — parallel exploration of independent fault/no-fault
+    subtrees on the {!Ftes_util.Par} pool, each shipped subtree with its
+    own copy of the state, and a deterministic depth-first merge. The
     produced table is byte-identical for every [jobs] value and to the
     direct transcription of the paper's algorithm that the tests keep as
     its digest oracle ([test/conditional_oracle.ml]). [jobs] defaults to

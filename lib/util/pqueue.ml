@@ -48,8 +48,6 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let copy t = { t with data = Array.copy t.data }
-
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
 let pop t =

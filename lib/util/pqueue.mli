@@ -15,12 +15,6 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 
-val copy : 'a t -> 'a t
-(** Independent queue with the same contents: mutations of either side
-    are invisible to the other (elements themselves are shared). Used by
-    the conditional scheduler to branch a track's pending-condition
-    queue at a fork. *)
-
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 

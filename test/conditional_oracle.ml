@@ -49,7 +49,7 @@ type state = {
          states share physical queues only when at most one branch is
          still live: [commit] pushes in place (the parent state is dead
          once its successor exists) and a fork hands the fault branch a
-         [Pqueue.copy] while the no-fault branch keeps the original. *)
+         rebuilt queue while the no-fault branch keeps the original. *)
   r_entries : Table.entry list;  (* reversed *)
   r_makespan : float;
 }
@@ -285,7 +285,9 @@ let schedule ?(params = Conditional.default_params) ftcpg =
                     r_guard =
                       Cond.add_exn st.r_guard { Cond.cond = vc; fault = true };
                     r_faults = st.r_faults + 1;
-                    r_pending = Pqueue.copy st.r_pending;
+                    r_pending =
+                      Pqueue.of_list ~cmp:compare
+                        (Pqueue.to_sorted_list st.r_pending);
                   }
               else []
             in

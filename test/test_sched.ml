@@ -297,6 +297,32 @@ let sched_props =
         let d = table_digest (Conditional_oracle.schedule f) in
         table_digest (Conditional.schedule f) = d
         && table_digest (Conditional.schedule ~jobs:4 f) = d);
+    Helpers.qtest ~count:25
+      "incremental matches reference: deep forks and every fan depth"
+      (QCheck.make
+         ~print:(fun (seed, n, nodes, k) ->
+           Printf.sprintf "seed=%d n=%d nodes=%d k=%d" seed n nodes k)
+         QCheck.Gen.(
+           quad (int_bound 10_000) (int_range 3 6) (int_range 2 3)
+             (int_range 3 4)))
+      (fun (seed, n, nodes, k) ->
+        (* Three or four faults fork the walk deep below every cut, so
+           each branch pops back over long undo runs. Fan depth 0 ships
+           the root whole; at 6 most branches use up their fault budget
+           first and ship before the cut. *)
+        let p = Helpers.random_problem ~processes:n ~nodes ~k ~seed () in
+        let f = Ftcpg.build p in
+        let d = table_digest (Conditional_oracle.schedule f) in
+        List.for_all
+          (fun (jobs, fan_depth) ->
+            table_digest
+              (Conditional.schedule
+                 ~params:{ Conditional.default_params with fan_depth }
+                 ~jobs f)
+            = d)
+          (List.concat_map
+             (fun jobs -> List.map (fun fd -> (jobs, fd)) [ 0; 1; 3; 6 ])
+             [ 1; 4 ]));
     Helpers.qtest ~count:40 "worst-case length dominates every track" arb
       (fun (seed, n, k) ->
         let p = Helpers.random_problem ~processes:n ~nodes:2 ~k ~seed () in
@@ -317,6 +343,37 @@ let sched_props =
             e.Table.start >= -1e-9 && e.Table.finish >= e.Table.start -. 1e-9)
           t.Table.entries);
   ]
+
+(* Words allocated by one [Conditional.schedule ~jobs:1] on a fixed
+   generated instance (10 processes, 2 nodes, k = 4: 810 FT-CPG
+   vertices, 1,001 tracks): minor words, plus the words allocated
+   straight in the major heap, where arrays of more than 256 words go.
+   The count is deterministic for a given compiler and build
+   profile. The bound is 1.25x the 4,012,902 words measured with the
+   undo trail (walk and table assembly about 2.0M each); copying the
+   vertex-sized arrays at every fork, as the scheduler once did, took
+   6,929,070 and fails here. *)
+let conditional_alloc_bound = 5_016_000.
+
+let test_conditional_allocation () =
+  let p =
+    Ftes_workload.Gen.problem ~k:4
+      { Ftes_workload.Gen.default with processes = 10; nodes = 2; seed = 8 }
+  in
+  let f = Ftcpg.build p in
+  ignore (Conditional.schedule ~jobs:1 f);
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
+  ignore (Conditional.schedule ~jobs:1 f);
+  let words = allocated () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per schedule <= %.0f" words
+       conditional_alloc_bound)
+    true
+    (words <= conditional_alloc_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-table assembly vs. [Table_oracle]                          *)
@@ -1045,6 +1102,8 @@ let () =
           Alcotest.test_case "track cap" `Quick test_conditional_track_cap;
           Alcotest.test_case "incremental matches reference (fig5)" `Quick
             test_incremental_matches_reference_fig5;
+          Alcotest.test_case "conditional allocation per schedule" `Quick
+            test_conditional_allocation;
         ]
         @ sched_props );
       ( "table",

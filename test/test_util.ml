@@ -3,7 +3,6 @@
 
 module Rng = Ftes_util.Rng
 module Pqueue = Ftes_util.Pqueue
-module Cowarray = Ftes_util.Cowarray
 module Stats = Ftes_util.Stats
 module Chart = Ftes_util.Chart
 
@@ -140,61 +139,8 @@ let test_pqueue_to_sorted_non_destructive () =
   Alcotest.(check (list int)) "sorted" [ 1; 4; 5 ] (Pqueue.to_sorted_list q);
   Alcotest.(check int) "queue intact" 3 (Pqueue.length q)
 
-(* The conditional scheduler hands a forked branch [Pqueue.copy] of the
-   pending-revelation queue and keeps mutating the original in place —
-   the whole branch-sharing policy rests on copies never aliasing. *)
-let test_pqueue_copy_independent () =
-  let q = Pqueue.of_list ~cmp:compare [ 4; 2; 6 ] in
-  let c = Pqueue.copy q in
-  (* Mutate the original: the copy must not move. *)
-  Pqueue.push q 1;
-  ignore (Pqueue.pop q);
-  Alcotest.(check (option int)) "copy peek unaffected" (Some 2) (Pqueue.peek c);
-  Alcotest.(check int) "copy length unaffected" 3 (Pqueue.length c);
-  (* Mutate the copy: the original must not move. *)
-  Pqueue.push c 0;
-  Alcotest.(check (option int)) "original peek unaffected" (Some 2)
-    (Pqueue.peek q);
-  Alcotest.(check int) "original length unaffected" 3 (Pqueue.length q);
-  Alcotest.(check (list int)) "copy drains its own view" [ 0; 2; 4; 6 ]
-    (Pqueue.to_sorted_list c);
-  Alcotest.(check (list int)) "original drains its own view" [ 2; 4; 6 ]
-    (Pqueue.to_sorted_list q)
-
-(* Copy taken mid-growth: pushing into the original past its current
-   capacity reallocates its backing array and must not resurrect
-   aliasing either way. *)
-let test_pqueue_copy_growth () =
-  let q = Pqueue.create ~cmp:compare in
-  for i = 8 downto 1 do
-    Pqueue.push q i
-  done;
-  let c = Pqueue.copy q in
-  for i = 9 to 40 do
-    Pqueue.push q i
-  done;
-  Alcotest.(check int) "original grew" 40 (Pqueue.length q);
-  Alcotest.(check int) "copy kept" 8 (Pqueue.length c);
-  Alcotest.(check (list int)) "copy contents" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-    (Pqueue.to_sorted_list c)
-
 let pqueue_props =
   [
-    Helpers.qtest "copy is independent under interleaved mutation"
-      QCheck.(pair (list small_int) (list small_int))
-      (fun (base, extra) ->
-        let q = Pqueue.of_list ~cmp:compare base in
-        let c = Pqueue.copy q in
-        (* Interleave pushes into the original with pops from both. *)
-        List.iter
-          (fun x ->
-            Pqueue.push q x;
-            ignore (Pqueue.pop q);
-            ignore (Pqueue.peek c))
-          extra;
-        (* The copy still drains exactly the elements present at copy
-           time, in sorted order. *)
-        Pqueue.to_sorted_list c = List.sort compare base);
     Helpers.qtest "drains in sorted order"
       QCheck.(list int)
       (fun xs ->
@@ -210,59 +156,6 @@ let pqueue_props =
         let seen = ref [] in
         Pqueue.iter_unordered (fun x -> seen := x :: !seen) q;
         List.sort compare !seen = List.sort compare xs);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Cowarray                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_cowarray_basics () =
-  let a = Cowarray.of_array [| 10; 20; 30 |] in
-  Alcotest.(check int) "length" 3 (Cowarray.length a);
-  Alcotest.(check int) "get" 20 (Cowarray.get a 1);
-  let b = Cowarray.set a 1 99 in
-  Alcotest.(check int) "new version updated" 99 (Cowarray.get b 1);
-  Alcotest.(check int) "old version untouched" 20 (Cowarray.get a 1);
-  Alcotest.(check (array int)) "to_array" [| 10; 99; 30 |] (Cowarray.to_array b);
-  Alcotest.(check int) "empty" 0 (Cowarray.length (Cowarray.of_array [||]));
-  Alcotest.check_raises "get out of bounds"
-    (Invalid_argument "Cowarray.get: index out of bounds") (fun () ->
-      ignore (Cowarray.get a 3));
-  Alcotest.check_raises "set out of bounds"
-    (Invalid_argument "Cowarray.set: index out of bounds") (fun () ->
-      ignore (Cowarray.set a (-1) 0))
-
-let test_cowarray_sharing () =
-  (* Untouched slots are physically shared between versions — the
-     property the scheduler's fork cost depends on. *)
-  let a = Cowarray.init 64 (fun i -> ref i) in
-  let b = Cowarray.set a 13 (ref 1000) in
-  Alcotest.(check bool) "other slots shared" true
-    (Cowarray.get a 40 == Cowarray.get b 40);
-  Alcotest.(check bool) "written slot distinct" false
-    (Cowarray.get a 13 == Cowarray.get b 13)
-
-let cowarray_props =
-  [
-    Helpers.qtest "random writes match a mutable array"
-      QCheck.(pair (int_range 1 50) (small_list (pair small_nat small_nat)))
-      (fun (n, writes) ->
-        let model = Array.init n (fun i -> i) in
-        let cow = ref (Cowarray.init n (fun i -> i)) in
-        List.iter
-          (fun (i, v) ->
-            let i = i mod n in
-            model.(i) <- v;
-            cow := Cowarray.set !cow i v)
-          writes;
-        Cowarray.to_array !cow = model);
-    Helpers.qtest "iteri visits ascending indices"
-      QCheck.(int_range 0 60)
-      (fun n ->
-        let a = Cowarray.init n (fun i -> 2 * i) in
-        let seen = ref [] in
-        Cowarray.iteri (fun i x -> seen := (i, x) :: !seen) a;
-        List.rev !seen = List.init n (fun i -> (i, 2 * i)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -413,18 +306,8 @@ let () =
           Alcotest.test_case "pop_exn" `Quick test_pqueue_pop_exn;
           Alcotest.test_case "to_sorted non-destructive" `Quick
             test_pqueue_to_sorted_non_destructive;
-          Alcotest.test_case "copy independence" `Quick
-            test_pqueue_copy_independent;
-          Alcotest.test_case "copy across growth" `Quick
-            test_pqueue_copy_growth;
         ]
         @ pqueue_props );
-      ( "cowarray",
-        [
-          Alcotest.test_case "basics" `Quick test_cowarray_basics;
-          Alcotest.test_case "version sharing" `Quick test_cowarray_sharing;
-        ]
-        @ cowarray_props );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
