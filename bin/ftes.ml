@@ -10,11 +10,11 @@ let exit_bad_file = 2
 
 let read_doc path =
   match Ftes_dsl.Dsl.load path with
-  | doc -> doc
-  | exception Ftes_dsl.Dsl.Parse_error { line; message } ->
+  | Ok doc -> doc
+  | Error (Ftes_dsl.Dsl.Syntax { line; message }) ->
       Format.eprintf "ftes: %s:%d: %s@." path line message;
       exit exit_bad_file
-  | exception Sys_error msg ->
+  | Error (Ftes_dsl.Dsl.Unreadable msg) ->
       let prefix = path ^ ": " in
       Format.eprintf "ftes: %s@."
         (if String.starts_with ~prefix msg then msg else prefix ^ msg);

@@ -13,16 +13,27 @@ type t = {
   k : int;
 }
 
+type error =
+  | Syntax of { line : int; message : string }
+  | Unreadable of string
+
 exception Parse_error of { line : int; message : string }
 
 let fail line fmt =
   Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+
+(* Build part of the model from values read on [line]: an argument the
+   model rejects is an error at that line. *)
+let at line f =
+  try f ()
+  with Invalid_argument message -> raise (Parse_error { line; message })
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type proc_decl = {
+  p_line : int;
   p_name : string;
   p_alpha : float;
   p_mu : float;
@@ -33,6 +44,7 @@ type proc_decl = {
 }
 
 type msg_decl = {
+  m_line : int;
   m_name : string;
   m_from : string;
   m_to : string;
@@ -40,15 +52,15 @@ type msg_decl = {
   m_frozen : bool;
 }
 
+(* Directives with the line they came from. *)
 type parse_state = {
-  mutable k : int option;
-  mutable deadline : float option;
-  mutable period : float option;
-  mutable nodes : int option;
-  mutable bus : Bus.t option;
+  mutable k : (int * int) option;
+  mutable deadline : (int * float) option;
+  mutable period : (int * float) option;
+  mutable nodes : (int * int) option;
   mutable procs : proc_decl list;  (* reversed *)
   mutable msgs : msg_decl list;  (* reversed *)
-  mutable wcets : (string * string list) list;  (* reversed *)
+  mutable wcets : (int * string * string list) list;  (* reversed *)
 }
 
 let tokenize line =
@@ -63,8 +75,8 @@ let tokenize line =
 
 let float_of ln s =
   match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail ln "expected a number, got %S" s
+  | Some f when Float.is_finite f -> f
+  | Some _ | None -> fail ln "expected a finite number, got %S" s
 
 let int_of ln s =
   match int_of_string_opt s with
@@ -78,6 +90,7 @@ let parse_process ln toks =
       let d =
         ref
           {
+            p_line = ln;
             p_name = name;
             p_alpha = 0.;
             p_mu = 0.;
@@ -128,7 +141,7 @@ let parse_message ln toks =
         | tok :: _ -> fail ln "unknown message attribute %S" tok
       in
       go rest;
-      { m_name = name; m_from = src; m_to = dst; m_size = !size;
+      { m_line = ln; m_name = name; m_from = src; m_to = dst; m_size = !size;
         m_frozen = !frozen }
   | _ -> fail ln "message: expected 'message <name> from <P> to <P> ...'"
 
@@ -164,114 +177,159 @@ let parse_bus ln toks =
       `Single (!bandwidth, !setup)
   | _ -> fail ln "bus: expected 'bus tdma ...' or 'bus single ...'"
 
-let of_string text =
+let parse text =
   let st =
     {
       k = None;
       deadline = None;
       period = None;
       nodes = None;
-      bus = None;
       procs = [];
       msgs = [];
       wcets = [];
     }
   in
   let bus_spec = ref None in
+  let lines = String.split_on_char '\n' text in
   List.iteri
     (fun i line ->
       let ln = i + 1 in
       match tokenize line with
       | [] -> ()
-      | "k" :: [ v ] -> st.k <- Some (int_of ln v)
-      | "deadline" :: [ v ] -> st.deadline <- Some (float_of ln v)
-      | "period" :: [ v ] -> st.period <- Some (float_of ln v)
-      | "nodes" :: [ v ] -> st.nodes <- Some (int_of ln v)
-      | "bus" :: rest -> bus_spec := Some (parse_bus ln rest)
+      | "k" :: [ v ] -> st.k <- Some (ln, int_of ln v)
+      | "deadline" :: [ v ] -> st.deadline <- Some (ln, float_of ln v)
+      | "period" :: [ v ] -> st.period <- Some (ln, float_of ln v)
+      | "nodes" :: [ v ] -> st.nodes <- Some (ln, int_of ln v)
+      | "bus" :: rest -> bus_spec := Some (ln, parse_bus ln rest)
       | "process" :: rest -> st.procs <- parse_process ln rest :: st.procs
       | "message" :: rest -> st.msgs <- parse_message ln rest :: st.msgs
-      | "wcet" :: name :: entries -> st.wcets <- (name, entries) :: st.wcets
+      | "wcet" :: name :: entries ->
+          st.wcets <- (ln, name, entries) :: st.wcets
       | tok :: _ -> fail ln "unknown directive %S" tok)
-    (String.split_on_char '\n' text);
+    lines;
+  (* A directive missing altogether is reported at the last line. *)
+  let last =
+    let n = List.length lines in
+    max 1 (if String.ends_with ~suffix:"\n" text then n - 1 else n)
+  in
+  let k =
+    match st.k with
+    | Some (ln, k) when k < 0 -> fail ln "k must not be negative (got %d)" k
+    | Some (_, k) -> k
+    | None -> 1
+  in
   let nodes =
     match st.nodes with
-    | Some n when n > 0 -> n
-    | Some n -> fail 0 "nodes must be positive (got %d)" n
-    | None -> fail 0 "missing 'nodes' directive"
+    | Some (_, n) when n > 0 -> n
+    | Some (ln, n) -> fail ln "nodes must be positive (got %d)" n
+    | None -> fail last "missing 'nodes' directive"
   in
+  let procs = List.rev st.procs in
+  let msgs = List.rev st.msgs in
+  if procs = [] then fail last "no processes declared";
+  let pid_of_name = Hashtbl.create 16 in
+  List.iteri
+    (fun pid d ->
+      if Hashtbl.mem pid_of_name d.p_name then
+        fail d.p_line "duplicate process %S" d.p_name;
+      Hashtbl.add pid_of_name d.p_name pid)
+    procs;
+  let lookup ln name =
+    match Hashtbl.find_opt pid_of_name name with
+    | Some pid -> pid
+    | None -> fail ln "unknown process %S" name
+  in
+  (* Every process needs a WCET row of [nodes] entries, checked before
+     anything of size [nodes] is built: the document bounds the count. *)
+  if st.wcets = [] then fail last "no wcet rows";
+  List.iter
+    (fun (ln, name, entries) ->
+      if List.length entries <> nodes then
+        fail ln "wcet %s: expected %d entries, got %d" name nodes
+          (List.length entries))
+    st.wcets;
   let bus =
     match !bus_spec with
-    | Some (`Tdma (slot, bw)) -> Bus.tdma ~slot_length:slot ~bandwidth:bw nodes
-    | Some (`Single (bw, setup)) -> Bus.single ~setup ~bandwidth:bw ()
+    | Some (ln, `Tdma (slot, bw)) ->
+        at ln (fun () -> Bus.tdma ~slot_length:slot ~bandwidth:bw nodes)
+    | Some (ln, `Single (bw, setup)) ->
+        at ln (fun () -> Bus.single ~setup ~bandwidth:bw ())
     | None -> Arch.default_bus ~node_count:nodes
   in
   let arch = Arch.make ~node_count:nodes ~bus () in
-  let procs = List.rev st.procs in
-  let msgs = List.rev st.msgs in
-  if procs = [] then fail 0 "no processes declared";
   let b = Graph.Builder.create () in
-  let pid_of_name = Hashtbl.create 16 in
   List.iter
     (fun d ->
-      if Hashtbl.mem pid_of_name d.p_name then
-        fail 0 "duplicate process %S" d.p_name;
-      let overheads =
-        Overheads.make ~alpha:d.p_alpha ~mu:d.p_mu ~chi:d.p_chi
-      in
-      let pid =
-        Graph.Builder.add_process b ~overheads ~release:d.p_release
-          ?local_deadline:d.p_local_deadline ~name:d.p_name
-      in
-      Hashtbl.add pid_of_name d.p_name pid)
+      at d.p_line (fun () ->
+          let overheads =
+            Overheads.make ~alpha:d.p_alpha ~mu:d.p_mu ~chi:d.p_chi
+          in
+          ignore
+            (Graph.Builder.add_process b ~overheads ~release:d.p_release
+               ?local_deadline:d.p_local_deadline ~name:d.p_name)))
     procs;
-  let lookup name =
-    match Hashtbl.find_opt pid_of_name name with
-    | Some pid -> pid
-    | None -> fail 0 "unknown process %S" name
-  in
   let frozen = ref [] in
   List.iter
     (fun m ->
       let mid =
-        Graph.Builder.add_message b ~name:m.m_name ~src:(lookup m.m_from)
-          ~dst:(lookup m.m_to) ~size:m.m_size
+        at m.m_line (fun () ->
+            Graph.Builder.add_message b ~name:m.m_name
+              ~src:(lookup m.m_line m.m_from) ~dst:(lookup m.m_line m.m_to)
+              ~size:m.m_size)
       in
       if m.m_frozen then frozen := Transparency.Msg mid :: !frozen)
     msgs;
   List.iter
     (fun d ->
       if d.p_frozen then
-        frozen := Transparency.Proc (lookup d.p_name) :: !frozen)
+        frozen := Transparency.Proc (lookup d.p_line d.p_name) :: !frozen)
     procs;
-  let graph = Graph.Builder.build b in
+  (* A cycle is reported at the last message, one of which closes it. *)
+  let graph =
+    at
+      (List.fold_left (fun _ m -> m.m_line) last msgs)
+      (fun () -> Graph.Builder.build b)
+  in
   let wcet = Wcet.create ~procs:(List.length procs) ~nodes in
   List.iter
-    (fun (name, entries) ->
-      let pid = lookup name in
-      if List.length entries <> nodes then
-        fail 0 "wcet %s: expected %d entries, got %d" name nodes
-          (List.length entries);
+    (fun (ln, name, entries) ->
+      let pid = lookup ln name in
       List.iteri
         (fun nid entry ->
           if entry <> "X" && entry <> "x" then
-            Wcet.set wcet ~pid ~nid (float_of 0 entry))
+            let c = float_of ln entry in
+            at ln (fun () -> Wcet.set wcet ~pid ~nid c))
         entries)
     (List.rev st.wcets);
-  (try Wcet.validate wcet
-   with Invalid_argument m -> fail 0 "%s" m);
+  List.iteri
+    (fun pid d ->
+      if Wcet.allowed_nodes wcet ~pid = [] then
+        fail d.p_line "process %s has no WCET on any node" d.p_name)
+    procs;
   let period =
     match (st.period, st.deadline) with
-    | Some p, _ -> p
-    | None, Some d -> d
+    | Some (_, p), _ -> p
+    | None, Some (_, d) -> d
     | None, None -> 1e9
   in
-  let deadline = match st.deadline with Some d -> d | None -> period in
+  let deadline = match st.deadline with Some (_, d) -> d | None -> period in
   let app =
-    App.make
-      ~transparency:(Transparency.of_list !frozen)
-      ~graph ~deadline ~period ()
+    at
+      (match (st.period, st.deadline) with
+      | Some (ln, p), _ when p <= 0. -> ln
+      | _, Some (ln, _) | Some (ln, _), None -> ln
+      | None, None -> last)
+      (fun () ->
+        App.make
+          ~transparency:(Transparency.of_list !frozen)
+          ~graph ~deadline ~period ())
   in
-  { app; arch; wcet; k = Option.value st.k ~default:1 }
+  { app; arch; wcet; k }
+
+let of_string text =
+  match parse text with
+  | d -> Ok d
+  | exception Parse_error { line; message } -> Error (Syntax { line; message })
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -362,11 +420,9 @@ let to_string t =
   Buffer.contents buf
 
 let load path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  of_string text
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> of_string text
+  | exception Sys_error message -> Error (Unreadable message)
 
 let save path t =
   let oc = open_out path in

@@ -39,18 +39,25 @@ type t = {
   k : int;
 }
 
-exception Parse_error of { line : int; message : string }
+type error =
+  | Syntax of { line : int; message : string }
+      (** The document is malformed or describes an invalid instance.
+          [line] is the 1-based line of the offending directive; an
+          error about a directive missing altogether points at the
+          document's last line. *)
+  | Unreadable of string  (** The file could not be read. *)
 
-val of_string : string -> t
-(** @raise Parse_error with a 1-based line number. *)
+val of_string : string -> (t, error) result
+(** Never raises: every malformed input, including values the model
+    rejects (a negative overhead, a non-positive bus parameter, a
+    negative [k], a message cycle), is a [Syntax] error. *)
 
 val to_string : t -> string
 (** Round-trips: [of_string (to_string d)] is structurally equal to
     [d]. *)
 
-val load : string -> t
-(** Read a document from a file path.
-    @raise Parse_error or [Sys_error]. *)
+val load : string -> (t, error) result
+(** Read a document from a file path. Never raises. *)
 
 val save : string -> t -> unit
 

@@ -78,23 +78,24 @@ let priorities ftcpg =
    {b Placement memoization.} For a ready vertex the base time is a
    constant of the track (predecessor finishes are final, revelation
    and broadcast times are recorded before the literal can enter the
-   guard), so its tentative placement only changes when the resource it
-   targets does. Each cached placement stores the physical timeline
-   (or bus allocator) it was computed against and self-invalidates by
-   pointer comparison — a commit on one CPU leaves every other
-   resource's cached placements valid. Frozen prereserved placements
-   and [Local] items depend on nothing and stay valid for the whole
-   track.
+   guard), so its tentative placement only changes when the lane it
+   targets does. Each cached placement stores that lane and its length
+   and stays valid while the length is unchanged: a lane only grows
+   between undos, and an undo also restores every cache entry written
+   since its mark, so equal length means equal contents. A commit on one
+   CPU or bus lane leaves every other lane's cached placements valid.
+   Frozen prereserved placements and [Local] items depend on nothing
+   and stay valid for the whole track.
 
    {b One mutable track + undo trail, parallel subtrees.} The walk
    keeps a single copy of the vertex-sized arrays ([unmet], [ggap],
-   [dead], finish times, the placement cache) and of the per-node
-   timeline array.
-   Every in-place write pushes an undo record; a revelation fork marks
-   the trail, runs the fault subtree, pops back to the mark and runs
-   the no-fault subtree on the restored arrays, so a fork costs
-   O(writes below it) instead of O(vertices). Everything else in a
-   track is persistent and simply kept by the fork. With [jobs > 1] the
+   [dead], finish times, the placement cache) and of the {!Lane}s of
+   every node and bus lane. Every in-place write pushes an undo record
+   (a reservation pushes its lane and insertion index); a revelation
+   fork marks the trail, runs the fault subtree, pops back to the mark
+   and runs the no-fault subtree on the restored arrays, so a fork
+   costs O(writes below it) instead of O(vertices). Everything else in
+   a track is persistent and simply kept by the fork. With [jobs > 1] the
    fault and no-fault subtrees are independent and are fanned out over
    the {!Ftes_util.Par} pool: the tree is cut at [params.fan_depth]
    binary forks (a track whose fault budget is exhausted can never fork
@@ -105,29 +106,27 @@ let priorities ftcpg =
    every [jobs]. *)
 (* ------------------------------------------------------------------ *)
 
-(* Dependency of a cached placement: the physical resource state it was
-   computed against. Valid while the state's pointer is unchanged. *)
-type dep = Dep_none | Dep_node of Timeline.t | Dep_bus of Busalloc.t
-
+(* A cached placement depends on lane [c_lane] (-1: on none) and is
+   valid while that lane's length is still [c_len]. *)
 type centry = {
   c_start : float;
   c_fin : float;
   c_res : Table.resource;
   c_pre : bool;  (* placed inside a pre-reserved frozen window *)
-  c_dep : dep;
+  c_lane : int;
+  c_len : int;
 }
 
 (* The empty cache slot. *)
 let no_entry =
   { c_start = nan; c_fin = nan; c_res = Table.Local; c_pre = false;
-    c_dep = Dep_none }
+    c_lane = -1; c_len = 0 }
 
 (* The persistent part of a track: a fork keeps it by holding on to the
    value. *)
 type state = {
   guard : Cond.guard;
   faults : int;
-  bus : Busalloc.t;
   bcast : float Imap.t;  (* condition -> broadcast arrival *)
   pending : Pending.t;  (* unrevealed conditions *)
   entries : Table.entry list;  (* reversed *)
@@ -143,10 +142,12 @@ type state = {
    [ops] holds one code [(index lsl 3) lor tag] per write, newest last.
    [unmet] and [ggap] only ever drop by one, [dead] only ever goes from
    0 to 1 and [finish] is written once per vertex, so their codes alone
-   undo them; the replaced cache entries and timelines wait on their
-   own stacks, popped in step. *)
+   undo them; the replaced cache entries and the insertion indices of
+   reservations (whose code carries the lane) wait on their own stacks,
+   popped in step. *)
 type arrays = {
-  nodes : Timeline.t array;
+  lanes : Lane.t array;
+      (* node [n] at index [n], then the bus lanes of [Lane.bus_lanes] *)
   finish : float array;
       (* finish time per scheduled vertex, [nan] while unscheduled; a
          condition is revealed when its vertex finishes *)
@@ -158,15 +159,15 @@ type arrays = {
   mutable nops : int;
   mutable old_cache : centry array;
   mutable ncache : int;
-  mutable old_nodes : Timeline.t array;
-  mutable nold_nodes : int;
+  mutable idx : int array;  (* insertion indices of reservations *)
+  mutable nidx : int;
 }
 
 let tag_unmet = 0
 let tag_ggap = 1
 let tag_dead = 2
 let tag_cache = 3
-let tag_node = 4
+let tag_lane = 4
 let tag_finish = 5
 
 (* [a] with twice the room, its first [len] slots kept. *)
@@ -221,13 +222,17 @@ let set_cache w i e =
   w.cache.(i) <- e;
   push_op w i tag_cache
 
-let set_node w n tl =
-  if w.nold_nodes = Array.length w.old_nodes then
-    w.old_nodes <- grown w.old_nodes w.nold_nodes Timeline.empty;
-  Array.unsafe_set w.old_nodes w.nold_nodes w.nodes.(n);
-  w.nold_nodes <- w.nold_nodes + 1;
-  w.nodes.(n) <- tl;
-  push_op w n tag_node
+(* Reserve [start, finish) on lane [l]; an empty interval reserves
+   nothing and leaves no record. *)
+let reserve w l ~start ~finish =
+  let p = Lane.reserve w.lanes.(l) ~start ~finish in
+  if p >= 0 then begin
+    if w.nidx = Array.length w.idx then
+      w.idx <- grown w.idx w.nidx 0;
+    Array.unsafe_set w.idx w.nidx p;
+    w.nidx <- w.nidx + 1;
+    push_op w l tag_lane
+  end
 
 (* Pop every write after [mark], newest first. *)
 let undo w mark =
@@ -245,29 +250,30 @@ let undo w mark =
       w.cache.(i) <- w.old_cache.(w.ncache)
     end
     else begin
-      w.nold_nodes <- w.nold_nodes - 1;
-      w.nodes.(i) <- w.old_nodes.(w.nold_nodes)
+      w.nidx <- w.nidx - 1;
+      Lane.remove w.lanes.(i) w.idx.(w.nidx)
     end
   done
 
 (* The given arrays (taken, not copied) with an empty trail. *)
-let make_arrays ~nodes ~finish ~unmet ~ggap ~dead ~cache =
+let make_arrays ~lanes ~finish ~unmet ~ggap ~dead ~cache =
   {
-    nodes; finish; unmet; ggap; dead; cache;
+    lanes; finish; unmet; ggap; dead; cache;
     ops = Array.make 256 0;
     nops = 0;
     old_cache = Array.make 64 no_entry;
     ncache = 0;
-    old_nodes = Array.make 16 Timeline.empty;
-    nold_nodes = 0;
+    idx = Array.make 64 0;
+    nidx = 0;
   }
 
 (* An independent copy of the current track's arrays, for a branch
    shipped to another walker. *)
 let copy_arrays w =
-  make_arrays ~nodes:(Array.copy w.nodes) ~finish:(Array.copy w.finish)
-    ~unmet:(Array.copy w.unmet) ~ggap:(Array.copy w.ggap)
-    ~dead:(Bytes.copy w.dead) ~cache:(Array.copy w.cache)
+  make_arrays ~lanes:(Array.map Lane.copy w.lanes)
+    ~finish:(Array.copy w.finish) ~unmet:(Array.copy w.unmet)
+    ~ggap:(Array.copy w.ggap) ~dead:(Bytes.copy w.dead)
+    ~cache:(Array.copy w.cache)
 
 let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   Events.with_span ~cat:"sched" "sched.conditional" @@ fun () ->
@@ -280,6 +286,8 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   let nverts = Ftcpg.vertex_count ftcpg in
   let pcp = priorities ftcpg in
   let vert = Ftcpg.vertex ftcpg in
+  let view = Lane.view bus_spec ~nodes:nnodes in
+  let bus_lane src = nnodes + Lane.bus_lane view ~src in
   (* Static per-graph indices for the incremental bookkeeping. *)
   let npreds0 = Array.init nverts (fun vid -> List.length (vert vid).Ftcpg.preds) in
   let nlits0 =
@@ -365,19 +373,19 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   in
 
   (* Natural (ASAP) placement of a vertex from its base time. *)
-  let natural_place w st (v : Ftcpg.vertex) base =
+  let natural_place lanes (v : Ftcpg.vertex) base =
     match v.Ftcpg.kind with
     | Ftcpg.Proc_copy _ ->
         let n = Option.get v.Ftcpg.exec_node in
         let s =
-          Timeline.earliest_gap w.nodes.(n) ~from_:base
-            ~duration:v.Ftcpg.duration
+          Lane.earliest_gap lanes.(n) ~from_:base ~duration:v.Ftcpg.duration
         in
         (s, s +. v.Ftcpg.duration, Table.Node n)
     | (Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _) when v.Ftcpg.on_bus ->
         let src = Option.get v.Ftcpg.src_node in
         let s, f =
-          Busalloc.probe st.bus ~src ~size:v.Ftcpg.msg_size ~earliest:base
+          Lane.bus_window lanes.(bus_lane src) view ~src
+            ~size:v.Ftcpg.msg_size ~earliest:base
         in
         (s, f, Table.Bus)
     | Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _ | Ftcpg.Sync_proc _ ->
@@ -403,53 +411,48 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
           (f, f +. v.Ftcpg.duration, resource, true)
         else begin
           (* The frozen time is too early in this track: demand more. *)
-          let s, fin, r = natural_place w st v base in
+          let s, fin, r = natural_place w.lanes v base in
           demand v.Ftcpg.vid s;
           (s, fin, r, false)
         end
     | Some _ | None ->
-        let s, fin, r = natural_place w st v base in
+        let s, fin, r = natural_place w.lanes v base in
         if v.Ftcpg.frozen then demand v.Ftcpg.vid s;
         (s, fin, r, false)
   in
 
-  let dep_valid w st e =
-    match e.c_dep with
-    | Dep_none -> true
-    | Dep_node tl -> (
-        match e.c_res with
-        | Table.Node n -> tl == w.nodes.(n)
-        | Table.Bus | Table.Local -> false)
-    | Dep_bus b -> b == st.bus
-  in
-  let dep_of w st res ~prereserved =
-    if prereserved then Dep_none
+  (* The lane a placement of [v] on [res] depends on (-1: none). *)
+  let lane_of (v : Ftcpg.vertex) res ~prereserved =
+    if prereserved then -1
     else
       match res with
-      | Table.Node n -> Dep_node w.nodes.(n)
-      | Table.Bus -> Dep_bus st.bus
-      | Table.Local -> Dep_none
+      | Table.Node n -> n
+      | Table.Bus -> bus_lane (Option.get v.Ftcpg.src_node)
+      | Table.Local -> -1
   in
   (* The base time of a ready vertex is a constant of its track, so a
-     tentative placement stays valid until the resource it targets is
-     touched (by a commit or a condition broadcast) — detected by
-     physical equality with the recorded timeline / bus allocator.
-     [demand] side effects are max-accumulated and the demanded start
-     only depends on the same state, so skipping the recomputation on a
-     hit never loses a demand. *)
+     tentative placement stays valid until the lane it targets is
+     touched (by a commit or a condition broadcast) — detected by the
+     lane's length. [demand] side effects are max-accumulated and the
+     demanded start only depends on the same state, so skipping the
+     recomputation on a hit never loses a demand. *)
   let cached_place ~demand w st (v : Ftcpg.vertex) =
     let vid = v.Ftcpg.vid in
     let e = w.cache.(vid) in
-    if e != no_entry && dep_valid w st e then begin
+    if
+      e != no_entry
+      && (e.c_lane < 0 || Lane.length w.lanes.(e.c_lane) = e.c_len)
+    then begin
       Telemetry.incr c_ready_hits;
       e
     end
     else begin
       if e != no_entry then Telemetry.incr c_cache_inval;
       let s, fin, res, pre = place ~demand w st v in
+      let l = lane_of v res ~prereserved:pre in
       let e =
-        { c_start = s; c_fin = fin; c_res = res; c_pre = pre;
-          c_dep = dep_of w st res ~prereserved:pre }
+        { c_start = s; c_fin = fin; c_res = res; c_pre = pre; c_lane = l;
+          c_len = (if l < 0 then 0 else Lane.length w.lanes.(l)) }
       in
       set_cache w vid e;
       e
@@ -459,18 +462,8 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   let commit w st (v : Ftcpg.vertex) e =
     let vid = v.Ftcpg.vid in
     let start = e.c_start and fin = e.c_fin and resource = e.c_res in
-    let bus =
-      if e.c_pre then st.bus
-      else
-        match resource with
-        | Table.Node n ->
-            set_node w n (Timeline.reserve w.nodes.(n) ~start ~finish:fin);
-            st.bus
-        | Table.Bus ->
-            let src = Option.get v.Ftcpg.src_node in
-            Busalloc.reserve_window st.bus ~src ~start ~finish:fin
-        | Table.Local -> st.bus
-    in
+    (* [c_lane] is -1 for [Local] items and pre-reserved windows. *)
+    if e.c_lane >= 0 then reserve w e.c_lane ~start ~finish:fin;
     let entry =
       { Table.item = Table.Exec vid; guard = st.guard; start; finish = fin;
         resource }
@@ -485,7 +478,6 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     let ready = release w (Iset.remove vid st.ready) v.Ftcpg.succs in
     {
       st with
-      bus;
       pending;
       entries = entry :: st.entries;
       makespan = max st.makespan fin;
@@ -529,7 +521,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       opened = !opened }
   in
 
-  let schedule_bcast st (tr, vc) =
+  let schedule_bcast w st (tr, vc) =
     if nnodes <= 1 then { st with bcast = Imap.add vc tr st.bcast }
     else
       let src =
@@ -537,16 +529,18 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
         | Some n -> n
         | None -> 0
       in
-      let bus, (s, f) =
-        Busalloc.place st.bus ~src ~size:params.cond_size ~earliest:tr
+      let l = bus_lane src in
+      let s, f =
+        Lane.bus_window w.lanes.(l) view ~src ~size:params.cond_size
+          ~earliest:tr
       in
+      reserve w l ~start:s ~finish:f;
       let entry =
         { Table.item = Table.Bcast vc; guard = st.guard; start = s;
           finish = f; resource = Table.Bus }
       in
       {
         st with
-        bus;
         bcast = Imap.add vc f st.bcast;
         entries = entry :: st.entries;
       }
@@ -596,7 +590,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       match Pending.min_elt_opt st.pending with
       | Some ((tr, vc) as c) ->
           let st =
-            schedule_bcast { st with pending = Pending.remove c st.pending }
+            schedule_bcast w { st with pending = Pending.remove c st.pending }
               (tr, vc)
           in
           let child b ~split =
@@ -659,8 +653,11 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   in
 
   let initial_state () =
-    let nodes = Array.make nnodes Timeline.empty in
-    let bus = ref (Busalloc.create bus_spec ~nodes:nnodes) in
+    let lanes =
+      Array.append
+        (Array.init nnodes (fun _ -> Lane.create ()))
+        (Lane.bus_lanes view)
+    in
     (* Pre-reserve the windows of frozen activations: transparency means
        no other activation may use (or even observe) those windows.
        Demands from independent tracks may collide; collisions bump the
@@ -673,30 +670,14 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     List.iter
       (fun (f, vid) ->
         let v = vert vid in
-        match v.Ftcpg.kind with
-        | Ftcpg.Proc_copy _ ->
-            let n = Option.get v.Ftcpg.exec_node in
-            let s =
-              Timeline.earliest_gap nodes.(n) ~from_:f
-                ~duration:v.Ftcpg.duration
-            in
-            if s > f +. eps then Hashtbl.replace fixed vid s;
-            nodes.(n) <-
-              Timeline.reserve nodes.(n) ~start:s
-                ~finish:(s +. v.Ftcpg.duration)
-        | (Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _) when v.Ftcpg.on_bus ->
-            let src = match v.Ftcpg.src_node with Some n -> n | None -> 0 in
-            let s, fin =
-              Busalloc.probe !bus ~src ~size:v.Ftcpg.msg_size ~earliest:f
-            in
-            if s > f +. eps then Hashtbl.replace fixed vid s;
-            bus := Busalloc.reserve_window !bus ~src ~start:s ~finish:fin
-        | Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _ | Ftcpg.Sync_proc _ -> ())
+        let s, fin, res = natural_place lanes v f in
+        if s > f +. eps then Hashtbl.replace fixed vid s;
+        let l = lane_of v res ~prereserved:false in
+        if l >= 0 then ignore (Lane.reserve lanes.(l) ~start:s ~finish:fin))
       fixed_sorted;
     ( {
         guard = Cond.true_;
         faults = 0;
-        bus = !bus;
         bcast = Imap.empty;
         pending = Pending.empty;
         entries = [];
@@ -705,7 +686,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
         ready = ready0;
         opened = opened0;
       },
-      make_arrays ~nodes ~finish:(Array.make nverts nan) ~unmet:(Array.copy npreds0) ~ggap:(Array.copy nlits0)
+      make_arrays ~lanes ~finish:(Array.make nverts nan) ~unmet:(Array.copy npreds0) ~ggap:(Array.copy nlits0)
         ~dead:(Bytes.make (max nverts 1) '\000')
         ~cache:(Array.make nverts no_entry) )
   in

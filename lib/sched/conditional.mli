@@ -47,9 +47,10 @@ exception Fixpoint_diverged of int
 
 val schedule : ?params:params -> ?jobs:int -> Ftes_ftcpg.Ftcpg.t -> Table.t
 (** Incremental scheduler: guard-aware ready set, memoized tentative
-    placements (invalidated by physical resource change), one mutable
-    track state restored by an undo trail at every revelation fork (a
-    fork costs the writes below it, not the vertex count), and — for
+    placements (invalidated when the {!Lane} they target grows), one
+    mutable track state, lanes included, restored by an undo trail at
+    every revelation fork (a fork costs the writes below it, not the
+    vertex count), and — for
     [jobs > 1] — parallel exploration of independent fault/no-fault
     subtrees on the {!Ftes_util.Par} pool, each shipped subtree with its
     own copy of the state, and a deterministic depth-first merge. The

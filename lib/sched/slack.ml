@@ -82,174 +82,6 @@ let priorities g wcet bus =
       Domain.DLS.set prio_memo (Some { graph = g; wcet; bus; prio });
       prio
 
-(* What [Bus.next_window] reads, copied out once per evaluation. Dune's
-   dev profile compiles with [-opaque], so every call into [Bus] returns
-   a freshly boxed [(float * float)] tuple; the window arithmetic below
-   runs here instead, on unboxed floats, in [Bus.next_window]'s exact
-   order of operations. The bitwise property against the test oracle,
-   which schedules through [Bus.next_window], pins the mirror. *)
-type bus_view = {
-  tdma : bool;
-  slot : float;
-  round : float;
-  offsets : float array;  (** Per-node slot offset within a round. *)
-}
-
-let bus_view bus ~nodes =
-  let tdma = Bus.is_tdma bus in
-  {
-    tdma;
-    slot = Bus.slot_length bus;
-    round = Bus.round_length bus;
-    offsets =
-      (if tdma then Array.init nodes (fun node -> Bus.slot_offset bus ~node)
-       else [||]);
-  }
-
-(* [fst (Bus.next_window bus ~node ~size ~earliest)] for a message of
-   transmission time [tx], where [offset] is [node]'s slot offset. *)
-let[@inline] window_start v ~offset ~tx earliest =
-  let earliest = fmax 0. earliest in
-  if not v.tdma then earliest
-  else
-    let start =
-      if earliest <= offset then offset
-      else
-        let k = ceil ((earliest -. offset) /. v.round) in
-        offset +. (k *. v.round)
-    in
-    if tx = 0. || tx > v.slot then start
-    else
-      (* Mid-slot packing of a short message. *)
-      let prev_start = start -. v.round in
-      if prev_start <= earliest && earliest +. tx <= prev_start +. v.slot
-      then earliest
-      else start
-
-(* The matching [snd (Bus.next_window ...)]: on every branch the finish
-   is a function of the start and [tx] alone. *)
-let[@inline] window_finish v ~tx start =
-  if tx = 0. then start
-  else if (not v.tdma) || tx <= v.slot then start +. tx
-  else
-    (* Long message: the node's slot in [m] consecutive rounds. *)
-    let m = int_of_float (ceil (tx /. v.slot)) in
-    let rem = tx -. (float_of_int (m - 1) *. v.slot) in
-    start +. (float_of_int (m - 1) *. v.round) +. rem
-
-(* Evaluation-local reservation lane of one resource (a node, or one
-   lane of the bus): the [Timeline] of a single evaluation, as two
-   growable arrays of ascending [start]/[finish]. It keeps [Timeline]'s
-   semantics to the comparison — same eps, zero-length reservations
-   dropped, touching intervals kept apart — so the schedule is the one
-   the persistent structures produce. Stored intervals are non-empty
-   ([finish > start + eps]) and each starts no earlier than eps before
-   the previous one ends; both arrays are therefore strictly ascending,
-   which is what lets a binary search replace the prefix of each walk
-   that cannot change its outcome. *)
-module Lane = struct
-  type t = {
-    mutable starts : float array;
-    mutable finishes : float array;
-    mutable len : int;
-  }
-
-  let eps = 1e-9
-
-  let create () = { starts = [||]; finishes = [||]; len = 0 }
-
-  (* Length of the prefix of [0, len) on which [skip] holds; [skip]
-     must hold on a prefix and fail on the rest. *)
-  let prefix t skip =
-    let lo = ref 0 and hi = ref t.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if skip mid then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  (* [Timeline.earliest_gap]. The walk over the reservations starts at
-     [pos = from_] and, while [pos] is still [from_], steps past
-     reservation [i] unchanged exactly when [i] ends at or before
-     [from_] and the request does not fit before it. Both conditions
-     hold on a prefix of the ascending arrays, so that prefix is skipped
-     by binary search and the walk resumes where it would first act. *)
-  let earliest_gap t ~from_ ~duration =
-    if duration <= eps then from_
-    else begin
-      let i =
-        ref
-          (prefix t (fun i ->
-               t.finishes.(i) <= from_
-               && not (from_ +. duration <= t.starts.(i) +. eps)))
-      in
-      let pos = ref from_ in
-      while !i < t.len && not (!pos +. duration <= t.starts.(!i) +. eps) do
-        pos := fmax !pos t.finishes.(!i);
-        incr i
-      done;
-      !pos
-    end
-
-  (* [Busalloc.find_window] on this lane, returning the window's start
-     (its finish is [window_finish v ~tx start]). The walk keeps the
-     candidate window [(s, f)] of the current [t0] and steps past
-     reservation [i] with [t0] unchanged exactly when the window neither
-     fits before it nor overlaps it. While [t0] is still [earliest] the
-     window is the same at every step, so those steps cover a prefix of
-     the ascending arrays, skipped by binary search as above (written
-     out here: a [skip] closure would box the window). *)
-  let find_window t v ~src ~tx ~earliest =
-    let offset = if v.tdma then v.offsets.(src) else 0. in
-    let s0 = window_start v ~offset ~tx earliest in
-    let f0 = window_finish v ~tx s0 in
-    let lo = ref 0 and hi = ref t.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if (not (f0 <= t.starts.(mid) +. eps)) && s0 >= t.finishes.(mid) -. eps
-      then lo := mid + 1
-      else hi := mid
-    done;
-    let t0 = ref earliest and s = ref s0 and f = ref f0 and i = ref !lo in
-    while !i < t.len && not (!f <= t.starts.(!i) +. eps) do
-      if not (!s >= t.finishes.(!i) -. eps) then begin
-        t0 := fmax !t0 t.finishes.(!i);
-        s := window_start v ~offset ~tx !t0;
-        f := window_finish v ~tx !s
-      end;
-      incr i
-    done;
-    !s
-
-  (* [Timeline.reserve]: the new interval goes after every reservation
-     ending at or before [start + eps] and must end by eps after the
-     next one starts. *)
-  let reserve t ~start ~finish =
-    if finish <= start +. eps then begin
-      if finish < start then invalid_arg "Timeline.reserve: negative interval"
-    end
-    else begin
-      let p = prefix t (fun i -> t.finishes.(i) <= start +. eps) in
-      if p < t.len && not (finish <= t.starts.(p) +. eps) then
-        invalid_arg "Timeline.reserve: overlapping reservation";
-      if t.len = Array.length t.starts then begin
-        let cap = max 8 (2 * t.len) in
-        let grow a =
-          let b = Array.make cap 0. in
-          Array.blit a 0 b 0 t.len;
-          b
-        in
-        t.starts <- grow t.starts;
-        t.finishes <- grow t.finishes
-      end;
-      Array.blit t.starts p t.starts (p + 1) (t.len - p);
-      Array.blit t.finishes p t.finishes (p + 1) (t.len - p);
-      t.starts.(p) <- start;
-      t.finishes.(p) <- finish;
-      t.len <- t.len + 1
-    end
-end
-
 let unplaced_msg =
   { mid = -1; copy = -1; start = 0.; finish = 0.; on_bus = false }
 
@@ -264,7 +96,7 @@ let evaluate ?(ft = true) (problem : Problem.t) =
   let nprocs = Graph.process_count g in
   let nmsgs = Graph.message_count g in
   let prio = priorities g problem.Problem.wcet bus in
-  let view = bus_view bus ~nodes:(Arch.node_count arch) in
+  let view = Lane.view bus ~nodes:(Arch.node_count arch) in
   let copies pid =
     if ft then Policy.replica_count problem.Problem.policies.(pid) else 1
   in
@@ -286,13 +118,7 @@ let evaluate ?(ft = true) (problem : Problem.t) =
   let node_lane =
     Array.init (Arch.node_count arch) (fun _ -> Lane.create ())
   in
-  (* One bus lane per sender on TDMA (senders never collide), one shared
-     lane otherwise — the layout of [Busalloc]. *)
-  let bus_lane =
-    Array.init
-      (if view.tdma then max (Arch.node_count arch) 1 else 1)
-      (fun _ -> Lane.create ())
-  in
+  let bus_lane = Lane.bus_lanes view in
   (* Copy-indexed placements of every placed process, and of the
      transmissions of every placed producer: consumers read their
      producers by direct indexing. *)
@@ -360,7 +186,7 @@ let evaluate ?(ft = true) (problem : Problem.t) =
           in
           let from_ = fmax arrival proc.Graph.release in
           let start = Lane.earliest_gap node_lane.(node) ~from_ ~duration:e0 in
-          Lane.reserve node_lane.(node) ~start ~finish:(start +. e0);
+          ignore (Lane.reserve node_lane.(node) ~start ~finish:(start +. e0));
           { pid; copy; node; start; finish = start +. e0;
             worst_finish = start +. w })
     in
@@ -387,13 +213,13 @@ let evaluate ?(ft = true) (problem : Problem.t) =
           let send_ready = if frozen_m then pl.worst_finish else pl.finish in
           mps.(copy) <-
             (if m.Graph.size > 0. && crosses pl.node 0 then begin
-               let lane = bus_lane.(if view.tdma then pl.node else 0) in
+               let lane = bus_lane.(Lane.bus_lane view ~src:pl.node) in
                let s =
                  Lane.find_window lane view ~src:pl.node ~tx
                    ~earliest:send_ready
                in
-               let f = window_finish view ~tx s in
-               Lane.reserve lane ~start:s ~finish:f;
+               let f = Lane.window_finish view ~tx s in
+               ignore (Lane.reserve lane ~start:s ~finish:f);
                { mid; copy; start = s; finish = f; on_bus = true }
              end
              else

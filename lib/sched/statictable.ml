@@ -60,8 +60,15 @@ let schedule ?(params = Conditional.default_params) ftcpg =
       raise (Not_transparent "FT-CPG precedence graph has a cycle");
     out
   in
-  let timelines = Array.make nnodes Timeline.empty in
-  let bus = ref (Busalloc.create (Arch.bus arch) ~nodes:nnodes) in
+  let view = Lane.view (Arch.bus arch) ~nodes:nnodes in
+  let node_lanes = Array.init nnodes (fun _ -> Lane.create ()) in
+  let bus_lanes = Lane.bus_lanes view in
+  let place_on_bus ~src ~size ~earliest =
+    let lane = bus_lanes.(Lane.bus_lane view ~src) in
+    let s, f = Lane.bus_window lane view ~src ~size ~earliest in
+    ignore (Lane.reserve lane ~start:s ~finish:f);
+    (s, f)
+  in
   let finish = Array.make nverts 0. in
   let entries = ref [] in
   let makespan = ref 0. in
@@ -87,19 +94,16 @@ let schedule ?(params = Conditional.default_params) ftcpg =
         | Ftcpg.Proc_copy _ ->
             let n = Option.get v.Ftcpg.exec_node in
             let s =
-              Timeline.earliest_gap timelines.(n) ~from_:est
+              Lane.earliest_gap node_lanes.(n) ~from_:est
                 ~duration:v.Ftcpg.duration
             in
             let f = s +. v.Ftcpg.duration in
-            timelines.(n) <- Timeline.reserve timelines.(n) ~start:s ~finish:f;
+            ignore (Lane.reserve node_lanes.(n) ~start:s ~finish:f);
             emit (Table.Exec vid) s f (Table.Node n);
             (s, f)
         | (Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _) when v.Ftcpg.on_bus ->
             let src = Option.value v.Ftcpg.src_node ~default:0 in
-            let bus', (s, f) =
-              Busalloc.place !bus ~src ~size:v.Ftcpg.msg_size ~earliest:est
-            in
-            bus := bus';
+            let s, f = place_on_bus ~src ~size:v.Ftcpg.msg_size ~earliest:est in
             emit (Table.Exec vid) s f Table.Bus;
             (s, f)
         | Ftcpg.Msg_inst _ | Ftcpg.Sync_msg _ | Ftcpg.Sync_proc _ ->
@@ -115,11 +119,9 @@ let schedule ?(params = Conditional.default_params) ftcpg =
          downstream waits for it. *)
       if v.Ftcpg.conditional && nnodes > 1 then begin
         let src = Option.value v.Ftcpg.exec_node ~default:0 in
-        let bus', (bs, bf) =
-          Busalloc.place !bus ~src ~size:params.Conditional.cond_size
-            ~earliest:f
+        let bs, bf =
+          place_on_bus ~src ~size:params.Conditional.cond_size ~earliest:f
         in
-        bus := bus';
         emit (Table.Bcast vid) bs bf Table.Bus
       end)
     order;

@@ -17,8 +17,8 @@
     any [k], while the explicit arena would not even fit in memory.
 
     Entries are placed ASAP in a deterministic Kahn topological order:
-    executions on their node timelines, bus transmissions through
-    {!Busalloc} (TDMA-aware), and one condition broadcast per
+    executions on their node lanes, bus transmissions on the
+    {!Lane} bus layout (TDMA-aware), and one condition broadcast per
     conditional vertex after its completion (mirroring the conditional
     scheduler's broadcast placement) so the distributed-knowledge
     checks hold on multi-node platforms. Worst-case (all-fault) chain

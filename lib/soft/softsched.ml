@@ -8,8 +8,7 @@ module Bus = Ftes_arch.Bus
 module Problem = Ftes_ftcpg.Problem
 module Mapping = Ftes_ftcpg.Mapping
 module Slack = Ftes_sched.Slack
-module Timeline = Ftes_sched.Timeline
-module Busalloc = Ftes_sched.Busalloc
+module Lane = Ftes_sched.Lane
 
 type class_ = Hard | Soft of Utility.t
 
@@ -126,15 +125,17 @@ let schedule ~classes (problem : Problem.t) =
   let bus = Arch.bus problem.Problem.arch in
   let nodes = Arch.node_count problem.Problem.arch in
   (* Rebuild the resource state left by the hard schedule. *)
-  let node_tl = Array.make nodes Timeline.empty in
+  let node_lanes = Array.init nodes (fun _ -> Lane.create ()) in
   List.iter
     (fun (pl : Slack.placement) ->
       if pl.Slack.finish > pl.Slack.start then
-        node_tl.(pl.Slack.node) <-
-          Timeline.reserve node_tl.(pl.Slack.node) ~start:pl.Slack.start
-            ~finish:pl.Slack.finish)
+        ignore
+          (Lane.reserve node_lanes.(pl.Slack.node) ~start:pl.Slack.start
+             ~finish:pl.Slack.finish))
     hard_res.Slack.placements;
-  let busa = ref (Busalloc.create bus ~nodes) in
+  let view = Lane.view bus ~nodes in
+  let bus_lanes = Lane.bus_lanes view in
+  let bus_lane src = bus_lanes.(Lane.bus_lane view ~src) in
   List.iter
     (fun (mp : Slack.msg_placement) ->
       if mp.Slack.on_bus then begin
@@ -145,9 +146,9 @@ let schedule ~classes (problem : Problem.t) =
           Mapping.node_of problem_h.Problem.mapping ~pid:m.Graph.src
             ~copy:mp.Slack.copy
         in
-        busa :=
-          Busalloc.reserve_window !busa ~src ~start:mp.Slack.start
-            ~finish:mp.Slack.finish
+        ignore
+          (Lane.reserve (bus_lane src) ~start:mp.Slack.start
+             ~finish:mp.Slack.finish)
       end)
     hard_res.Slack.msg_placements;
   (* Fault-free completion of a hard process as seen from [node]. *)
@@ -204,7 +205,8 @@ let schedule ~classes (problem : Problem.t) =
                 if pl.node = node || m.Graph.size = 0. then pl.finish
                 else
                   snd
-                    (Busalloc.probe !busa ~src:pl.node ~size:m.Graph.size
+                    (Lane.bus_window (bus_lane pl.node) view ~src:pl.node
+                       ~size:m.Graph.size
                        ~earliest:pl.finish)
             in
             max acc t)
@@ -217,7 +219,9 @@ let schedule ~classes (problem : Problem.t) =
             let a = arrival node in
             if a = infinity then None
             else
-              let start = Timeline.earliest_gap node_tl.(node) ~from_:a ~duration:c in
+              let start =
+                Lane.earliest_gap node_lanes.(node) ~from_:a ~duration:c
+              in
               let finish = start +. c in
               Some (node, start, finish, Utility.value_at u finish)
       in
@@ -237,19 +241,19 @@ let schedule ~classes (problem : Problem.t) =
       match best with
       | Some (node, start, finish, utility) when utility > 0. ->
           (* Commit: CPU window plus the bus windows of soft inputs. *)
-          node_tl.(node) <-
-            Timeline.reserve node_tl.(node) ~start ~finish;
+          ignore (Lane.reserve node_lanes.(node) ~start ~finish);
           List.iter
             (fun mid ->
               let m = Graph.message g mid in
               if classes.(m.Graph.src) <> Hard && m.Graph.size > 0. then begin
                 let pl = Hashtbl.find soft_placed m.Graph.src in
                 if pl.node <> node then begin
-                  let busa', _ =
-                    Busalloc.place !busa ~src:pl.node ~size:m.Graph.size
+                  let lane = bus_lane pl.node in
+                  let s, f =
+                    Lane.bus_window lane view ~src:pl.node ~size:m.Graph.size
                       ~earliest:pl.finish
                   in
-                  busa := busa'
+                  ignore (Lane.reserve lane ~start:s ~finish:f)
                 end
               end)
             (Graph.in_messages g pid);

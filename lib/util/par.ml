@@ -42,7 +42,9 @@ let effective_jobs ?jobs n =
    has drained ([Atomic.incr] after the task body also publishes the
    task's plain writes to the caller). [participants] caps how many
    pool workers join this batch, so [~jobs] stays an upper bound on the
-   domains doing work even when the pool has grown larger. *)
+   domains doing work even when the pool has grown larger. [active]
+   counts the workers that picked the job up (under the pool lock) and
+   have not yet closed their span. *)
 type job = {
   n : int;
   task : int -> unit;  (* never raises: wrapped by run_pool *)
@@ -50,6 +52,7 @@ type job = {
   completed : int Atomic.t;
   max_workers : int;
   participants : int Atomic.t;
+  active : int Atomic.t;
   published : float;  (* publish wall clock for the telemetry queue-wait
                          histogram; nan while telemetry is disabled *)
 }
@@ -105,6 +108,7 @@ let worker_body () =
     else begin
       my_gen := pool.generation;
       let j = pool.job in
+      Option.iter (fun j -> Atomic.incr j.active) j;
       Mutex.unlock pool.lock;
       (match j with
       | Some j when Atomic.fetch_and_add j.participants 1 < j.max_workers ->
@@ -117,6 +121,7 @@ let worker_body () =
           end
           else run_tasks j
       | _ -> ());
+      Option.iter (fun j -> Atomic.decr j.active) j;
       loop ()
     end
   in
@@ -175,6 +180,7 @@ let run_pool_impl ~jobs ~n ~(task : int -> unit) =
       completed = Atomic.make 0;
       max_workers = jobs - 1;
       participants = Atomic.make 0;
+      active = Atomic.make 0;
       published =
         (if Events.enabled () then Events.now () else Float.nan);
     }
@@ -217,12 +223,17 @@ let run_pool_impl ~jobs ~n ~(task : int -> unit) =
   done;
   if parked then begin
     (* Drop the job so the pool does not retain the task closure (and
-       whatever result buffers it captures) until the next call. *)
+       whatever result buffers it captures) until the next call; then
+       wait for the workers that took it to close their spans, or one
+       that took it late records into whatever session follows. *)
     Mutex.lock pool.lock;
     (match pool.job with
     | Some j' when j' == j -> pool.job <- None
     | _ -> ());
-    Mutex.unlock pool.lock
+    Mutex.unlock pool.lock;
+    while Atomic.get j.active > 0 do
+      Domain.cpu_relax ()
+    done
   end;
   match Atomic.get error with Some e -> raise e | None -> ()
 

@@ -1,4 +1,5 @@
-(** Bus reservation bookkeeping shared by both schedulers.
+(** Bus reservation bookkeeping of the test oracles: the list-based
+    reference of the library's [Ftes_sched.Lane] bus layout.
 
     For a TDMA bus, transmissions of different nodes can never collide —
     each node only transmits inside its own slots — so reservations are

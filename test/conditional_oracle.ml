@@ -5,9 +5,10 @@
    branches sequentially, so it reads straight against the
    specification (paper, Sec. 5.2). The tests in [test_sched] and
    [test_sched_digest] require the library's scheduler to produce the
-   byte-identical table for every [jobs] value. It shares no private
-   code with the scheduler, only the public [Timeline], [Busalloc] and
-   [Table.make]. *)
+   byte-identical table for every [jobs] value. It shares no placement
+   code with the scheduler: it reserves on the persistent reference
+   [Timeline] and [Busalloc] kept beside it in the tests, and assembles
+   with the public [Table.make]. *)
 
 module Cond = Ftes_ftcpg.Cond
 module Ftcpg = Ftes_ftcpg.Ftcpg
@@ -17,8 +18,6 @@ module Arch = Ftes_arch.Arch
 module Pqueue = Ftes_util.Pqueue
 module Imap = Map.Make (Int)
 module Conditional = Ftes_sched.Conditional
-module Timeline = Ftes_sched.Timeline
-module Busalloc = Ftes_sched.Busalloc
 module Table = Ftes_sched.Table
 
 let eps = 1e-6

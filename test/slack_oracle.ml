@@ -16,8 +16,6 @@ module Transparency = Ftes_app.Transparency
 module Wcet = Ftes_arch.Wcet
 module Arch = Ftes_arch.Arch
 module Bus = Ftes_arch.Bus
-module Timeline = Ftes_sched.Timeline
-module Busalloc = Ftes_sched.Busalloc
 open Ftes_sched.Slack
 
 (* Downstream critical-path priorities over the application graph,

@@ -218,6 +218,49 @@ let test_tabu_jobs_identical () =
         (config_string b1) (config_string b4))
     [ 1; 2; 3; 4; 5 ]
 
+let test_records_in_before_return () =
+  (* Every worker that picked a fan-out up has closed its [par.worker]
+     span by the time the call returns: nothing of it may reach the
+     stream afterwards. A worker that takes the job just before the
+     caller drops it is the case this pins; many tiny fan-outs give it
+     the chance to happen. *)
+  if cores < 2 then begin
+    Printf.printf "%d core: no worker domain; skipped\n%!" cores;
+    Alcotest.skip ()
+  end;
+  let module Events = Ftes_util.Events in
+  let records = Atomic.make 0 in
+  let late = ref 0 in
+  Events.enable ();
+  let sink = Events.add_sink (fun _ -> Atomic.incr records) in
+  Fun.protect
+    ~finally:(fun () ->
+      Events.remove_sink sink;
+      Events.disable ())
+    (fun () ->
+      let spin us =
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < float_of_int us *. 1e-6 do
+          Domain.cpu_relax ()
+        done
+      in
+      for i = 1 to 400 do
+        (* Tasks of 0 to 60 us: about a worker's wake-up time, so the
+           worker often joins, or finishes, just as the caller runs out
+           of tasks. *)
+        ignore (Par.map ~jobs:2 spin [ i mod 7 * 10; i mod 5 * 15 ]);
+        Events.drain ();
+        let at_return = Atomic.get records in
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < 1e-4 do
+          Domain.cpu_relax ()
+        done;
+        Events.drain ();
+        if Atomic.get records <> at_return then incr late
+      done);
+  Alcotest.(check int) "fan-outs with records after their return" 0 !late;
+  Alcotest.(check int) "dropped" 0 (Events.dropped ())
+
 let () =
   Alcotest.run "par"
     [
@@ -236,6 +279,8 @@ let () =
             test_jobs_clamped_to_cores;
           Alcotest.test_case "wait loop delivers workers' records" `Quick
             test_wait_loop_drains;
+          Alcotest.test_case "workers' records are in before return" `Quick
+            test_records_in_before_return;
         ] );
       ( "determinism",
         [

@@ -2,11 +2,10 @@
    tables, conditional scheduling (checked against the Fig. 5/6
    scenario) and the slack-based estimator. *)
 
-module Timeline = Ftes_sched.Timeline
-module Busalloc = Ftes_sched.Busalloc
 module Table = Ftes_sched.Table
 module Conditional = Ftes_sched.Conditional
 module Slack = Ftes_sched.Slack
+module Lane = Ftes_sched.Lane
 module Cond = Ftes_ftcpg.Cond
 module Ftcpg = Ftes_ftcpg.Ftcpg
 module Problem = Ftes_ftcpg.Problem
@@ -156,6 +155,200 @@ let test_busalloc_zero_size () =
   ignore b'
 
 (* ------------------------------------------------------------------ *)
+(* Lane vs. the persistent Timeline/Busalloc references                *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of a random lane workload: gap queries and reservations on
+   a node lane, window probes and reservations on the bus lanes, and the
+   conditional scheduler's mark / undo-to-mark. *)
+type lane_op =
+  | Gap of float * float  (* earliest_gap ~from_ ~duration *)
+  | Fill of float * float  (* reserve at the earliest gap *)
+  | Put of float * float  (* reserve [s, s + d) as given, maybe out of
+                             order, overlapping or negative *)
+  | Probe of int * float * float  (* bus window of src, size, earliest *)
+  | Send of int * float * float  (* reserve that window *)
+  | Post of int * float * float  (* reserve [s, s + d) on src's lane *)
+  | Mark
+  | Undo
+
+let pp_lane_op = function
+  | Gap (f, d) -> Printf.sprintf "Gap(%g,%g)" f d
+  | Fill (f, d) -> Printf.sprintf "Fill(%g,%g)" f d
+  | Put (s, d) -> Printf.sprintf "Put(%g,%g)" s d
+  | Probe (src, z, e) -> Printf.sprintf "Probe(%d,%g,%g)" src z e
+  | Send (src, z, e) -> Printf.sprintf "Send(%d,%g,%g)" src z e
+  | Post (src, s, d) -> Printf.sprintf "Post(%d,%g,%g)" src s d
+  | Mark -> "Mark"
+  | Undo -> "Undo"
+
+let lane_case =
+  let open QCheck.Gen in
+  (* Coarse grids make touching intervals and exact fits common. *)
+  let time = map (fun i -> float_of_int i *. 0.5) (int_bound 60) in
+  let dur = oneofl [ 0.; 0.; 0.5; 1.; 2.; 3.; 5.; -1. ] in
+  let size = oneofl [ 0.; 0.5; 1.; 2.; 3.; 7.; 12. ] in
+  let bus =
+    oneof
+      [
+        map2
+          (fun setup bw -> ("single", Bus.single ~setup ~bandwidth:bw ()))
+          (oneofl [ 0.; 0.5; 1. ])
+          (oneofl [ 0.5; 1.; 2. ]);
+        (* Slots of 1..3 against messages up to 12 tu: most messages
+           span several rounds, and some pack mid-slot. *)
+        map3
+          (fun slot bw rev ->
+            let order = if rev then [| 2; 0; 1 |] else [| 0; 1; 2 |] in
+            ( Printf.sprintf "tdma slot %g bw %g%s" slot bw
+                (if rev then " shuffled" else ""),
+              Bus.tdma ~slot_order:order ~slot_length:slot ~bandwidth:bw 3 ))
+          (oneofl [ 1.; 2.; 3. ])
+          (oneofl [ 0.5; 1.; 2. ])
+          bool;
+      ]
+  in
+  let op =
+    frequency
+      [
+        (2, map2 (fun f d -> Gap (f, d)) time dur);
+        (3, map2 (fun f d -> Fill (f, d)) time dur);
+        (2, map2 (fun s d -> Put (s, d)) time dur);
+        (2, map3 (fun src z e -> Probe (src, z, e)) (int_bound 2) size time);
+        (3, map3 (fun src z e -> Send (src, z, e)) (int_bound 2) size time);
+        (1, map3 (fun src s d -> Post (src, s, d)) (int_bound 2) time dur);
+        (2, return Mark);
+        (2, return Undo);
+      ]
+  in
+  pair bus (list_size (int_range 1 80) op)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Runs [ops] on a [Lane] node lane and [Lane.bus_lanes], undoing with
+   the reserve indices as the conditional scheduler's trail does, and on
+   the persistent references, restored to the value held at each mark.
+   Every answer, every raise and the node lane's contents after every
+   step must agree bit for bit. *)
+let lane_agrees ((_, bus), ops) =
+  let nodes = 3 in
+  let view = Lane.view bus ~nodes in
+  let nl = Lane.create () and bl = Lane.bus_lanes view in
+  let blane src = bl.(Lane.bus_lane view ~src) in
+  let tl = ref Timeline.empty and ba = ref (Busalloc.create bus ~nodes) in
+  let trail = ref [] and marks = ref [] in
+  let reserve lane ~start ~finish =
+    let p = Lane.reserve lane ~start ~finish in
+    if p >= 0 then trail := (lane, p) :: !trail
+  in
+  let outcome f =
+    match f () with x -> Ok x | exception Invalid_argument _ -> Error ()
+  in
+  let window src size earliest =
+    Lane.bus_window (blane src) view ~src ~size ~earliest
+  in
+  let same_window (s, f) (s', f') = same_bits s s' && same_bits f f' in
+  let step = function
+    | Gap (from_, duration) ->
+        same_bits
+          (Lane.earliest_gap nl ~from_ ~duration)
+          (Timeline.earliest_gap !tl ~from_ ~duration)
+    | Fill (from_, duration) ->
+        let duration = Float.abs duration in
+        let s = Lane.earliest_gap nl ~from_ ~duration in
+        let s' = Timeline.earliest_gap !tl ~from_ ~duration in
+        reserve nl ~start:s ~finish:(s +. duration);
+        tl := Timeline.reserve !tl ~start:s' ~finish:(s' +. duration);
+        same_bits s s'
+    | Put (start, d) -> (
+        let finish = start +. d in
+        match
+          ( outcome (fun () -> Timeline.reserve !tl ~start ~finish),
+            outcome (fun () -> reserve nl ~start ~finish) )
+        with
+        | Ok t, Ok () ->
+            tl := t;
+            true
+        | Error (), Error () -> true
+        | Ok _, Error () | Error (), Ok () -> false)
+    | Probe (src, size, earliest) ->
+        same_window (window src size earliest)
+          (Busalloc.probe !ba ~src ~size ~earliest)
+    | Send (src, size, earliest) ->
+        let ((s, f) as w) = window src size earliest in
+        reserve (blane src) ~start:s ~finish:f;
+        let b, w' = Busalloc.place !ba ~src ~size ~earliest in
+        ba := b;
+        same_window w w'
+    | Post (src, start, d) -> (
+        let finish = start +. d in
+        match
+          ( outcome (fun () -> Busalloc.reserve_window !ba ~src ~start ~finish),
+            outcome (fun () -> reserve (blane src) ~start ~finish) )
+        with
+        | Ok b, Ok () ->
+            ba := b;
+            true
+        | Error (), Error () -> true
+        | Ok _, Error () | Error (), Ok () -> false)
+    | Mark ->
+        marks := (List.length !trail, !tl, !ba) :: !marks;
+        true
+    | Undo -> (
+        match !marks with
+        | [] -> true
+        | (depth, t, b) :: rest ->
+            marks := rest;
+            while List.length !trail > depth do
+              match !trail with
+              | (lane, p) :: more ->
+                  Lane.remove lane p;
+                  trail := more
+              | [] -> ()
+            done;
+            tl := t;
+            ba := b;
+            true)
+  in
+  List.for_all
+    (fun op ->
+      step op
+      && List.equal
+           (fun (s, f) (s', f') -> same_bits s s' && same_bits f f')
+           (Lane.intervals nl) (Timeline.intervals !tl))
+    ops
+
+let lane_props =
+  [
+    Helpers.qtest ~count:500
+      "matches Timeline/Busalloc bitwise, with undo to mark"
+      (QCheck.make
+         ~print:(fun ((name, _), ops) ->
+           name ^ ": " ^ String.concat " " (List.map pp_lane_op ops))
+         lane_case)
+      lane_agrees;
+  ]
+
+let test_lane_undo_restores () =
+  let l = Lane.create () in
+  let p1 = Lane.reserve l ~start:10. ~finish:20. in
+  let p2 = Lane.reserve l ~start:0. ~finish:5. in
+  let p3 = Lane.reserve l ~start:5. ~finish:10. in
+  Alcotest.(check (list int)) "insertion indices" [ 0; 0; 1 ] [ p1; p2; p3 ];
+  Alcotest.(check int) "zero length reserves nothing" (-1)
+    (Lane.reserve l ~start:7. ~finish:7.);
+  Alcotest.(check int) "length" 3 (Lane.length l);
+  let c = Lane.copy l in
+  Lane.remove l p3;
+  Lane.remove l p2;
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "undone newest first" [ (10., 20.) ] (Lane.intervals l);
+  Alcotest.(check int) "copy untouched" 3 (Lane.length c);
+  Alcotest.check_raises "overlap"
+    (Invalid_argument "Lane.reserve: overlapping reservation") (fun () ->
+      ignore (Lane.reserve l ~start:15. ~finish:25.))
+
+(* ------------------------------------------------------------------ *)
 (* Conditional scheduling — Fig. 5/6                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -252,8 +445,8 @@ let test_conditional_track_cap () =
 let table_digest t =
   Digest.to_hex (Digest.string (Format.asprintf "%a" Table.pp t))
 
-(* The rebuilt scheduler (ready set + placement cache + COW timelines +
-   parallel subtrees) must reproduce the reference transcription
+(* The rebuilt scheduler (ready set + placement cache + undo-trailed
+   lanes + parallel subtrees) must reproduce the reference transcription
    byte-for-byte: same digests for every jobs value, every fan depth
    (including degenerate frontier cuts) and with telemetry recording. *)
 let test_incremental_matches_reference_fig5 () =
@@ -1088,6 +1281,9 @@ let () =
             test_busalloc_probe_matches_place;
           Alcotest.test_case "zero size" `Quick test_busalloc_zero_size;
         ] );
+      ( "lane",
+        [ Alcotest.test_case "undo restores" `Quick test_lane_undo_restores ]
+        @ lane_props );
       ( "conditional",
         [
           Alcotest.test_case "fig6 lengths" `Quick test_fig6_lengths;

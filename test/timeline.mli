@@ -1,7 +1,9 @@
 (** Persistent reservation timeline of one exclusive resource (a CPU
-    node or the bus). Persistence matters: the conditional scheduler
-    forks execution tracks at every condition and each branch continues
-    with its own copy of the resource state. *)
+    node or the bus): the list-based reference the test oracles schedule
+    through, independent of the library's [Ftes_sched.Lane]. Persistence
+    keeps the oracles simple: a conditional track forks at every
+    condition and each branch continues with its own copy of the
+    resource state. *)
 
 type t
 
