@@ -80,7 +80,7 @@ let generate_cmd =
 
 let info_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let run path =
     let doc = read_doc path in
@@ -322,7 +322,7 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
 
 let synthesize_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let strategy =
     Arg.(value & opt strategy_conv Ftes_optim.Strategy.MXR
@@ -515,7 +515,7 @@ let simulate path faults trace jobs =
 
 let simulate_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let faults =
     Arg.(value & opt int 1 & info [ "faults" ]

@@ -72,6 +72,8 @@ type json =
 
 exception Parse_error of string
 
+let max_depth = 512
+
 let parse_json s =
   let n = String.length s in
   let pos = ref 0 in
@@ -148,11 +150,20 @@ let parse_json s =
       advance ()
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
+    | Some f when Float.is_finite f -> f
+    | Some _ | None -> fail "bad number"
   in
+  (* Nesting is bounded so a hostile document is an error, not a stack
+     overflow. *)
+  let depth = ref 0 in
   let rec parse_value () =
     skip_ws ();
+    if !depth >= max_depth then fail "nesting too deep";
+    incr depth;
+    let v = parse_one () in
+    decr depth;
+    v
+  and parse_one () =
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '"' -> Jstr (parse_string ())

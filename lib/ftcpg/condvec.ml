@@ -61,23 +61,26 @@ let guard_never u =
   g.bits.(0) <- 1;
   g
 
-let pack_guard u g =
-  let rec pack acc = function
-    | [] -> Some acc
-    | (l : Cond.literal) :: rest -> (
-        match index_of_cond u l.Cond.cond with
-        | None -> None
-        | Some idx ->
-            let w = idx / fields_per_word in
-            let shift = 2 * (idx mod fields_per_word) in
-            acc.mask.(w) <- acc.mask.(w) lor (3 lsl shift);
-            acc.bits.(w) <-
-              acc.bits.(w) lor ((if l.Cond.fault then 3 else 1) lsl shift);
-            pack acc rest)
-  in
-  match pack (guard_true u) (Cond.literals g) with
-  | Some g -> g
-  | None -> guard_never u
+(* [None]-free: a table compile packs thousands of guards. *)
+let rec pack u acc = function
+  | [] -> acc
+  | (l : Cond.literal) :: rest ->
+      let cond = l.Cond.cond in
+      let idx =
+        if cond < 0 || cond >= Array.length u.lookup then -1
+        else u.lookup.(cond)
+      in
+      if idx < 0 then guard_never u
+      else begin
+        let w = idx / fields_per_word in
+        let shift = 2 * (idx mod fields_per_word) in
+        acc.mask.(w) <- acc.mask.(w) lor (3 lsl shift);
+        acc.bits.(w) <-
+          acc.bits.(w) lor ((if l.Cond.fault then 3 else 1) lsl shift);
+        pack u acc rest
+      end
+
+let pack_guard u g = pack u (guard_true u) (Cond.literals g)
 
 (* ------------------------------------------------------------------ *)
 (* Rows                                                                *)
@@ -101,12 +104,16 @@ let unset u (r : row) idx =
   let shift = 2 * (idx mod fields_per_word) in
   r.(w) <- r.(w) land lnot (3 lsl shift)
 
+(* The two implication kernels are plain loops: a local recursive
+   closure is allocated on every call when the build is [-opaque] and
+   without flambda, which made each replay allocate per guard test. *)
 let row_implies (r : row) (g : guard) =
   let n = Array.length r in
-  let rec go w =
-    w >= n || (r.(w) land g.mask.(w) = g.bits.(w) && go (w + 1))
-  in
-  go 0
+  let w = ref 0 in
+  while !w < n && r.(!w) land g.mask.(!w) = g.bits.(!w) do
+    incr w
+  done;
+  !w >= n
 
 (* Value bits sit at odd field positions; presence at even ones. The
    row invariant (value set => present set) makes the value-bit count
@@ -227,10 +234,11 @@ let implies sp i (g : guard) =
   let base = i * sp.words in
   let n = sp.words in
   let data = sp.data in
-  let rec go w =
-    w >= n || (data.(base + w) land g.mask.(w) = g.bits.(w) && go (w + 1))
-  in
-  go 0
+  let w = ref 0 in
+  while !w < n && data.(base + !w) land g.mask.(!w) = g.bits.(!w) do
+    incr w
+  done;
+  !w >= n
 
 let fault_count sp i =
   let base = i * sp.words in

@@ -20,10 +20,36 @@
     [Sim_oracle.run] exactly; the violation list (values, order,
     rendered messages) is byte-identical to one [Sim_oracle.run] per
     scenario, the composition the tests keep as their oracle
-    ([test/sim_oracle.ml]). *)
+    ([test/sim_oracle.ml]).
+
+    {b Guard index.} A replay costs what the scenario touches, not the
+    whole table. {!compile} puts every guard of the table (vertex
+    existence guards, activation and broadcast columns) into one trie
+    over their literals, which are sorted by condition id; equal
+    guards end at the same node, so a node id is a guard id, and a
+    guard with a literal outside the universe gets a node no walk
+    reaches. A replay walks the trie once over the scenario's row,
+    entering a child only when the row's 2-bit field equals its
+    literal (an absent field matches none, so partial rows need no
+    special case), and stamps every node it enters with the replay's
+    epoch. The vertices whose existence guard ends at a stamped node
+    form the existing-vertex list, sorted by vertex id; every check then
+    runs over that list only, and a column applies when its node
+    carries the current epoch. On generated k=4 tables of 245–565
+    vertices (10 processes, 2 nodes), 22–27 vertices exist in a
+    scenario on average.
+
+    {b Scratch.} The epoch counter, never the row index, is the stamp,
+    so one scratch can replay row 0 of many one-row spaces
+    ({!Diagnose.shrink}, and {!Symbolic} confirming its witnesses).
+    Each replay resets only the [chosen] entries the previous one set.
+    The scenario, its label and the violation accumulator live in the
+    scratch and are built on the first violation, so a clean scenario
+    allocates nothing. *)
 
 type centry = {
   c_guard : Ftes_ftcpg.Condvec.guard;
+  c_node : int;  (** Guard trie node of [c_guard]. *)
   c_size : int;  (** [Cond.size] of the column guard: specificity. *)
   c_start : float;
   c_finish : float;
@@ -31,6 +57,10 @@ type centry = {
 }
 (** One schedule-table column (activation or broadcast) in compiled
     form. *)
+
+type index
+(** The guard trie and, per trie node, the vertices whose existence
+    guard ends there. *)
 
 type t = {
   cftcpg : Ftes_ftcpg.Ftcpg.t;
@@ -54,6 +84,7 @@ type t = {
       (** nan when the vertex has no release time. *)
   locals : (int * string * float * int array) array;
       (** (pid, name, local deadline, copies), process-array order. *)
+  index : index;
 }
 
 val no_lane : int

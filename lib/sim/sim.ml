@@ -51,22 +51,31 @@ let run table ~scenario =
   let u = (Ftcpg.scenario_family table.Table.ftcpg).Ftcpg.funiverse in
   replay (Compiled.compile table u) (Condvec.of_guards u [ scenario ]) 0
 
+(* The execution starts of every frozen vertex, gathered in one pass
+   over the entry list, then sorted and deduplicated per vertex as
+   [Table.starts_of_vertex] does. *)
 let frozen_start_violations table =
   let ftcpg = table.Table.ftcpg in
+  let starts = Array.make (Ftcpg.vertex_count ftcpg) [] in
+  List.iter
+    (fun (e : Table.entry) ->
+      match e.Table.item with
+      | Table.Exec vid when (Ftcpg.vertex ftcpg vid).Ftcpg.frozen ->
+          starts.(vid) <- e.Table.start :: starts.(vid)
+      | Table.Exec _ | Table.Bcast _ -> ())
+    table.Table.entries;
   let violations = ref [] in
-  Array.iter
-    (fun (v : Ftcpg.vertex) ->
-      if v.Ftcpg.frozen then begin
-        match Table.starts_of_vertex table v.Ftcpg.vid with
-        | [] | [ _ ] -> ()
-        | starts ->
-            violations :=
-              Violation.make
-                (Violation.Frozen_drift
-                   { vid = v.Ftcpg.vid; vertex = v.Ftcpg.name; starts })
-              :: !violations
-      end)
-    (Ftcpg.vertices ftcpg);
+  Array.iteri
+    (fun vid l ->
+      match List.sort_uniq compare l with
+      | [] | [ _ ] -> ()
+      | starts ->
+          let v = Ftcpg.vertex ftcpg vid in
+          violations :=
+            Violation.make
+              (Violation.Frozen_drift { vid; vertex = v.Ftcpg.name; starts })
+            :: !violations)
+    starts;
   List.rev !violations
 
 (* ------------------------------------------------------------------ *)
@@ -80,12 +89,14 @@ let frozen_start_violations table =
    {!Compiled} because [run] above and the symbolic backend
    ({!Symbolic}) replay the very same compiled form. A replay is pure
    array arithmetic over shared read-only data plus a small per-worker
-   scratch — no list walks, no hash tables, and (on the overwhelmingly
-   common clean scenario) no allocation at all. That last point is
-   what lets the domain pool actually scale: a per-scenario path that
-   allocates guard lists, trace events and hashtable nodes on every
-   replay serializes workers behind the shared major heap and
-   minor-GC stop-the-world pauses.
+   scratch: one walk of the table's guard trie over the scenario's row,
+   then every check over the vertices that exist in it. A clean
+   scenario allocates 0 words (about 9,000 before the guard kernels
+   lost their per-call closures and the scratch took over the lazy
+   scenario, label and violation accumulator). That is what lets the
+   domain pool scale: a per-scenario path that allocates serializes
+   workers behind the shared major heap and minor-GC stop-the-world
+   pauses.
 
    The replay checks and their emission order mirror the reference
    simulator [Sim_oracle.run] exactly, so the violation list (values,
@@ -137,6 +148,20 @@ let replay_until_space ?jobs ~limit c sp =
       | None -> Ftes_util.Par.default_jobs ()
   in
   let batch = max 32 (8 * jobs_hint) in
+  (* Scratches outlive a batch: a range takes one from the free list
+     and returns it when done, so at most one per concurrent range is
+     ever built. *)
+  let free = ref [] in
+  let lock = Mutex.create () in
+  let take () =
+    Mutex.protect lock (fun () ->
+        match !free with
+        | scr :: rest ->
+            free := rest;
+            scr
+        | [] -> Compiled.make_scratch c)
+  in
+  let give scr = Mutex.protect lock (fun () -> free := scr :: !free) in
   let rec go pos found acc =
     if pos >= count then List.concat (List.rev acc)
     else begin
@@ -144,7 +169,7 @@ let replay_until_space ?jobs ~limit c sp =
       let out = Array.make (hi - pos) [] in
       ignore
         (Ftes_util.Par.map_ranges ?jobs (hi - pos) (fun lo hi' ->
-             let scr = Compiled.make_scratch c in
+             let scr = take () in
              for off = lo to hi' - 1 do
                Telemetry.incr Compiled.c_scenarios;
                let vs = Compiled.replay_one c sp (pos + off) scr in
@@ -153,7 +178,8 @@ let replay_until_space ?jobs ~limit c sp =
                    Telemetry.add Compiled.c_violations (List.length vs);
                  out.(off) <- vs
                end
-             done));
+             done;
+             give scr));
       if Events.enabled () then begin
         Events.emit
           (Events.Validation_progress

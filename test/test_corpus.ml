@@ -92,6 +92,114 @@ let test_manifest_parse_errors () =
   (* truncated *)
   bad "{\"version\": \"one\", \"entries\": []}"
 
+(* ------------------------------------------------------------------ *)
+(* Total inputs: mutated manifest and trajectory text                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Character-level damage to a JSON text: truncation, deep nesting,
+   bad [\u] escapes, non-finite and malformed numbers, stray
+   punctuation, deleted and doubled spans. *)
+let mutate_json rng text =
+  let n = String.length text in
+  let at = Ftes_util.Rng.int rng (n + 1) in
+  let pick a = a.(Ftes_util.Rng.int rng (Array.length a)) in
+  let insert piece = String.sub text 0 at ^ piece ^ String.sub text at (n - at) in
+  match Ftes_util.Rng.int rng 8 with
+  | 0 -> String.sub text 0 at
+  | 1 ->
+      let depth = pick [| 10; 511; 512; 513; 5_000; 200_000 |] in
+      let opener = pick [| "["; "{\"a\":"; "[{\"b\": [" |] in
+      let closed = Ftes_util.Rng.bool rng in
+      insert
+        (String.concat "" (List.init depth (fun _ -> opener))
+        ^ if closed then String.make depth ']' else "")
+  | 2 ->
+      insert
+        (pick
+           [| "\"\\u\""; "\\u12"; "\\uZZZZ"; "\\u-001"; "\\u+7ff";
+              "\\u_7_f"; "\\uffff"; "\\u"; "\\" |])
+  | 3 ->
+      insert
+        (pick
+           [| "1e999"; "-1e999"; "1e-999"; "nan"; "inf"; "-inf"; "NaN";
+              "Infinity"; "-"; "1e"; "0x10"; "1_000"; "--1"; "1.2.3"; "+1";
+              "4611686018427387904"; "1e308"; "-0" |])
+  | 4 -> insert (String.make 1 (pick [| '{'; '}'; '['; ']'; '"'; ':'; ','; '\\' |]))
+  | 5 ->
+      let len = Ftes_util.Rng.int rng (min 40 (n - at) + 1) in
+      String.sub text 0 at ^ String.sub text (at + len) (n - at - len)
+  | 6 ->
+      let len = Ftes_util.Rng.int rng (min 40 (n - at) + 1) in
+      insert (String.sub text at len)
+  | _ ->
+      (* A number where the document has one. *)
+      let digits = ref [] in
+      String.iteri
+        (fun i c -> if c >= '0' && c <= '9' then digits := i :: !digits)
+        text;
+      (match !digits with
+      | [] -> text
+      | ds ->
+          let i = List.nth ds (Ftes_util.Rng.int rng (List.length ds)) in
+          String.sub text 0 i
+          ^ pick [| "1e999"; "nan"; "-inf"; "1e-400"; "9e18"; "." |]
+          ^ String.sub text (i + 1) (n - i - 1))
+
+let mutated rng text =
+  let t = ref text in
+  for _ = 1 to 1 + Ftes_util.Rng.int rng 3 do
+    t := mutate_json rng !t
+  done;
+  !t
+
+let fuzz_arb =
+  QCheck.make
+    ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
+    QCheck.Gen.(int_bound 1_000_000)
+
+let manifest_fuzz =
+  let text =
+    lazy
+      (let m = load_manifest () in
+       Manifest.to_string
+         { m with Manifest.entries = List.filteri (fun i _ -> i < 4) m.Manifest.entries })
+  in
+  Helpers.qtest ~count:1000 "mutated manifests parse or fail, never raise"
+    fuzz_arb (fun seed ->
+      let text = mutated (Ftes_util.Rng.create seed) (Lazy.force text) in
+      match Manifest.of_string text with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
+
+let trajectory_fuzz =
+  let module T = Ftes_corpus.Trajectory in
+  let line =
+    T.entry_to_json
+      {
+        T.commit = "0123abc";
+        schema = T.schema_version;
+        id = "gen-p8-n2-k2-s3";
+        ok = true;
+        length = 265.;
+        wall_ms = 20.902;
+      }
+  in
+  Helpers.qtest ~count:300 "mutated trajectory lines load or fail, never raise"
+    fuzz_arb (fun seed ->
+      let rng = Ftes_util.Rng.create seed in
+      let text =
+        String.concat "\n" [ line; mutated rng line; line; mutated rng line ]
+      in
+      let path = Filename.temp_file "ftes_trajectory" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      let result = try Ok (T.load path) with e -> Error e in
+      Sys.remove path;
+      match result with
+      | Ok (Ok _ | Error _) -> true
+      | Error e ->
+          QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
+
 let test_manifest_checked_in () =
   let m = load_manifest () in
   Alcotest.(check int) "schema version" Manifest.schema_version
@@ -379,6 +487,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_manifest_parse_errors;
           Alcotest.test_case "checked-in file" `Quick test_manifest_checked_in;
         ] );
+      ("total inputs", [ manifest_fuzz; trajectory_fuzz ]);
       ( "registry",
         [
           Alcotest.test_case "deterministic" `Quick test_registry_deterministic;

@@ -318,8 +318,7 @@ let test_cli_malformed_input () =
             err;
           Alcotest.(check string) (cmd ^ ": no output") "" out)
         [ "info"; "synthesize"; "simulate" ]);
-  (* A directory passes the command line's existence check but cannot
-     be read. *)
+  (* A directory exists but cannot be read. *)
   let dir = Filename.get_temp_dir_name () in
   let code, _, err = run_ftes [ "info"; dir ] in
   Alcotest.(check int) "directory: exit code" 2 code;
@@ -328,6 +327,21 @@ let test_cli_malformed_input () =
     true
     (String.starts_with ~prefix:(Printf.sprintf "ftes: %s: " dir) err
     && String.index err '\n' = String.length err - 1)
+
+(* A missing FILE is bad input like any other: exit 2 and one line
+   naming the path, not a command-line usage error. *)
+let test_cli_missing_file () =
+  let path = Filename.temp_file "ftes-cli" ".ftes" in
+  Sys.remove path;
+  List.iter
+    (fun cmd ->
+      let code, out, err = run_ftes [ cmd; path ] in
+      Alcotest.(check int) (cmd ^ ": exit code") 2 code;
+      Alcotest.(check string) (cmd ^ ": one-line message")
+        (Printf.sprintf "ftes: %s: No such file or directory\n" path)
+        err;
+      Alcotest.(check string) (cmd ^ ": no output") "" out)
+    [ "info"; "simulate"; "synthesize" ]
 
 (* [ftes simulate] on a generated instance, byte for byte against
    outputs recorded from the list-walking simulator it replaced. *)
@@ -431,6 +445,8 @@ let () =
             test_cli_simulate_golden;
           Alcotest.test_case "--jobs below 1 is a usage error" `Quick
             test_cli_jobs_validated;
+          Alcotest.test_case "missing file exits 2" `Quick
+            test_cli_missing_file;
         ] );
       ( "reliability",
         [

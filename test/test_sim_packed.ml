@@ -252,6 +252,161 @@ let test_report_matches_oracle () =
         (Sim_oracle.scenarios t.Table.ftcpg))
     (("tight-fig5", tight_fig5_table ()) :: corrupted_tables ())
 
+(* --- guard-indexed replay and its scratch --------------------------- *)
+
+module Compiled = Ftes_sim.Compiled
+
+(* A clean generated k=4 table with about 1,000 scenarios, the size
+   perfbench's verify-tables validates. *)
+let clean_k4_table () =
+  let spec =
+    { Ftes_workload.Gen.default with seed = 100; processes = 10; nodes = 2 }
+  in
+  Conditional.schedule ~jobs:1 (Ftcpg.build (Ftes_workload.Gen.problem ~k:4 spec))
+
+(* [Gc.minor_words] is exact; [Gc.quick_stat]'s figure only moves at a
+   minor collection. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_clean_replay_allocates_nothing () =
+  let t = clean_k4_table () in
+  let sp = Ftcpg.scenario_space t.Table.ftcpg in
+  let c = Compiled.compile t sp.Condvec.u in
+  let n = Condvec.count sp in
+  Alcotest.(check bool) "about a thousand scenarios" true (n > 500);
+  Alcotest.(check int) "clean" 0 (List.length (Compiled.replay_range c sp 0 n));
+  let scr = Compiled.make_scratch c in
+  let w =
+    words (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Sys.opaque_identity (Compiled.replay_one c sp i scr))
+        done)
+  in
+  Alcotest.(check (float 0.)) "replay_one over every clean scenario" 0. w;
+  (* The range's own cost (its scratch) does not grow with the range. *)
+  let one = words (fun () -> ignore (Compiled.replay_range c sp 0 1)) in
+  let all = words (fun () -> ignore (Compiled.replay_range c sp 0 n)) in
+  Alcotest.(check (float 0.)) "replay_range words independent of its length"
+    one all
+
+(* Complete scenarios, each with one literal dropped and each with a
+   random subset of its literals kept: the partial rows
+   [Diagnose.shrink] replays. *)
+let replay_rows rng t =
+  let complete = Sim_oracle.scenarios t.Table.ftcpg in
+  let partial s =
+    let lits = Cond.literals s in
+    let dropped =
+      List.filter_map
+        (fun l -> Cond.of_literals (List.filter (fun l' -> l' <> l) lits))
+        lits
+    in
+    let kept = List.filter (fun _ -> Rng.bool rng) lits in
+    Option.to_list (Cond.of_literals kept) @ dropped
+  in
+  complete @ List.concat_map partial complete
+
+let shuffled rng l =
+  let a = Array.of_list l in
+  Rng.shuffle rng a;
+  Array.to_list a
+
+(* Diagnose.shrink and the symbolic backend's witness check replay row
+   0 of many one-row spaces with one scratch: it must behave as a fresh
+   scratch every time. *)
+let test_shared_scratch_matches_fresh () =
+  let rng = Rng.create 7 in
+  List.iter
+    (fun (name, t) ->
+      let u = (Ftcpg.scenario_family t.Table.ftcpg).Ftcpg.funiverse in
+      let c = Compiled.compile t u in
+      let shared = Compiled.make_scratch c in
+      List.iteri
+        (fun r g ->
+          let sp = Condvec.of_guards u [ g ] in
+          let fresh = Compiled.make_scratch c in
+          let expected = Compiled.replay_one c sp 0 fresh in
+          let got = Compiled.replay_one c sp 0 shared in
+          let what = Printf.sprintf "%s: row %d" name r in
+          Alcotest.(check bool) (what ^ " violations") true (got = expected);
+          Alcotest.(check (float 0.)) (what ^ " makespan")
+            (Compiled.makespan fresh) (Compiled.makespan shared);
+          for vid = 0 to c.Compiled.nverts - 1 do
+            if
+              Compiled.chosen_exec c shared vid
+              <> Compiled.chosen_exec c fresh vid
+              || Compiled.chosen_bcast c shared vid
+                 <> Compiled.chosen_bcast c fresh vid
+            then Alcotest.failf "%s: chosen columns of vertex %d differ" what vid
+          done)
+        (shuffled rng (replay_rows rng t)))
+    ([ ("fig5", fig5_table ()); ("tight-fig5", tight_fig5_table ()) ]
+    @ corrupted_tables ())
+
+(* Random damage to a synthesized table: dropped columns (missing
+   activations), copies at another time (ambiguities), columns whose
+   guard tests a condition outside the scenario universe, generalized
+   guards and shifted starts. *)
+let damage rng (t : Table.t) =
+  let f = t.Table.ftcpg in
+  let outside =
+    List.filter
+      (fun vid -> not (Ftcpg.vertex f vid).Ftcpg.conditional)
+      (List.init (Ftcpg.vertex_count f) Fun.id)
+  in
+  let entries =
+    List.concat_map
+      (fun (e : Table.entry) ->
+        match Rng.int rng 8 with
+        | 0 -> []
+        | 1 ->
+            [ e; { e with Table.start = e.Table.start +. 3.; finish = e.Table.finish +. 3. } ]
+        | 2 -> (
+            match outside with
+            | [] -> [ e ]
+            | _ ->
+                let cond = List.nth outside (Rng.int rng (List.length outside)) in
+                match Cond.add e.Table.guard { Cond.cond; fault = Rng.bool rng } with
+                | Some guard -> [ { e with Table.guard } ]
+                | None -> [ e ])
+        | 3 -> (
+            match Cond.literals e.Table.guard with
+            | [] -> [ e ]
+            | l :: _ -> [ { e with Table.guard = Cond.remove e.Table.guard l.Cond.cond } ])
+        | 4 -> [ { e with Table.start = e.Table.start -. 2. } ]
+        | _ -> [ e ])
+      t.Table.entries
+  in
+  Table.make ~ftcpg:f ~entries ~tracks:t.Table.tracks
+
+let test_replay_matches_oracle_on_damaged_tables =
+  Helpers.qtest ~count:25 "replay_one = Sim_oracle.run on damaged tables"
+    (QCheck.make
+       ~print:(fun (seed, p, nodes, k) ->
+         Printf.sprintf "seed=%d processes=%d nodes=%d k=%d" seed p nodes k)
+       QCheck.Gen.(
+         quad (int_bound 10_000) (int_range 3 6) (int_range 1 3) (int_range 1 2)))
+    (fun (seed, processes, nodes, k) ->
+      let rng = Rng.create seed in
+      let t =
+        damage rng
+          (Conditional.schedule
+             (Ftcpg.build (Helpers.random_problem ~processes ~nodes ~k ~seed ())))
+      in
+      let u = (Ftcpg.scenario_family t.Table.ftcpg).Ftcpg.funiverse in
+      let c = Compiled.compile t u in
+      let scr = Compiled.make_scratch c in
+      List.for_all
+        (fun scenario ->
+          let expected = Sim_oracle.run t ~scenario in
+          let got = Compiled.replay_one c (Condvec.of_guards u [ scenario ]) 0 scr in
+          got = expected.Sim.violations
+          && Compiled.makespan scr = expected.Sim.makespan)
+        (shuffled rng (replay_rows rng t)))
+
 (* --- stop_after / replay_until regression -------------------------- *)
 
 let test_stop_after_pool_aware_prefix () =
@@ -439,6 +594,14 @@ let () =
             test_run_matches_oracle;
           Alcotest.test_case "shrink report = oracle shrink report" `Quick
             test_report_matches_oracle;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "clean replay allocates nothing" `Quick
+            test_clean_replay_allocates_nothing;
+          Alcotest.test_case "shared scratch = fresh scratch" `Quick
+            test_shared_scratch_matches_fresh;
+          test_replay_matches_oracle_on_damaged_tables;
         ] );
       ( "stop-after",
         [
