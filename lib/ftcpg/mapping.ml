@@ -43,8 +43,12 @@ let remap t ~pid ~copy ~nid =
   check_pid t pid;
   if copy < 0 || copy >= Array.length t.assign.(pid) then
     invalid_arg "Mapping.remap: bad copy index";
-  let assign = Array.map Array.copy t.assign in
-  assign.(pid).(copy) <- nid;
+  (* Rows are never written after construction, so the unchanged ones
+     are shared with [t]. *)
+  let assign = Array.copy t.assign in
+  let row = Array.copy t.assign.(pid) in
+  row.(copy) <- nid;
+  assign.(pid) <- row;
   { assign }
 
 let validate t ~wcet ~policies =

@@ -1,4 +1,4 @@
-(* Lock-striped memoization of [Slack.evaluate] keyed by a canonical
+(* Lock-striped memoization of [Slack.estimate] keyed by a canonical
    design signature. See evalcache.mli for the contract. *)
 
 module Problem = Ftes_ftcpg.Problem
@@ -129,7 +129,7 @@ let evaluate ?(ft = true) t (p : Problem.t) =
   if not (claim_universe t p) then begin
     Atomic.incr t.bypasses;
     Telemetry.incr c_bypasses;
-    Slack.evaluate ~ft p
+    Slack.estimate ~ft p
   end
   else begin
     let key = signature ~ft p in
@@ -148,16 +148,8 @@ let evaluate ?(ft = true) t (p : Problem.t) =
     | None ->
         (* Evaluate outside the lock: two domains may race on the same
            fresh signature and both evaluate, but the function is pure,
-           so whichever insert wins stores the identical result. The
-           placement lists are dropped before storing: no optimization
-           consumer reads them (the objective is [length], descent reads
-           [penalties]), and retaining them would promote kilobytes of
-           short-lived list cells to the major heap on every miss —
-           measured to cost more than the hits save. *)
-        let r =
-          { (Slack.evaluate ~ft p) with
-            Slack.placements = []; msg_placements = [] }
-        in
+           so whichever insert wins stores the identical result. *)
+        let r = Slack.estimate ~ft p in
         Mutex.lock shard.lock;
         if not (Hashtbl.mem shard.table key) then begin
           if Hashtbl.length shard.table >= t.per_shard_capacity then (

@@ -2,7 +2,7 @@
 
     The design-space exploration layers — tabu search, steepest descent,
     checkpoint optimization, the Fig. 7 strategies — spend almost all of
-    their time re-running [Slack.evaluate] on configurations the search
+    their time re-running [Slack.estimate] on configurations the search
     has already priced: moves perturb a single process, stalled
     iterations redraw moves from an unchanged configuration, and the MXR
     strategy re-visits the same assignments across its phases. The cache
@@ -10,9 +10,11 @@
     mapping vector, the per-process policy (recovery and checkpoint plan
     of every copy), the fault hypothesis [k] and the [ft] objective
     flag — so a repeated configuration returns its memoized
-    [Slack.result] instead of re-scheduling.
+    [Slack.result] instead of re-scheduling. Entries hold the figures
+    and penalties only: they come from [Slack.estimate], which builds
+    no placement lists.
 
-    {b Determinism.} [Slack.evaluate] is a pure function of the
+    {b Determinism.} [Slack.estimate] is a pure function of the
     signature (given a fixed application / architecture / WCET table),
     so a cached run is bit-identical to an uncached one: the cache is a
     pure performance layer, pinned by the tests in
@@ -52,7 +54,7 @@ val create : ?shards:int -> ?capacity:int -> unit -> t
 
 val signature : ?ft:bool -> Ftes_ftcpg.Problem.t -> string
 (** The canonical structural key: [ft] flag ⊕ [k] ⊕ per-process policy
-    plans ⊕ mapping vector. Injective over everything [Slack.evaluate]
+    plans ⊕ mapping vector. Injective over everything [Slack.estimate]
     reads from the configuration (two problems of the same universe get
     equal signatures iff the evaluator cannot distinguish them). *)
 
@@ -61,7 +63,9 @@ val signature_hash : string -> int
     Exposed for the collision tests. *)
 
 val evaluate : ?ft:bool -> t -> Ftes_ftcpg.Problem.t -> Ftes_sched.Slack.result
-(** Memoized [Ftes_sched.Slack.evaluate ?ft]. *)
+(** Memoized [Ftes_sched.Slack.estimate ?ft]: [evaluate]'s figures and
+    penalties, with empty placement lists. A problem from a foreign
+    universe gets the same, uncached. *)
 
 val length : ?ft:bool -> t -> Ftes_ftcpg.Problem.t -> float
 (** Memoized [Ftes_sched.Slack.length ?ft] (same cache entries as

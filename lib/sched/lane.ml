@@ -77,6 +77,8 @@ let create () = { starts = [||]; finishes = [||]; len = 0 }
 
 let length t = t.len
 
+let clear t = t.len <- 0
+
 let copy t =
   {
     starts = Array.sub t.starts 0 t.len;
@@ -86,31 +88,26 @@ let copy t =
 
 let intervals t = List.init t.len (fun i -> (t.starts.(i), t.finishes.(i)))
 
-(* Length of the prefix of [0, len) on which [skip] holds; [skip] must
-   hold on a prefix and fail on the rest. *)
-let prefix t skip =
-  let lo = ref 0 and hi = ref t.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if skip mid then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 (* The reference timeline's earliest gap. The walk over the reservations
    starts at [pos = from_] and, while [pos] is still [from_], steps past
    reservation [i] unchanged exactly when [i] ends at or before [from_]
    and the request does not fit before it. Both conditions hold on a
    prefix of the ascending arrays, so that prefix is skipped by binary
-   search and the walk resumes where it would first act. *)
+   search and the walk resumes where it would first act. The searches
+   here are written out: a predicate closure would be allocated on
+   every call. *)
 let earliest_gap t ~from_ ~duration =
   if duration <= eps then from_
   else begin
-    let i =
-      ref
-        (prefix t (fun i ->
-             t.finishes.(i) <= from_
-             && not (from_ +. duration <= t.starts.(i) +. eps)))
-    in
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if t.finishes.(mid) <= from_
+         && not (from_ +. duration <= t.starts.(mid) +. eps)
+      then lo := mid + 1
+      else hi := mid
+    done;
+    let i = ref !lo in
     let pos = ref from_ in
     while !i < t.len && not (!pos +. duration <= t.starts.(!i) +. eps) do
       pos := fmax !pos t.finishes.(!i);
@@ -125,8 +122,7 @@ let earliest_gap t ~from_ ~duration =
    steps past reservation [i] with [t0] unchanged exactly when the
    window neither fits before it nor overlaps it. While [t0] is still
    [earliest] the window is the same at every step, so those steps cover
-   a prefix of the ascending arrays, skipped by binary search as above
-   (written out here: a [skip] closure would box the window). *)
+   a prefix of the ascending arrays, skipped by binary search as above. *)
 let find_window t v ~src ~tx ~earliest =
   let offset = if v.tdma then v.offsets.(src) else 0. in
   let s0 = window_start v ~offset ~tx earliest in
@@ -164,7 +160,12 @@ let reserve t ~start ~finish =
     -1
   end
   else begin
-    let p = prefix t (fun i -> t.finishes.(i) <= start +. eps) in
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if t.finishes.(mid) <= start +. eps then lo := mid + 1 else hi := mid
+    done;
+    let p = !lo in
     if p < t.len && not (finish <= t.starts.(p) +. eps) then
       invalid_arg "Lane.reserve: overlapping reservation";
     if t.len = Array.length t.starts then begin

@@ -6,7 +6,9 @@
     ascending. Zero-length reservations occupy nothing, touching
     intervals are kept apart, and comparisons carry a [1e-9] eps.
     Lanes are mutable; a scheduler that branches undoes reservations
-    with {!remove}, newest first. Between removals a lane only grows. *)
+    with {!remove}, newest first, and one that is reused between
+    schedules starts over with {!clear}. Between removals a lane only
+    grows. *)
 
 type view = private {
   bus : Ftes_arch.Bus.t;
@@ -28,6 +30,10 @@ type t
 
 val create : unit -> t
 val length : t -> int
+
+val clear : t -> unit
+(** Remove every reservation, keeping the lane's storage for reuse. *)
+
 val copy : t -> t
 
 val intervals : t -> (float * float) list

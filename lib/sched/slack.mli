@@ -22,11 +22,26 @@
     the table [Ftes_sched.Conditional] builds for the same design (see
     ROADMAP item 1).
 
-    Priorities depend only on the application graph, the WCET table and
-    the bus; each domain memoizes the last universe's priorities, keyed
-    by the physical identity of the three. A WCET table must therefore
-    not be changed in place ([Ftes_arch.Wcet.set]/[forbid]) once a
-    problem built on it has been evaluated. *)
+    {b One kernel, two outputs.} Everything the estimator reads that
+    depends only on the {e universe} — the application (graph and
+    transparency), the WCET table and the architecture — is flattened
+    once into per-universe tables: message endpoints, sizes and
+    transmission times, in/out message and consumer rows, frozen flags,
+    releases, overheads, a flat WCET matrix, in-degrees, the bus view
+    and the list-scheduling priorities. Each domain keeps the last
+    universe's tables, keyed by the physical identity of the app, the
+    WCET table and the architecture. A WCET table must therefore not be
+    changed in place ([Ftes_arch.Wcet.set]/[forbid]) once a problem
+    built on it has been evaluated: the WCET matrix and the priorities
+    would go stale.
+
+    The schedule itself is built in a per-domain scratch (lanes,
+    copy-indexed placement arrays, the ready heap, the relaxation
+    arrays), cleared and reused by every evaluation of the domain, so
+    two evaluations must not interleave on one domain (the library
+    starts no threads). {!length} and {!estimate}, the optimizers' entry points, read their
+    figures off the scratch; {!evaluate} also turns it into placement
+    lists. All three compute the same figures, bit for bit. *)
 
 type placement = {
   pid : int;
@@ -68,8 +83,14 @@ val evaluate : ?ft:bool -> Ftes_ftcpg.Problem.t -> result
     the baseline of the paper's fault-tolerance overhead (FTO) metric.
     Default [ft:true]. *)
 
+val estimate : ?ft:bool -> Ftes_ftcpg.Problem.t -> result
+(** [evaluate] without the placement lists: [placements] and
+    [msg_placements] are empty, every figure is [evaluate]'s. The
+    optimizers read nothing else. *)
+
 val length : ?ft:bool -> Ftes_ftcpg.Problem.t -> float
-(** [length p = (evaluate p).length]. *)
+(** [length p = (evaluate p).length], computed without building the
+    placement lists or the result. *)
 
 val fto : ft_length:float -> nft_length:float -> float
 (** Fault-tolerance overhead: percentage increase of the schedule length

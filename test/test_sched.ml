@@ -159,8 +159,9 @@ let test_busalloc_zero_size () =
 (* ------------------------------------------------------------------ *)
 
 (* One step of a random lane workload: gap queries and reservations on
-   a node lane, window probes and reservations on the bus lanes, and the
-   conditional scheduler's mark / undo-to-mark. *)
+   a node lane, window probes and reservations on the bus lanes, the
+   conditional scheduler's mark / undo-to-mark, and the slack
+   estimator's clear-and-reuse of every lane between schedules. *)
 type lane_op =
   | Gap of float * float  (* earliest_gap ~from_ ~duration *)
   | Fill of float * float  (* reserve at the earliest gap *)
@@ -171,6 +172,7 @@ type lane_op =
   | Post of int * float * float  (* reserve [s, s + d) on src's lane *)
   | Mark
   | Undo
+  | Clear
 
 let pp_lane_op = function
   | Gap (f, d) -> Printf.sprintf "Gap(%g,%g)" f d
@@ -181,6 +183,7 @@ let pp_lane_op = function
   | Post (src, s, d) -> Printf.sprintf "Post(%d,%g,%g)" src s d
   | Mark -> "Mark"
   | Undo -> "Undo"
+  | Clear -> "Clear"
 
 let lane_case =
   let open QCheck.Gen in
@@ -219,6 +222,7 @@ let lane_case =
         (1, map3 (fun src s d -> Post (src, s, d)) (int_bound 2) time dur);
         (2, return Mark);
         (2, return Undo);
+        (1, return Clear);
       ]
   in
   pair bus (list_size (int_range 1 80) op)
@@ -228,8 +232,9 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 (* Runs [ops] on a [Lane] node lane and [Lane.bus_lanes], undoing with
    the reserve indices as the conditional scheduler's trail does, and on
    the persistent references, restored to the value held at each mark.
-   Every answer, every raise and the node lane's contents after every
-   step must agree bit for bit. *)
+   A clear empties every lane in place, which must behave as fresh
+   references from then on. Every answer, every raise and the node
+   lane's contents after every step must agree bit for bit. *)
 let lane_agrees ((_, bus), ops) =
   let nodes = 3 in
   let view = Lane.view bus ~nodes in
@@ -309,6 +314,14 @@ let lane_agrees ((_, bus), ops) =
             tl := t;
             ba := b;
             true)
+    | Clear ->
+        Lane.clear nl;
+        Array.iter Lane.clear bl;
+        tl := Timeline.empty;
+        ba := Busalloc.create bus ~nodes;
+        trail := [];
+        marks := [];
+        Lane.length nl = 0 && Array.for_all (fun l -> Lane.length l = 0) bl
   in
   List.for_all
     (fun op ->
@@ -321,7 +334,7 @@ let lane_agrees ((_, bus), ops) =
 let lane_props =
   [
     Helpers.qtest ~count:500
-      "matches Timeline/Busalloc bitwise, with undo to mark"
+      "matches Timeline/Busalloc bitwise, with undo to mark and clear"
       (QCheck.make
          ~print:(fun ((name, _), ops) ->
            name ^ ": " ^ String.concat " " (List.map pp_lane_op ops))
@@ -864,10 +877,18 @@ let msg_key (m : Slack.msg_placement) =
 
 (* Bit-for-bit agreement with [Slack_oracle]: every figure and the
    placements in order; the transmissions as a multiset, since the
-   oracle lists them in hash-table order. *)
+   oracle lists them in hash-table order. The optimizer path
+   ([Slack.estimate], [Slack.length]) must give [evaluate]'s figures. *)
 let matches_oracle ?ft p =
   let r = Slack.evaluate ?ft p and o = Slack_oracle.evaluate ?ft p in
-  same_float r.Slack.length o.Slack.length
+  let e = Slack.estimate ?ft p in
+  same_float (Slack.length ?ft p) r.Slack.length
+  && same_float e.Slack.length r.Slack.length
+  && same_float e.root_makespan r.root_makespan
+  && same_float e.slack_term r.slack_term
+  && Array.for_all2 same_float e.penalties r.penalties
+  && e.placements = [] && e.msg_placements = []
+  && same_float r.Slack.length o.Slack.length
   && same_float r.root_makespan o.root_makespan
   && same_float r.slack_term o.slack_term
   && Array.length r.penalties = Array.length o.penalties
@@ -900,6 +921,80 @@ let remapped ~seed ~remaps (p : Problem.t) =
         (i - 1)
   in
   go p remaps
+
+(* One domain's tables and scratch serve every evaluation in turn. A run
+   interleaves three universes over one graph — a frozen app on a TDMA
+   bus, the same graph with nothing frozen, and the frozen app on a
+   single bus — with designs whose copy counts grow and shrink (all
+   re-execution, all replication, all combined, or mixed) and [ft] on
+   and off. The oracle keeps no state between evaluations, so each
+   evaluation matching it bit for bit means the reused scratch behaved
+   as a fresh one. *)
+let scratch_universes ~seed ~n ~k =
+  let base =
+    Helpers.random_problem ~processes:n ~nodes:3 ~k ~seed
+      ~mixed_policies:false ()
+  in
+  let app = base.Problem.app in
+  let frozen =
+    Ftes_app.App.with_transparency app
+      (Ftes_app.Transparency.freeze app.Ftes_app.App.transparency
+         (Ftes_app.Transparency.Proc (n / 2)))
+  in
+  let thawed =
+    Ftes_app.App.with_transparency app Ftes_app.Transparency.none
+  in
+  let single =
+    Ftes_arch.Arch.make ~node_count:3
+      ~bus:(Bus.single ~setup:1. ~bandwidth:0.5 ())
+      ()
+  in
+  ( [| (frozen, base.Problem.arch); (thawed, base.Problem.arch);
+       (frozen, single) |],
+    base.Problem.wcet )
+
+let scratch_design ~seed ~k (app, arch) wcet (u, family, ft, remaps) =
+  let n = Ftes_app.Graph.process_count app.Ftes_app.App.graph in
+  let combined () =
+    if k >= 2 then Policy.combined ~replicas:1 ~recoveries_per_copy:[ k - 1; 0 ]
+    else Policy.replication ~k
+  in
+  let policies =
+    Array.init n (fun pid ->
+        match (family, pid mod 3) with
+        | 0, _ | 3, 0 ->
+            if pid mod 2 = 0 then Policy.re_execution ~recoveries:k
+            else Policy.checkpointing ~recoveries:k ~checkpoints:2
+        | 1, _ | 3, 1 -> Policy.replication ~k
+        | _ -> combined ())
+  in
+  let mapping = Problem.fastest_mapping ~app ~wcet ~policies in
+  let p = Problem.make ~app ~arch ~wcet ~k ~policies ~mapping in
+  (remapped ~seed:(seed + u + remaps) ~remaps p, ft)
+
+let scratch_arb =
+  QCheck.make
+    ~print:(fun ((seed, n, k), steps) ->
+      Printf.sprintf "seed=%d n=%d k=%d steps=[%s]" seed n k
+        (String.concat "; "
+           (List.map
+              (fun (u, family, ft, remaps) ->
+                Printf.sprintf "u%d family %d ft=%b remaps=%d" u family ft
+                  remaps)
+              steps)))
+    QCheck.Gen.(
+      pair
+        (triple (int_bound 10_000) (int_range 3 16) (int_range 1 3))
+        (list_size (int_range 2 12)
+           (quad (int_bound 2) (int_bound 3) bool (int_bound 6))))
+
+let scratch_reused ((seed, n, k), steps) =
+  let universes, wcet = scratch_universes ~seed ~n ~k in
+  List.for_all
+    (fun ((u, _, _, _) as step) ->
+      let p, ft = scratch_design ~seed ~k universes.(u) wcet step in
+      matches_oracle ~ft p)
+    steps
 
 (* Half the cases keep the generator's 10-unit TDMA slot; the others
    draw a slot of 1-9 units, so the 2-8 unit messages often span
@@ -939,6 +1034,8 @@ let oracle_props =
             ~tdma_slot:slot ?slot_order ()
         in
         matches_oracle ~ft (remapped ~seed ~remaps p));
+    Helpers.qtest ~count:150 "one scratch = fresh scratch" scratch_arb
+      scratch_reused;
   ]
 
 (* Five processes on two nodes, built to reach the corners of the
@@ -1083,33 +1180,40 @@ let test_slack_oracle_edges () =
         [ 1; 2 ])
     buses
 
-(* Three universes over one [App.t]: a TDMA base, the same bus with the
-   WCET order reversed, and the base WCETs on a single bus whose setup
-   and bandwidth change every transmission time. The estimator memoizes
-   its priorities per domain and universe; evaluations alternate
-   between the universes, so a stale entry would list-schedule in
-   another universe's priority order. *)
+(* Four universes over one graph: a TDMA base, the same bus with the
+   WCET order reversed, the base WCETs on a single bus whose setup and
+   bandwidth change every transmission time, and the base with nothing
+   frozen. The estimator keeps its tables (priorities, WCETs, frozen
+   flags, transmission times) per domain and universe; evaluations
+   alternate between the universes, so a stale table would schedule
+   with another universe's priorities, WCETs, bus or transparency. *)
 let memo_universes () =
   let base = Helpers.random_problem ~processes:14 ~nodes:3 ~k:2 ~seed:41 () in
-  let variant ~arch ~wcet =
-    Problem.make ~app:base.Problem.app ~arch ~wcet ~k:2
-      ~policies:base.Problem.policies ~mapping:base.Problem.mapping
+  let variant ?(app = base.Problem.app) ~arch ~wcet () =
+    Problem.make ~app ~arch ~wcet ~k:2 ~policies:base.Problem.policies
+      ~mapping:base.Problem.mapping
   in
   [|
     base;
     variant ~arch:base.Problem.arch
-      ~wcet:(Ftes_arch.Wcet.map (fun c -> 120. -. c) base.Problem.wcet);
+      ~wcet:(Ftes_arch.Wcet.map (fun c -> 120. -. c) base.Problem.wcet)
+      ();
     variant
       ~arch:
         (Ftes_arch.Arch.make ~node_count:3
            ~bus:(Bus.single ~setup:15. ~bandwidth:0.25 ())
            ())
-      ~wcet:base.Problem.wcet;
+      ~wcet:base.Problem.wcet ();
+    variant
+      ~app:
+        (Ftes_app.App.with_transparency base.Problem.app
+           Ftes_app.Transparency.none)
+      ~arch:base.Problem.arch ~wcet:base.Problem.wcet ();
   |]
 
 let test_slack_priority_memo () =
   let universes = memo_universes () in
-  let order = [ 0; 1; 0; 2; 1; 2; 0; 2; 1; 1; 0; 0; 2 ] in
+  let order = [ 0; 1; 0; 2; 1; 3; 2; 0; 3; 2; 1; 1; 3; 0; 0; 2 ] in
   let tasks =
     List.concat_map
       (fun remaps ->
@@ -1130,16 +1234,25 @@ let test_slack_priority_memo () =
       Alcotest.(check bool) (Printf.sprintf "jobs 4, evaluation %d" i) true ok)
     (Ftes_util.Par.map ~jobs:4 check tasks)
 
-(* Minor-heap words per [Slack.evaluate] on a fixed 40-process TDMA
-   design with every process actively replicated, k = 3 (512 bus
-   transmissions). The count is deterministic for a given compiler and
-   build profile. The bound is 1.5x the 37,705 words measured once the
-   bus walk stopped boxing a window per reservation it passes and the
-   priorities were memoized; with the boxing walk it was 181,413, so
-   bringing that back fails here long before it shows in a timing. *)
-let slack_alloc_bound = 56_558.
+(* Minor-heap words per evaluation on a fixed 40-process TDMA design
+   with every process actively replicated, k = 3 (512 bus
+   transmissions). The counts are deterministic for a given compiler and
+   build profile.
 
-let test_slack_allocation () =
+   [Slack.evaluate]: the bound is 1.5x the 17,061 words measured once
+   the estimator ran on per-universe tables and a per-domain scratch;
+   it was 56,558 (1.5x 37,705) when every evaluation rebuilt its tables
+   and placement records, and 181,413 words with the bus walk that
+   boxed a window per reservation it passes.
+
+   [Slack.length], the optimizer path, builds no placement lists: the
+   bound is 1.5x the 7,682 words measured, the floats boxed across the
+   calls into [Lane] and [Fttime]. Rebuilding the lists or the tables on
+   this path fails here long before it shows in a timing. *)
+let slack_alloc_bound = 25_592.
+let slack_length_alloc_bound = 11_523.
+
+let replicated_design () =
   let k = 3 in
   let p =
     Ftes_workload.Gen.problem ~k
@@ -1148,23 +1261,33 @@ let test_slack_allocation () =
   let policies =
     Array.make (Array.length p.Problem.policies) (Policy.replication ~k)
   in
-  let p =
-    Problem.with_policies p policies
-      (Problem.fastest_mapping ~app:p.Problem.app ~wcet:p.Problem.wcet
-         ~policies)
-  in
-  ignore (Slack.evaluate p);
+  Problem.with_policies p policies
+    (Problem.fastest_mapping ~app:p.Problem.app ~wcet:p.Problem.wcet
+       ~policies)
+
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
   let reps = 10 in
   let before = Gc.minor_words () in
   for _ = 1 to reps do
-    ignore (Slack.evaluate p)
+    ignore (Sys.opaque_identity (f ()))
   done;
-  let words = (Gc.minor_words () -. before) /. float_of_int reps in
+  (Gc.minor_words () -. before) /. float_of_int reps
+
+let check_words what words bound =
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f words per evaluation <= %.0f" words
-       slack_alloc_bound)
-    true
-    (words <= slack_alloc_bound)
+    (Printf.sprintf "%.0f words per %s <= %.0f" words what bound)
+    true (words <= bound)
+
+let test_slack_allocation () =
+  let p = replicated_design () in
+  check_words "evaluation" (words_per_call (fun () -> Slack.evaluate p))
+    slack_alloc_bound
+
+let test_slack_length_allocation () =
+  let p = replicated_design () in
+  check_words "length" (words_per_call (fun () -> Slack.length p))
+    slack_length_alloc_bound
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic invariants                                              *)
@@ -1321,6 +1444,8 @@ let () =
             test_slack_priority_memo;
           Alcotest.test_case "allocation per evaluation" `Quick
             test_slack_allocation;
+          Alcotest.test_case "optimizer-path allocation per length" `Quick
+            test_slack_length_allocation;
         ]
         @ slack_props @ oracle_props );
       ("metamorphic", metamorphic_props);
