@@ -331,7 +331,7 @@ let synthesize_cmd =
   let portfolio =
     Arg.(value & flag & info [ "portfolio" ]
            ~doc:"Race the whole strategy portfolio (MXR, MX, SFX, MR and \
-                 the diagnostics-driven LNS engine, diversified over \
+                 the large-neighborhood restart engine LNS, diversified over \
                  seeds/tenures/neighborhoods) concurrently on the domain \
                  pool with a shared evaluation cache, and keep the best \
                  design. Overrides --strategy; combine with --progress \
@@ -393,7 +393,7 @@ let synthesize_cmd =
   let stats =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Print evaluation-cache statistics (lookups, hit rate, \
-                 evictions) after synthesis.")
+                 inserts, entries) after synthesis.")
   in
   let recorder = "Turns on the run's one instrumentation recorder, as do \
                   --events, --progress, --trace, --metrics, \

@@ -74,8 +74,10 @@ let () =
       | None -> ())
   | None -> Format.printf "tables not produced@.");
 
-  match Ftes_core.Synthesis.validate_messages result with
+  match Ftes_core.Synthesis.validate result with
   | [] -> Format.printf "@.fault-injection validation: OK@."
   | vs ->
-      List.iter (fun v -> Format.printf "  ! %s@." v) vs;
+      List.iter
+        (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
+        vs;
       exit 1

@@ -31,9 +31,12 @@ let () =
 
   (* The transparency requirements: m2, m3 and every copy of P3 keep one
      start time across all 15 fault scenarios. *)
-  (match Ftes_sim.Sim.frozen_start_messages table with
+  (match Ftes_sim.Sim.frozen_start_violations table with
   | [] -> Format.printf "transparency: all frozen start times invariant@."
-  | vs -> List.iter (fun v -> Format.printf "  ! %s@." v) vs);
+  | vs ->
+      List.iter
+        (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
+        vs);
 
   match Ftes_sim.Sim.validate_messages table with
   | [] ->

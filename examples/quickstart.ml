@@ -32,9 +32,11 @@ let () =
   (* 4. Validate by fault injection: every scenario with at most one
      fault must meet the deadline, and frozen items must keep a single
      start time. *)
-  match Ftes_core.Synthesis.validate_messages result with
+  match Ftes_core.Synthesis.validate result with
   | [] -> Format.printf "@.fault-injection validation: OK@."
   | violations ->
       Format.printf "@.validation failed:@.";
-      List.iter (fun v -> Format.printf "  ! %s@." v) violations;
+      List.iter
+        (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
+        violations;
       exit 1

@@ -127,13 +127,10 @@ let schedulable t =
       t.estimate.Slack.length
       <= t.problem.Problem.app.App.deadline +. 1e-9
 
-let validate ?jobs ?stop_after ?mode t =
+let validate ?jobs ?mode t =
   match t.table with
-  | Some table -> Ftes_sim.Sim.validate ?jobs ?stop_after ?mode table
+  | Some table -> Ftes_sim.Sim.validate ?jobs ?mode table
   | None -> []
-
-let validate_messages ?jobs t =
-  List.map Ftes_sim.Violation.to_string (validate ?jobs t)
 
 let diagnose ?jobs t =
   Option.map (fun table -> Ftes_sim.Diagnose.report ?jobs table) t.table

@@ -85,23 +85,14 @@ val schedulable : t -> bool
     the application deadline in every scenario. *)
 
 val validate :
-  ?jobs:int ->
-  ?stop_after:int ->
-  ?mode:Ftes_sim.Sim.mode ->
-  t ->
-  Ftes_sim.Violation.t list
+  ?jobs:int -> ?mode:Ftes_sim.Sim.mode -> t -> Ftes_sim.Violation.t list
 (** Fault-injection validation of the schedule tables (empty when no
     tables were produced — the estimate alone cannot be simulated).
-    [jobs], [stop_after] and [mode] are forwarded to
-    {!Ftes_sim.Sim.validate}; the default [`Explicit] is the packed
-    sharded validator, whose result is [jobs]-invariant and, with
-    [stop_after], a minimal prefix of the exhaustive list. [`Symbolic]
-    and [`Auto] trade the full enumeration for cube replay with one
-    confirmed witness per failing cube (see {!Ftes_sim.Sim.mode}). *)
-
-val validate_messages : ?jobs:int -> t -> string list
-(** {!validate} rendered with {!Ftes_sim.Violation.to_string} — the
-    historical string API. *)
+    [jobs] and [mode] are forwarded to {!Ftes_sim.Sim.validate}; the
+    default [`Explicit] is the packed sharded validator, whose result
+    is [jobs]-invariant. [`Symbolic] and [`Auto] trade the full
+    enumeration for cube replay with one confirmed witness per failing
+    cube (see {!Ftes_sim.Sim.mode}). *)
 
 val diagnose : ?jobs:int -> t -> Ftes_sim.Diagnose.report option
 (** Grouped, shrunk counterexample report of {!validate}; [None] when

@@ -15,7 +15,6 @@ module Telemetry = Ftes_util.Telemetry
 let c_hits = Telemetry.counter "evalcache.hits"
 let c_misses = Telemetry.counter "evalcache.misses"
 let c_inserts = Telemetry.counter "evalcache.inserts"
-let c_evictions = Telemetry.counter "evalcache.evictions"
 let c_bypasses = Telemetry.counter "evalcache.bypasses"
 
 type stats = {
@@ -23,7 +22,6 @@ type stats = {
   hits : int;
   misses : int;
   inserts : int;
-  evictions : int;
   bypasses : int;
   entries : int;
 }
@@ -31,16 +29,13 @@ type stats = {
 type shard = {
   lock : Mutex.t;
   table : (string, Slack.result) Hashtbl.t;
-  order : string Queue.t;  (* insertion order, for FIFO eviction *)
   mutable hits : int;
   mutable misses : int;
   mutable inserts : int;
-  mutable evictions : int;
 }
 
 type t = {
   shards : shard array;
-  per_shard_capacity : int;
   (* The first problem evaluated pins the universe (application,
      architecture, WCET table — everything the signature does not
      encode); foreign problems bypass the cache. *)
@@ -48,22 +43,22 @@ type t = {
   bypasses : int Atomic.t;
 }
 
-let create ?(shards = 16) ?(capacity = 65536) () =
-  if shards < 1 then invalid_arg "Evalcache.create: shards < 1";
-  if capacity < 1 then invalid_arg "Evalcache.create: capacity < 1";
+(* Lock stripes. One search stores a few thousand entries at most, so
+   nothing is ever evicted; the stripes only keep the portfolio's
+   domains from queueing on one lock. *)
+let stripes = 16
+
+let create () =
   {
     shards =
-      Array.init shards (fun _ ->
+      Array.init stripes (fun _ ->
           {
             lock = Mutex.create ();
             table = Hashtbl.create 64;
-            order = Queue.create ();
             hits = 0;
             misses = 0;
             inserts = 0;
-            evictions = 0;
           });
-    per_shard_capacity = max 1 ((capacity + shards - 1) / shards);
     universe = Atomic.make None;
     bypasses = Atomic.make 0;
   }
@@ -152,15 +147,7 @@ let evaluate ?(ft = true) t (p : Problem.t) =
         let r = Slack.estimate ~ft p in
         Mutex.lock shard.lock;
         if not (Hashtbl.mem shard.table key) then begin
-          if Hashtbl.length shard.table >= t.per_shard_capacity then (
-            match Queue.take_opt shard.order with
-            | Some victim ->
-                Hashtbl.remove shard.table victim;
-                shard.evictions <- shard.evictions + 1;
-                Telemetry.incr c_evictions
-            | None -> ());
           Hashtbl.add shard.table key r;
-          Queue.push key shard.order;
           shard.inserts <- shard.inserts + 1;
           Telemetry.incr c_inserts
         end;
@@ -181,7 +168,6 @@ let stats t =
             hits = acc.hits + s.hits;
             misses = acc.misses + s.misses;
             inserts = acc.inserts + s.inserts;
-            evictions = acc.evictions + s.evictions;
             entries = acc.entries + Hashtbl.length s.table;
           }
         in
@@ -192,7 +178,6 @@ let stats t =
         hits = 0;
         misses = 0;
         inserts = 0;
-        evictions = 0;
         bypasses = Atomic.get t.bypasses;
         entries = 0;
       }
@@ -208,11 +193,9 @@ let clear t =
     (fun s ->
       Mutex.lock s.lock;
       Hashtbl.reset s.table;
-      Queue.clear s.order;
       s.hits <- 0;
       s.misses <- 0;
       s.inserts <- 0;
-      s.evictions <- 0;
       Mutex.unlock s.lock)
     t.shards;
   Atomic.set t.bypasses 0;
@@ -220,8 +203,8 @@ let clear t =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "%d lookups: %d hits (%.1f%%), %d misses; %d inserts, %d evictions, %d \
-     bypasses, %d entries"
+    "%d lookups: %d hits (%.1f%%), %d misses; %d inserts, %d bypasses, %d \
+     entries"
     s.lookups s.hits
     (hit_rate s *. 100.)
-    s.misses s.inserts s.evictions s.bypasses s.entries
+    s.misses s.inserts s.bypasses s.entries

@@ -40,27 +40,19 @@ type stats = {
   hits : int;
   misses : int;
   inserts : int;
-  evictions : int;  (** Entries dropped to respect [capacity]. *)
   bypasses : int;  (** Requests from a foreign universe, not cached. *)
   entries : int;  (** Entries currently stored. *)
 }
 
-val create : ?shards:int -> ?capacity:int -> unit -> t
-(** [shards] (default 16) lock stripes; [capacity] (default 65536) a
-    bound on the {e total} number of stored results, split evenly across
-    shards (at least one entry per shard). When a shard is full the
-    oldest entry of that shard is evicted (FIFO).
-    @raise Invalid_argument when either is < 1. *)
+val create : unit -> t
+(** An empty cache. Entries are never evicted: one search stores a few
+    thousand designs at most. *)
 
 val signature : ?ft:bool -> Ftes_ftcpg.Problem.t -> string
 (** The canonical structural key: [ft] flag ⊕ [k] ⊕ per-process policy
     plans ⊕ mapping vector. Injective over everything [Slack.estimate]
     reads from the configuration (two problems of the same universe get
     equal signatures iff the evaluator cannot distinguish them). *)
-
-val signature_hash : string -> int
-(** FNV-1a-style hash of a signature, used for shard selection.
-    Exposed for the collision tests. *)
 
 val evaluate : ?ft:bool -> t -> Ftes_ftcpg.Problem.t -> Ftes_sched.Slack.result
 (** Memoized [Ftes_sched.Slack.estimate ?ft]: [evaluate]'s figures and

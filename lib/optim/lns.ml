@@ -1,16 +1,11 @@
-(* Diagnostics-driven large-neighborhood restarts. See lns.mli. *)
+(* Large-neighborhood restarts on the estimator's critical processes.
+   See lns.mli. *)
 
 module Problem = Ftes_ftcpg.Problem
-module Ftcpg = Ftes_ftcpg.Ftcpg
-module Cond = Ftes_ftcpg.Cond
 module Mapping = Ftes_ftcpg.Mapping
 module Wcet = Ftes_arch.Wcet
 module Slack = Ftes_sched.Slack
 module Rng = Ftes_util.Rng
-module Telemetry = Ftes_util.Telemetry
-
-let c_diagnoses = Telemetry.counter "lns.diagnoses"
-let c_diagnosis_reuses = Telemetry.counter "lns.diagnosis_reuses"
 
 type options = {
   seed : int;
@@ -18,8 +13,6 @@ type options = {
   destroy : int;
   repair_iterations : int;
   sample : int;
-  diag_max_vertices : int;
-  diag_max_violations : int;
   cache : Evalcache.t option;
   stop : (unit -> bool) option;
   shared : Incumbent.handle option;
@@ -33,66 +26,11 @@ let default_options =
     destroy = 3;
     repair_iterations = 30;
     sample = 12;
-    diag_max_vertices = 2_000;
-    diag_max_violations = 48;
     cache = None;
     stop = None;
     shared = None;
     exchange = false;
   }
-
-let uniq_ints xs = List.sort_uniq compare xs
-
-let diagnostic_targets ?(max_vertices = 2_000) ?(max_violations = 48) problem
-    =
-  match Ftcpg.build ~max_vertices problem with
-  | exception Ftcpg.Too_large _ -> []
-  | g -> (
-      match Ftes_sched.Conditional.schedule g with
-      | exception Ftes_sched.Conditional.Too_many_tracks _ -> []
-      | table ->
-          let violations =
-            Ftes_sim.Sim.validate ~jobs:1 ~stop_after:max_violations table
-          in
-          if violations = [] then []
-          else begin
-            let report =
-              Ftes_sim.Diagnose.of_violations ~max_shrinks:4 table violations
-            in
-            (* A condition id is the vid of the conditional vertex that
-               produces it, so both the guilty vertex and the fault
-               literals of a shrunk counterexample resolve to process
-               ids through the vertex table. *)
-            let pid_of_vid vid =
-              if vid < 0 || vid >= Ftcpg.vertex_count g then None
-              else
-                match (Ftcpg.vertex g vid).Ftcpg.kind with
-                | Ftcpg.Proc_copy { pid; _ } -> Some pid
-                | _ -> None
-            in
-            let of_group (grp : Ftes_sim.Diagnose.group) =
-              let from_vertex =
-                match (grp.Ftes_sim.Diagnose.kind, grp.vertex) with
-                (* local-deadline violations carry the process id
-                   directly, everything else an FT-CPG vertex. *)
-                | "local-deadline-missed", Some pid -> [ pid ]
-                | _, Some vid -> Option.to_list (pid_of_vid vid)
-                | _, None -> []
-              in
-              let from_scenario =
-                match grp.Ftes_sim.Diagnose.shrunk with
-                | None -> []
-                | Some guard ->
-                    List.filter_map
-                      (fun (l : Cond.literal) ->
-                        if l.Cond.fault then pid_of_vid l.Cond.cond else None)
-                      (Cond.literals guard)
-              in
-              from_vertex @ from_scenario
-            in
-            uniq_ints
-              (List.concat_map of_group report.Ftes_sim.Diagnose.groups)
-          end)
 
 let slack_targets ?cache problem =
   let result =
@@ -137,26 +75,6 @@ let optimize opts problem =
     | Some h -> ignore (Incumbent.publish_handle h len)
     | None -> ()
   in
-  (* A restart that does not improve returns to [!best], so the same
-     design is often diagnosed again; within one run the application,
-     architecture and WCET table are fixed, so the evaluator signature
-     identifies the design. *)
-  let diagnosed = Hashtbl.create 8 in
-  let diagnose p =
-    let key = Evalcache.signature p in
-    match Hashtbl.find_opt diagnosed key with
-    | Some targets ->
-        Telemetry.incr c_diagnosis_reuses;
-        targets
-    | None ->
-        Telemetry.incr c_diagnoses;
-        let targets =
-          diagnostic_targets ~max_vertices:opts.diag_max_vertices
-            ~max_violations:opts.diag_max_violations p
-        in
-        Hashtbl.add diagnosed key targets;
-        targets
-  in
   let best = ref problem in
   let best_len = ref (objective problem) in
   publish !best_len;
@@ -164,16 +82,10 @@ let optimize opts problem =
   (try
      for restart = 1 to opts.restarts do
        if stopped () then raise Exit;
-       (* Where to strike: the shrunk counterexamples of a failing
-          table name the guilty processes; a clean (or inexpansible)
-          design falls back to the estimator's critical processes. *)
+       (* Where to strike: the processes whose recovery costs the
+          estimate most. *)
        let targets =
-         match diagnose !current with
-         | [] -> slack_targets ?cache:opts.cache !current
-         | pids -> pids
-       in
-       let targets =
-         match targets with
+         match slack_targets ?cache:opts.cache !current with
          | [] ->
              (* Degenerate instance: perturb anything. *)
              List.init

@@ -153,7 +153,6 @@ let run ?(opts = default_options) ?members (i : Strategy.inputs) =
       | Lns { restarts; destroy } ->
           Lns.optimize
             {
-              Lns.default_options with
               Lns.seed = m.seed;
               restarts;
               destroy;
@@ -175,10 +174,9 @@ let run ?(opts = default_options) ?members (i : Strategy.inputs) =
   in
   (* The caller runs members too, so the race takes [jobs] domains in
      all. LNS members go first: one is the slowest member of nearly
-     every race (each restart builds and validates a conditional
-     table), so starting it last would leave it running alone at the
-     end. Outcomes go back to member order, on which the winner's
-     tie-break depends. *)
+     every race (four policy-descent-plus-tabu repairs), so starting it
+     last would leave it running alone at the end. Outcomes go back to
+     member order, on which the winner's tie-break depends. *)
   let outcomes =
     let indexed = List.mapi (fun idx m -> (idx, m)) members in
     let lns, strategies =

@@ -3,7 +3,7 @@
     incumbent, return an anytime result (ROADMAP item 3).
 
     A {e member} is one configuration — an engine (a Fig. 7/8 strategy
-    or the diagnostics-driven {!Lns} restart engine) plus its seed,
+    or the {!Lns} large-neighborhood restart engine) plus its seed,
     tabu tenure and neighborhood sample size. {!run} computes the
     fault-free baseline once, launches every member concurrently via
     [Ftes_util.Par.map] on up to [jobs] domains (the calling domain runs

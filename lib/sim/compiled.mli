@@ -130,8 +130,3 @@ val replay_range :
 (** Replay rows [lo, hi) with a fresh local scratch, violations in
     scenario order. Bumps the [sim.scenarios]/[sim.violations]
     telemetry counters. *)
-
-(**/**)
-
-val c_scenarios : Ftes_util.Telemetry.counter
-val c_violations : Ftes_util.Telemetry.counter

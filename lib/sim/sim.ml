@@ -2,7 +2,6 @@ module Cond = Ftes_ftcpg.Cond
 module Condvec = Ftes_ftcpg.Condvec
 module Ftcpg = Ftes_ftcpg.Ftcpg
 module Table = Ftes_sched.Table
-module Telemetry = Ftes_util.Telemetry
 module Events = Ftes_util.Events
 
 type event = { time : float; what : string }
@@ -133,97 +132,9 @@ let replay_space ?jobs c sp =
     out
   end
 
-(* Early-exit replay: consume the arena in pool-sized batches and trim
-   the result to the exact minimal scenario prefix whose cumulative
-   violation count reaches [limit]. The trim makes the result
-   independent of the batch size — and therefore of [jobs] — while the
-   batch size itself scales with the pool so no worker sits idle. *)
-let replay_until_space ?jobs ~limit c sp =
-  let count = Condvec.count sp in
-  let jobs_hint =
-    if Ftes_util.Par.in_worker () then 1
-    else
-      match jobs with
-      | Some j -> max 1 j
-      | None -> Ftes_util.Par.default_jobs ()
-  in
-  let batch = max 32 (8 * jobs_hint) in
-  (* Scratches outlive a batch: a range takes one from the free list
-     and returns it when done, so at most one per concurrent range is
-     ever built. *)
-  let free = ref [] in
-  let lock = Mutex.create () in
-  let take () =
-    Mutex.protect lock (fun () ->
-        match !free with
-        | scr :: rest ->
-            free := rest;
-            scr
-        | [] -> Compiled.make_scratch c)
-  in
-  let give scr = Mutex.protect lock (fun () -> free := scr :: !free) in
-  let rec go pos found acc =
-    if pos >= count then List.concat (List.rev acc)
-    else begin
-      let hi = min count (pos + batch) in
-      let out = Array.make (hi - pos) [] in
-      ignore
-        (Ftes_util.Par.map_ranges ?jobs (hi - pos) (fun lo hi' ->
-             let scr = take () in
-             for off = lo to hi' - 1 do
-               Telemetry.incr Compiled.c_scenarios;
-               let vs = Compiled.replay_one c sp (pos + off) scr in
-               if vs <> [] then begin
-                 if Events.enabled () then
-                   Telemetry.add Compiled.c_violations (List.length vs);
-                 out.(off) <- vs
-               end
-             done;
-             give scr));
-      if Events.enabled () then begin
-        Events.emit
-          (Events.Validation_progress
-             { backend = "explicit"; cleared = hi; total = count });
-        Events.drain ()
-      end;
-      let found = ref found in
-      let cut = ref (-1) in
-      (try
-         for off = 0 to Array.length out - 1 do
-           match out.(off) with
-           | [] -> ()
-           | vs ->
-               found := !found + List.length vs;
-               if !found >= limit then begin
-                 cut := off;
-                 raise Exit
-               end
-         done
-       with Exit -> ());
-      if !cut >= 0 then begin
-        let kept = ref [] in
-        for off = !cut downto 0 do
-          if out.(off) <> [] then kept := out.(off) :: !kept
-        done;
-        List.concat (List.rev_append acc !kept)
-      end
-      else go hi !found (List.concat (Array.to_list out) :: acc)
-    end
-  in
-  go 0 0 []
-
-let check_space ?jobs ?stop_after table sp =
+let check_space ?jobs table sp =
   let c = Compiled.compile table sp.Condvec.u in
-  let body () =
-    match stop_after with
-    | Some limit when limit > 0 ->
-        let vs = replay_until_space ?jobs ~limit c sp in
-        (* The transparency check only runs when scenario replay did not
-           already prove the table bad. *)
-        if List.length vs >= limit then vs
-        else vs @ frozen_start_violations table
-    | _ -> replay_space ?jobs c sp @ frozen_start_violations table
-  in
+  let body () = replay_space ?jobs c sp @ frozen_start_violations table in
   if Events.enabled () then
     Events.with_span ~cat:"sim"
       ~args:[ ("scenarios", Events.Int (Condvec.count sp)) ]
@@ -238,18 +149,12 @@ let auto_threshold = 65_536.
 
 type mode = [ `Explicit | `Symbolic | `Auto ]
 
-let validate ?jobs ?stop_after ?(mode = `Explicit) table =
+let validate ?jobs ?(mode = `Explicit) table =
   let explicit () =
-    check_space ?jobs ?stop_after table
-      (Ftcpg.scenario_space table.Table.ftcpg)
+    check_space ?jobs table (Ftcpg.scenario_space table.Table.ftcpg)
   in
   let symbolic () =
-    let body () =
-      let vs = Symbolic.check ?jobs ?stop_after table in
-      match stop_after with
-      | Some limit when limit > 0 && List.length vs >= limit -> vs
-      | _ -> vs @ frozen_start_violations table
-    in
+    let body () = Symbolic.check ?jobs table @ frozen_start_violations table in
     if Events.enabled () then
       Events.with_span ~cat:"sim" "sim.validate.symbolic" body
     else body ()
@@ -262,7 +167,7 @@ let validate ?jobs ?stop_after ?(mode = `Explicit) table =
       | Some count when count > auto_threshold -> symbolic ()
       | Some _ | None -> explicit ())
 
-let validate_sampled ?jobs ?stop_after ~rng ~samples table =
+let validate_sampled ?jobs ~rng ~samples table =
   let sp = Ftcpg.scenario_space table.Table.ftcpg in
   let total = Condvec.count sp in
   (* Sample by index over the arena instead of materializing the full
@@ -279,17 +184,10 @@ let validate_sampled ?jobs ?stop_after ~rng ~samples table =
   done;
   let sampled = List.init keep (fun j -> Condvec.guard_at sp idx.(j)) in
   let chosen = List.sort_uniq Cond.compare (!no_fault @ sampled) in
-  check_space ?jobs ?stop_after table (Condvec.of_guards sp.Condvec.u chosen)
+  check_space ?jobs table (Condvec.of_guards sp.Condvec.u chosen)
 
-(* String-compatible wrappers: the historical API, used by the ordered-
-   merge determinism tests and by log-oriented callers. *)
-let messages = List.map Violation.to_string
-let validate_messages ?jobs table = messages (validate ?jobs table)
-
-let validate_sampled_messages ?jobs ~rng ~samples table =
-  messages (validate_sampled ?jobs ~rng ~samples table)
-
-let frozen_start_messages table = messages (frozen_start_violations table)
+let validate_messages ?jobs table =
+  List.map Violation.to_string (validate ?jobs table)
 
 let pp_outcome ppf o =
   Format.fprintf ppf "@[<v>scenario faults=%d makespan=%g%s@,"

@@ -30,8 +30,8 @@
     - deadlines: global and local, in every scenario.
 
     Findings are reported as typed {!Violation.t} records (see
-    {!Diagnose} for shrinking and grouping); the [*_messages] wrappers
-    retain the historical string renderings byte for byte. *)
+    {!Diagnose} for shrinking and grouping); {!validate_messages}
+    keeps the historical string rendering byte for byte. *)
 
 type event = {
   time : float;
@@ -83,7 +83,6 @@ type mode = [ `Explicit | `Symbolic | `Auto ]
 
 val validate :
   ?jobs:int ->
-  ?stop_after:int ->
   ?mode:mode ->
   Ftes_sched.Table.t ->
   Violation.t list
@@ -100,22 +99,10 @@ val validate :
     byte-identical for every [jobs] value — and byte-identical to one
     reference [Sim_oracle.run] per scenario followed by
     {!frozen_start_violations}, the composition the tests keep as
-    their oracle ([test/sim_oracle.ml]).
-
-    [stop_after] enables early exit for callers that only need to know
-    a table is bad (e.g. optimization loops): replay proceeds in
-    pool-sized scenario batches and the result is trimmed to the exact
-    minimal scenario prefix whose cumulative violation count reaches
-    [stop_after]. The result is then a non-empty prefix of the
-    exhaustive violation list (the transparency check is skipped once
-    the table is known-bad), independent of [jobs] and of the batch
-    size. In symbolic mode, [stop_after] bounds refinement instead; the
-    result remains [jobs]-invariant but is not a prefix of the
-    explicit list (see {!mode}). *)
+    their oracle ([test/sim_oracle.ml]). *)
 
 val validate_sampled :
   ?jobs:int ->
-  ?stop_after:int ->
   rng:Ftes_util.Rng.t ->
   samples:int ->
   Ftes_sched.Table.t ->
@@ -132,14 +119,5 @@ val frozen_start_violations : Ftes_sched.Table.t -> Violation.t list
 val validate_messages : ?jobs:int -> Ftes_sched.Table.t -> string list
 (** [List.map Violation.to_string (validate ?jobs t)] — the pre-typed
     string API, byte-identical to the historical renderings. *)
-
-val validate_sampled_messages :
-  ?jobs:int ->
-  rng:Ftes_util.Rng.t ->
-  samples:int ->
-  Ftes_sched.Table.t ->
-  string list
-
-val frozen_start_messages : Ftes_sched.Table.t -> string list
 
 val pp_outcome : Format.formatter -> outcome -> unit

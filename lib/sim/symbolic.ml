@@ -475,7 +475,7 @@ let generalize cube support =
   done;
   { cmask; cbits }
 
-let check_table ?jobs ?stop_after (table : Table.t) =
+let check_table ?jobs (table : Table.t) =
   let ftcpg = table.Table.ftcpg in
   let family = Ftcpg.scenario_family ftcpg in
   let u = family.Ftcpg.funiverse in
@@ -489,7 +489,6 @@ let check_table ?jobs ?stop_after (table : Table.t) =
     }
   in
   let c = Compiled.compile table u in
-  let limit = match stop_after with Some l when l > 0 -> Some l | _ -> None in
   let cubes = ref 0 and splits = ref 0 and subsumed = ref 0 in
   let empties = ref 0 in
   let sat_queries = ref 0 and witnesses = ref 0 and rounds = ref 0 in
@@ -556,12 +555,7 @@ let check_table ?jobs ?stop_after (table : Table.t) =
                { backend = "symbolic"; cleared = !cubes; total = 0 });
           Events.drain ()
         end;
-        let stop =
-          match limit with
-          | Some l -> List.length !violations >= l
-          | None -> false
-        in
-        if not stop then loop (List.rev !next)
+        loop (List.rev !next)
   in
   loop [ top fam.words ];
   let stats =
@@ -578,8 +572,8 @@ let check_table ?jobs ?stop_after (table : Table.t) =
   in
   (List.rev !violations, stats)
 
-let check ?jobs ?stop_after table = fst (check_table ?jobs ?stop_after table)
-let check_stats ?jobs ?stop_after table = check_table ?jobs ?stop_after table
+let check ?jobs table = fst (check_table ?jobs table)
+let check_stats = check_table
 
 (* ------------------------------------------------------------------ *)
 (* Scenario counting for frozen chain structures                       *)

@@ -48,21 +48,14 @@ type stats = {
   rounds : int;  (** Worklist rounds (parallel fan-out barriers). *)
 }
 
-val check :
-  ?jobs:int -> ?stop_after:int -> Ftes_sched.Table.t -> Violation.t list
+val check : ?jobs:int -> Ftes_sched.Table.t -> Violation.t list
 (** Validate the table symbolically. [jobs] parallelizes cube replay
-    within each worklist round (result is [jobs]-invariant);
-    [stop_after] stops refining once that many violations have been
-    confirmed (the result may exceed it by the last round's findings).
-    Does {e not} include {!Sim.frozen_start_violations} — callers go
+    within each worklist round (result is [jobs]-invariant). Does
+    {e not} include {!Sim.frozen_start_violations} — callers go
     through {!Sim.validate} with [~mode:`Symbolic] for the composed
     check. *)
 
-val check_stats :
-  ?jobs:int ->
-  ?stop_after:int ->
-  Ftes_sched.Table.t ->
-  Violation.t list * stats
+val check_stats : ?jobs:int -> Ftes_sched.Table.t -> Violation.t list * stats
 (** {!check} plus the work counters (also published as
     [sim.symbolic.*] telemetry). *)
 

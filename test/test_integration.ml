@@ -68,7 +68,7 @@ let test_synthesize_fig3_all_strategies () =
       Alcotest.(check bool) (name ^ " has fto") true
         (result.Synthesis.fto <> None);
       Alcotest.(check (list string)) (name ^ " validates") []
-        (Synthesis.validate_messages result))
+        (List.map Ftes_sim.Violation.to_string (Synthesis.validate result)))
     [ Strategy.MXR; Strategy.MX; Strategy.SFX; Strategy.MC_global ]
 
 let test_synthesize_of_problem () =
@@ -117,7 +117,7 @@ let test_merged_application_synthesis () =
   let result = Synthesis.synthesize ~app ~arch ~wcet ~k:1 () in
   Alcotest.(check bool) "schedulable" true (Synthesis.schedulable result);
   Alcotest.(check (list string)) "validates" []
-    (Synthesis.validate_messages result);
+    (List.map Ftes_sim.Violation.to_string (Synthesis.validate result));
   (* Local deadlines of the short application's instances are enforced
      by the validation above; check they exist. *)
   let g = app.Ftes_app.App.graph in
@@ -372,6 +372,25 @@ let test_cli_simulate_golden () =
        "simulate_faults2_deadline400.out");
     ]
 
+(* [ftes synthesize --portfolio] on a generated instance: the race's
+   winner, its design and its tables, byte for byte at jobs 1 and 2. *)
+let test_cli_portfolio_golden () =
+  let code, text, _ =
+    run_ftes [ "generate"; "-p"; "16"; "-n"; "3"; "-k"; "2"; "--seed"; "4" ]
+  in
+  Alcotest.(check int) "generate exit code" 0 code;
+  let golden = read_file (Filename.concat "golden" "portfolio_p16.out") in
+  with_temp_instance text (fun path ->
+      List.iter
+        (fun jobs ->
+          let code, out, _ =
+            run_ftes [ "synthesize"; path; "--portfolio"; "--jobs"; jobs ]
+          in
+          Alcotest.(check int) ("jobs " ^ jobs ^ ": exit code") 0 code;
+          Alcotest.(check string) ("jobs " ^ jobs ^ ": portfolio_p16.out")
+            golden out)
+        [ "1"; "2" ])
+
 (* [-j/--jobs] takes a domain count of at least 1: anything else is a
    usage error (cmdliner's exit 124) before any work starts. *)
 let test_cli_jobs_validated () =
@@ -447,6 +466,8 @@ let () =
             test_cli_jobs_validated;
           Alcotest.test_case "missing file exits 2" `Quick
             test_cli_missing_file;
+          Alcotest.test_case "portfolio output = golden" `Quick
+            test_cli_portfolio_golden;
         ] );
       ( "reliability",
         [

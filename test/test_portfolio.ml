@@ -1,8 +1,7 @@
 (* Tests for the parallel strategy portfolio: deterministic-mode
    jobs-invariance, anytime-curve monotonicity, the compute-nft-once
-   contract (pinned by cache lookup counts), the LNS engine and its
-   diagnostics-driven targeting, deadline mode, the live race events and
-   the Synthesis.portfolio option. *)
+   contract (pinned by cache lookup counts), the LNS engine, deadline
+   mode, the live race events and the Synthesis.portfolio option. *)
 
 module Portfolio = Ftes_optim.Portfolio
 module Incumbent = Ftes_optim.Incumbent
@@ -11,7 +10,6 @@ module Tabu = Ftes_optim.Tabu
 module Strategy = Ftes_optim.Strategy
 module Evalcache = Ftes_optim.Evalcache
 module Problem = Ftes_ftcpg.Problem
-module Mapping = Ftes_ftcpg.Mapping
 module Slack = Ftes_sched.Slack
 module Graph = Ftes_app.Graph
 module Events = Ftes_util.Events
@@ -153,7 +151,7 @@ let test_nft_computed_once () =
   Helpers.check_float "nft matches the manual baseline" nft r.Portfolio.nft
 
 (* ------------------------------------------------------------------ *)
-(* The LNS engine and its diagnostics-driven targeting                 *)
+(* The LNS engine                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let lns_opts =
@@ -165,21 +163,6 @@ let lns_opts =
     repair_iterations = 12;
     sample = 8;
   }
-
-let test_lns_improves_or_holds () =
-  let p =
-    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:10
-      ~nodes:3 ~k:2 ~seed:9 ()
-  in
-  let initial = Slack.length p in
-  let best, len = Lns.optimize lns_opts p in
-  Alcotest.(check bool) "never worse than the initial design" true
-    (len <= initial +. 1e-9);
-  Helpers.check_float "returned length matches the returned design" len
-    (Slack.length best);
-  (* Deterministic for fixed options. *)
-  let _, len' = Lns.optimize lns_opts p in
-  Alcotest.(check bool) "repeatable" true (len = len')
 
 (* Rebuild [app] with a local deadline on one process (the graph is
    immutable; ids are dense and re-adding in order preserves them). *)
@@ -205,94 +188,51 @@ let with_local_deadline app pid d =
     ~graph:(Graph.Builder.build b) ~deadline:app.App.deadline
     ~period:app.App.period ()
 
-let test_diagnostic_targets () =
+let failing_deadline_problem () =
   let p =
     Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
       ~nodes:2 ~k:2 ~seed:17 ()
   in
-  (* An unmeetable local deadline on a sink process: every scenario's
-     validation reports local-deadline-missed carrying that pid, so the
-     diagnosis must name it. *)
+  (* An unmeetable local deadline on a sink process: no design meets it,
+     and the estimator's targeting does not see it. *)
   let sink = List.hd (Graph.sinks (Problem.graph p)) in
-  let bad =
-    Problem.make
-      ~app:(with_local_deadline p.Problem.app sink 1e-3)
-      ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
-      ~policies:p.Problem.policies ~mapping:p.Problem.mapping
-  in
-  let targets = Lns.diagnostic_targets bad in
-  Alcotest.(check bool) "failing design yields targets" true (targets <> []);
-  Alcotest.(check bool) "the guilty process is named" true
-    (List.mem sink targets);
-  let nprocs = Graph.process_count (Problem.graph p) in
+  Problem.make
+    ~app:(with_local_deadline p.Problem.app sink 1e-3)
+    ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
+    ~policies:p.Problem.policies ~mapping:p.Problem.mapping
+
+(* On a random design, and on one whose unmeetable local deadline the
+   estimator does not see. *)
+let test_lns_improves_or_holds () =
   List.iter
-    (fun pid ->
-      Alcotest.(check bool)
-        (Printf.sprintf "pid %d in range" pid)
+    (fun (label, p) ->
+      Alcotest.(check bool) (label ^ ": slack targets non-empty") true
+        (Lns.slack_targets p <> []);
+      let initial = Slack.length p in
+      let best, len = Lns.optimize lns_opts p in
+      Alcotest.(check bool) (label ^ ": never worse than the initial design")
         true
-        (pid >= 0 && pid < nprocs))
-    targets;
-  (* A clean design blames nobody through the diagnostics path. *)
-  Alcotest.(check (list int)) "clean design: no diagnostic targets" []
-    (Lns.diagnostic_targets p);
-  (* The estimator fallback always has an opinion. *)
-  Alcotest.(check bool) "slack targets non-empty" true
-    (Lns.slack_targets p <> [])
+        (len <= initial +. 1e-9);
+      Helpers.check_float
+        (label ^ ": returned length matches the returned design")
+        len (Slack.length best);
+      (* Deterministic for fixed options. *)
+      let best', len' = Lns.optimize lns_opts p in
+      Alcotest.(check bool) (label ^ ": repeatable length") true (len = len');
+      Alcotest.(check string) (label ^ ": repeatable design")
+        (Evalcache.signature best) (Evalcache.signature best'))
+    [
+      ( "seed 9",
+        Helpers.random_problem ~frozen:false ~mixed_policies:false
+          ~processes:10 ~nodes:3 ~k:2 ~seed:9 () );
+      ("failing local deadline", failing_deadline_problem ());
+    ]
 
-(* [optimize] memoizes diagnoses by [Evalcache.signature], which is
-   sound when the targets depend on nothing else: two separately built
-   designs with one signature get the same targets, on a design whose
-   local deadline fails everywhere (targets named) and on a clean one. *)
-let test_diagnosis_by_signature () =
-  let rebuilt (p : Problem.t) =
-    (* A fresh mapping value with the same placement. *)
-    let nid = Mapping.node_of p.Problem.mapping ~pid:0 ~copy:0 in
-    let away = Mapping.remap p.Problem.mapping ~pid:0 ~copy:0 ~nid:(1 - nid) in
-    Problem.make ~app:p.Problem.app ~arch:p.Problem.arch ~wcet:p.Problem.wcet
-      ~k:p.Problem.k ~policies:(Array.copy p.Problem.policies)
-      ~mapping:(Mapping.remap away ~pid:0 ~copy:0 ~nid)
-  in
-  let clean =
-    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:8
-      ~nodes:2 ~k:2 ~seed:3 ()
-  in
-  let p =
-    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
-      ~nodes:2 ~k:2 ~seed:17 ()
-  in
-  let sink = List.hd (Graph.sinks (Problem.graph p)) in
-  let failing =
-    Problem.make
-      ~app:(with_local_deadline p.Problem.app sink 1e-3)
-      ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
-      ~policies:p.Problem.policies ~mapping:p.Problem.mapping
-  in
-  List.iter
-    (fun (label, p, named) ->
-      let q = rebuilt p in
-      Alcotest.(check string) (label ^ ": one signature") (Evalcache.signature p)
-        (Evalcache.signature q);
-      let targets = Lns.diagnostic_targets p in
-      Alcotest.(check bool) (label ^ ": targets named") named (targets <> []);
-      Alcotest.(check (list int)) (label ^ ": same targets") targets
-        (Lns.diagnostic_targets q))
-    [ ("clean", clean, false); ("failing local deadline", failing, true) ]
-
-(* The memoized search returns what the search without the memo
-   returned: length (bit for bit) and a digest of the design signature,
-   pinned from a build that diagnosed every visit. Some diagnosis must
-   have been reused. *)
+(* Pinned results: length (bit for bit) and a digest of the design
+   signature. *)
 let test_lns_memo_pinned () =
-  let reuses = Ftes_util.Telemetry.counter "lns.diagnosis_reuses" in
-  let reused = ref 0 in
   let pinned label p (len, digest) =
-    Ftes_util.Telemetry.reset ();
-    Ftes_util.Events.enable ();
-    let best, l =
-      Fun.protect ~finally:Ftes_util.Events.disable (fun () ->
-          Lns.optimize lns_opts p)
-    in
-    reused := !reused + Ftes_util.Telemetry.counter_value reuses;
+    let best, l = Lns.optimize lns_opts p in
     Alcotest.(check string) (label ^ ": length") len (Printf.sprintf "%h" l);
     Alcotest.(check string) (label ^ ": design") digest
       (Digest.to_hex (Digest.string (Evalcache.signature best)))
@@ -308,18 +248,11 @@ let test_lns_memo_pinned () =
       (9, ("0x1.965efe6875763p+8", "9d96938fbf9b3b7355df5aff0352ee07"));
       (21, ("0x1.ba90d260c7044p+8", "57877b7c04bd2b7607f1d7c5f55cabe9"));
     ];
-  let p =
-    Helpers.random_problem ~frozen:false ~mixed_policies:false ~processes:6
-      ~nodes:2 ~k:2 ~seed:17 ()
-  in
-  let sink = List.hd (Graph.sinks (Problem.graph p)) in
+  (* The estimator ranks the sink whose local deadline fails last of six
+     by recovery penalty, so the search strikes other processes. *)
   pinned "failing local deadline"
-    (Problem.make
-       ~app:(with_local_deadline p.Problem.app sink 1e-3)
-       ~arch:p.Problem.arch ~wcet:p.Problem.wcet ~k:p.Problem.k
-       ~policies:p.Problem.policies ~mapping:p.Problem.mapping)
-    ("0x1.9240f9fbcedf2p+8", "10b835df1ac85639b33dad6290f57821");
-  Alcotest.(check bool) "some diagnosis was reused" true (!reused > 0)
+    (failing_deadline_problem ())
+    ("0x1.a2f72f36d3c65p+8", "41797cf8911dd6c08c9cde8e0695cba3")
 
 (* ------------------------------------------------------------------ *)
 (* Anytime mode: deadline and exchange                                 *)
@@ -477,10 +410,6 @@ let () =
         [
           Alcotest.test_case "improves or holds, repeatable" `Slow
             test_lns_improves_or_holds;
-          Alcotest.test_case "diagnostic targets" `Quick
-            test_diagnostic_targets;
-          Alcotest.test_case "diagnoses depend only on the signature"
-            `Quick test_diagnosis_by_signature;
           Alcotest.test_case "memoized search matches pinned results" `Slow
             test_lns_memo_pinned;
         ] );

@@ -158,7 +158,7 @@ let test_validate_sampled () =
   let t = fig5_table () in
   let rng = Ftes_util.Rng.create 1 in
   Alcotest.(check (list string)) "sampled clean" []
-    (Sim.validate_sampled_messages ~rng ~samples:5 t)
+    (List.map Violation.to_string (Sim.validate_sampled ~rng ~samples:5 t))
 
 (* Fig. 5 rescheduled under a deadline below its fault-free completion:
    every scenario (including the nominal one) misses the deadline, which
@@ -181,7 +181,8 @@ let test_sampled_includes_fault_free () =
   (* Zero samples: only the always-included fault-free scenario is
      replayed, and it must report the nominal deadline miss. *)
   let sampled =
-    Sim.validate_sampled_messages ~rng:(Ftes_util.Rng.create 7) ~samples:0 t
+    List.map Violation.to_string
+      (Sim.validate_sampled ~rng:(Ftes_util.Rng.create 7) ~samples:0 t)
   in
   Alcotest.(check bool) "fault-free deadline miss reported" true
     (List.exists (fun v -> Astring_contains.contains v "deadline") sampled)
@@ -285,7 +286,8 @@ let test_frozen_message_byte_identical () =
   Alcotest.(check bool)
     (Printf.sprintf "pinned rendering %S" expected)
     true
-    (List.mem expected (Sim.frozen_start_messages bad))
+    (List.mem expected
+       (List.map Violation.to_string (Sim.frozen_start_violations bad)))
 
 let test_violation_json () =
   let t = tight_fig5_table () in
@@ -363,32 +365,6 @@ let test_diagnose_report () =
         (Astring_contains.contains rendered g.Diagnose.kind))
     r.Diagnose.groups
 
-(* --- stop_after --------------------------------------------------- *)
-
-let test_stop_after_prefix () =
-  let t = tight_fig5_table () in
-  Alcotest.(check (list string)) "no frozen drift on the tight table" []
-    (Sim.frozen_start_messages t);
-  let full = Sim.validate t in
-  let partial = Sim.validate ~stop_after:1 t in
-  Alcotest.(check bool) "non-empty" true (partial <> []);
-  Alcotest.(check bool) "prefix of the exhaustive list" true
-    (List.length partial <= List.length full
-    && List.for_all2
-         (fun a b -> a = b)
-         partial
-         (List.filteri (fun i _ -> i < List.length partial) full));
-  let m1 = List.map Violation.to_string (Sim.validate ~jobs:1 ~stop_after:1 t)
-  and m4 =
-    List.map Violation.to_string (Sim.validate ~jobs:4 ~stop_after:1 t)
-  in
-  Alcotest.(check (list string)) "jobs-independent" m1 m4
-
-let test_stop_after_clean_table () =
-  let t = fig5_table () in
-  Alcotest.(check (list string)) "clean table stays clean" []
-    (List.map Violation.to_string (Sim.validate ~stop_after:1 t))
-
 (* Fuzz: random mixed-policy instances must always validate. *)
 let sim_props =
   let arb =
@@ -453,12 +429,6 @@ let () =
           Alcotest.test_case "shrink keeps passing scenario" `Quick
             test_shrink_keeps_passing_scenario;
           Alcotest.test_case "grouped report" `Quick test_diagnose_report;
-        ] );
-      ( "stop-after",
-        [
-          Alcotest.test_case "prefix of exhaustive" `Quick
-            test_stop_after_prefix;
-          Alcotest.test_case "clean table" `Quick test_stop_after_clean_table;
         ] );
       ("fuzz", sim_props);
     ];

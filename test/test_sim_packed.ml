@@ -407,36 +407,6 @@ let test_replay_matches_oracle_on_damaged_tables =
           && Compiled.makespan scr = expected.Sim.makespan)
         (shuffled rng (replay_rows rng t)))
 
-(* --- stop_after / replay_until regression -------------------------- *)
-
-let test_stop_after_pool_aware_prefix () =
-  let t = tight_fig5_table () in
-  let full = Sim.validate t in
-  List.iter
-    (fun limit ->
-      let partial = Sim.validate ~jobs:1 ~stop_after:limit t in
-      Alcotest.(check bool)
-        (Printf.sprintf "stop_after=%d reaches the limit" limit)
-        true
-        (List.length partial >= min limit (List.length full));
-      Alcotest.(check bool)
-        (Printf.sprintf "stop_after=%d is a prefix" limit)
-        true
-        (List.length partial <= List.length full
-        && List.for_all2
-             (fun a b -> a = b)
-             partial
-             (List.filteri (fun i _ -> i < List.length partial) full));
-      (* Pool-aware batching must not leak into the result. *)
-      List.iter
-        (fun jobs ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "stop_after=%d jobs=%d invariant" limit jobs)
-            (List.map Violation.to_string partial)
-            (List.map Violation.to_string (Sim.validate ~jobs ~stop_after:limit t)))
-        [ 2; 4; 16 ])
-    [ 1; 2; 7 ]
-
 (* --- sampled validation over the packed arena ---------------------- *)
 
 (* The historical algorithm, reconstructed on the materialized scenario
@@ -602,11 +572,6 @@ let () =
           Alcotest.test_case "shared scratch = fresh scratch" `Quick
             test_shared_scratch_matches_fresh;
           test_replay_matches_oracle_on_damaged_tables;
-        ] );
-      ( "stop-after",
-        [
-          Alcotest.test_case "pool-aware prefix stability" `Quick
-            test_stop_after_pool_aware_prefix;
         ] );
       ( "sampled",
         [

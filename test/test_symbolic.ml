@@ -259,22 +259,6 @@ let test_auto_small_is_explicit () =
     (List.map Violation.to_string (Sim.validate ~jobs:1 t))
     (List.map Violation.to_string (Sim.validate ~jobs:1 ~mode:`Auto t))
 
-let test_symbolic_stop_after () =
-  let t = tight_fig5_table () in
-  let full = Sim.validate ~jobs:1 ~mode:`Symbolic t in
-  let partial = Sim.validate ~jobs:1 ~stop_after:1 ~mode:`Symbolic t in
-  Alcotest.(check bool) "stop_after=1 finds something" true (partial <> []);
-  Alcotest.(check bool) "stop_after=1 does not exceed the full list" true
-    (List.length partial <= List.length full);
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "stop_after=1 jobs=%d invariant" jobs)
-        (List.map Violation.to_string partial)
-        (List.map Violation.to_string
-           (Sim.validate ~jobs ~stop_after:1 ~mode:`Symbolic t)))
-    [ 2; 4 ]
-
 (* --- hardened Condvec primitives (satellite) ------------------------ *)
 
 let contains s sub =
@@ -348,8 +332,6 @@ let () =
         [
           Alcotest.test_case "Auto = Explicit on small spaces" `Quick
             test_auto_small_is_explicit;
-          Alcotest.test_case "symbolic stop_after" `Quick
-            test_symbolic_stop_after;
         ] );
       ( "condvec-hardening",
         [

@@ -257,9 +257,7 @@ let test_evalcache_counters_match_stats () =
       Alcotest.(check bool) "cache saw traffic" true (s.Evalcache.lookups > 0);
       Alcotest.(check int) "hits" s.Evalcache.hits (v "evalcache.hits");
       Alcotest.(check int) "misses" s.Evalcache.misses (v "evalcache.misses");
-      Alcotest.(check int) "inserts" s.Evalcache.inserts (v "evalcache.inserts");
-      Alcotest.(check int) "evictions" s.Evalcache.evictions
-        (v "evalcache.evictions"));
+      Alcotest.(check int) "inserts" s.Evalcache.inserts (v "evalcache.inserts"));
   Alcotest.(check (pair bool bool)) "both modules see it off" (false, false)
     (Telemetry.enabled (), Events.enabled ())
 
