@@ -127,9 +127,9 @@ let jobs =
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains for the parallel work: candidate evaluation, \
                  scenario replay, corpus instances and the portfolio \
-                 race (default: all cores), and conditional scheduling \
-                 (default: sequential). 1 runs fully sequentially. \
-                 Capped at the core count.")
+                 race (default: all cores), and the slot collapse of \
+                 schedule-table assembly (default: sequential). 1 runs \
+                 fully sequentially. Capped at the core count.")
 
 (* Open every output file before the run starts, truncating none until
    all have opened: an unwritable path costs one line, no synthesis and

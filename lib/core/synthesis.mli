@@ -41,9 +41,9 @@ type options = {
   conditional : bool;  (** Attempt FT-CPG expansion + conditional
                            scheduling (default true). *)
   max_vertices : int;  (** FT-CPG expansion budget. *)
-  sched_jobs : int;  (** Domains used by the conditional scheduler's
-                         scenario-subtree fan-out (default 1 =
-                         sequential; tables are identical for any
+  sched_jobs : int;  (** Domains on which the conditional scheduler's
+                         table assembly collapses its slots (default
+                         1 = sequential; tables are identical for any
                          value). *)
   compute_fto : bool;  (** Also optimize the fault-free baseline to
                            report the FTO (default false). *)

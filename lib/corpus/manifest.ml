@@ -23,27 +23,13 @@ let ids t = List.map (fun e -> e.id) t.entries
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let entry_to_string e =
+  let str = Ftes_util.Events.json_string in
   Printf.sprintf
-    "{\"id\": \"%s\", \"tier\": \"%s\", \"kind\": \"%s\", \"length\": %.6f, \
-     \"digest\": \"%s\", \"verdict\": \"%s\"}"
-    (escape e.id) (escape e.tier) (escape e.kind) e.length (escape e.digest)
-    (escape e.verdict)
+    "{\"id\": %s, \"tier\": %s, \"kind\": %s, \"length\": %.6f, \
+     \"digest\": %s, \"verdict\": %s}"
+    (str e.id) (str e.tier) (str e.kind) e.length (str e.digest)
+    (str e.verdict)
 
 let to_string t =
   let b = Buffer.create 4096 in
@@ -270,5 +256,3 @@ let json_of_string s =
   match parse_json s with
   | v -> Ok v
   | exception Parse_error msg -> Error msg
-
-let json_escape = escape

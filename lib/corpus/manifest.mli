@@ -54,6 +54,3 @@ val json_of_string : string -> (json, string) result
 (** Parse one complete JSON value (tolerating surrounding whitespace);
     rejects trailing content, nesting deeper than 512 levels and
     numbers that overflow to infinity. Total: never raises. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding between double quotes in JSON. *)

@@ -14,11 +14,11 @@ let schema_version = 1
 
 let entry_to_json e =
   Printf.sprintf
-    "{\"commit\": \"%s\", \"schema\": %d, \"id\": \"%s\", \"ok\": %b, \
+    "{\"commit\": %s, \"schema\": %d, \"id\": %s, \"ok\": %b, \
      \"length\": %.6f, \"wall_ms\": %.3f}"
-    (Manifest.json_escape e.commit)
+    (Ftes_util.Events.json_string e.commit)
     e.schema
-    (Manifest.json_escape e.id)
+    (Ftes_util.Events.json_string e.id)
     e.ok e.length e.wall_ms
 
 let append path entries =

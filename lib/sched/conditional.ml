@@ -21,17 +21,14 @@ end)
 let c_fix_iterations = Telemetry.counter "sched.fix_iterations"
 let c_ready_hits = Telemetry.counter "sched.ready_hits"
 let c_cache_inval = Telemetry.counter "sched.cache_invalidations"
-let c_par_forks = Telemetry.counter "sched.par_forks"
 
 type params = {
   cond_size : float;
   max_tracks : int;
   max_fix_iters : int;
-  fan_depth : int;
 }
 
-let default_params =
-  { cond_size = 1.; max_tracks = 20_000; max_fix_iters = 64; fan_depth = 6 }
+let default_params = { cond_size = 1.; max_tracks = 20_000; max_fix_iters = 64 }
 
 exception Blocked of string
 exception Too_many_tracks of int
@@ -87,23 +84,16 @@ let priorities ftcpg =
    Frozen prereserved placements and [Local] items depend on nothing
    and stay valid for the whole track.
 
-   {b One mutable track + undo trail, parallel subtrees.} The walk
-   keeps a single copy of the vertex-sized arrays ([unmet], [ggap],
-   [dead], finish times, the placement cache) and of the {!Lane}s of
-   every node and bus lane. Every in-place write pushes an undo record
-   (a reservation pushes its lane and insertion index); a revelation
-   fork marks the trail, runs the fault subtree, pops back to the mark
-   and runs the no-fault subtree on the restored arrays, so a fork
-   costs O(writes below it) instead of O(vertices). Everything else in
-   a track is persistent and simply kept by the fork. With [jobs > 1] the
-   fault and no-fault subtrees are independent and are fanned out over
-   the {!Ftes_util.Par} pool: the tree is cut at [params.fan_depth]
-   binary forks (a track whose fault budget is exhausted can never fork
-   again and is shipped whole), and only a branch shipped there gets its
-   own copy of the arrays. The frontier is collected in depth-first
-   order and the per-subtree results are spliced back in that order, so
-   the track list — and the resulting table — is byte-identical for
-   every [jobs]. *)
+   {b One mutable track + undo trail.} The walk keeps a single copy of
+   the vertex-sized arrays ([unmet], [ggap], [dead], finish times, the
+   placement cache) and of the {!Lane}s of every node and bus lane.
+   Every in-place write pushes an undo record (a reservation pushes its
+   lane and insertion index); a revelation fork marks the trail, runs
+   the fault subtree, pops back to the mark and runs the no-fault
+   subtree on the restored arrays, so a fork costs O(writes below it)
+   instead of O(vertices). Everything else in a track is persistent and
+   simply kept by the fork. The walk is sequential; [jobs] goes to
+   {!Table.assemble}, where the time is. *)
 (* ------------------------------------------------------------------ *)
 
 (* A cached placement depends on lane [c_lane] (-1: on none) and is
@@ -138,7 +128,7 @@ type state = {
   opened : int;  (* vertices with ggap = 0, unscheduled *)
 }
 
-(* The mutable part of the track one walker is on, with its undo trail.
+(* The mutable part of the track being walked, with its undo trail.
    [ops] holds one code [(index lsl 3) lor tag] per write, newest last.
    [unmet] and [ggap] only ever drop by one, [dead] only ever goes from
    0 to 1 and [finish] is written once per vertex, so their codes alone
@@ -255,26 +245,6 @@ let undo w mark =
     end
   done
 
-(* The given arrays (taken, not copied) with an empty trail. *)
-let make_arrays ~lanes ~finish ~unmet ~ggap ~dead ~cache =
-  {
-    lanes; finish; unmet; ggap; dead; cache;
-    ops = Array.make 256 0;
-    nops = 0;
-    old_cache = Array.make 64 no_entry;
-    ncache = 0;
-    idx = Array.make 64 0;
-    nidx = 0;
-  }
-
-(* An independent copy of the current track's arrays, for a branch
-   shipped to another walker. *)
-let copy_arrays w =
-  make_arrays ~lanes:(Array.map Lane.copy w.lanes)
-    ~finish:(Array.copy w.finish) ~unmet:(Array.copy w.unmet)
-    ~ggap:(Array.copy w.ggap) ~dead:(Bytes.copy w.dead)
-    ~cache:(Array.copy w.cache)
-
 let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   Events.with_span ~cat:"sched" "sched.conditional" @@ fun () ->
   let problem = Ftcpg.problem ftcpg in
@@ -316,16 +286,19 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     Array.fold_left (fun acc n -> if n = 0 then acc + 1 else acc) 0 nlits0
   in
   (* Frozen start times being fixed across iterations. Read-only while
-     tracks are explored (including from worker domains); merged with
-     the observed demands between fixpoint iterations. *)
+     tracks are explored; merged with the observed demands between
+     fixpoint iterations. *)
   let fixed : (int, float) Hashtbl.t = Hashtbl.create 16 in
   (* New or raised start demands observed during one exploration. *)
   let demands : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  let demand_main vid t =
+  let demand vid t =
     let cur = try Hashtbl.find demands vid with Not_found -> neg_infinity in
     if t > cur then Hashtbl.replace demands vid t
   in
-  let leaf_count = Atomic.make 0 in
+  let leaf_count = ref 0 in
+  (* Finished tracks of one exploration, newest first, each with the
+     entries it emits. *)
+  let leaves = ref [] in
 
   let literal_available w st (l : Cond.literal) ~decision_node =
     let reveal =
@@ -395,7 +368,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   (* Placement respecting a fixed (frozen) start when one exists.
      Returns the placement plus whether the pre-reserved window is
      already accounted for in the timelines. *)
-  let place ~demand w st (v : Ftcpg.vertex) =
+  let place w st (v : Ftcpg.vertex) =
     let base = base_time w st v in
     match Hashtbl.find_opt fixed v.Ftcpg.vid with
     | Some f when v.Ftcpg.frozen ->
@@ -436,7 +409,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
      lane's length. [demand] side effects are max-accumulated and the
      demanded start only depends on the same state, so skipping the
      recomputation on a hit never loses a demand. *)
-  let cached_place ~demand w st (v : Ftcpg.vertex) =
+  let cached_place w st (v : Ftcpg.vertex) =
     let vid = v.Ftcpg.vid in
     let e = w.cache.(vid) in
     if
@@ -448,7 +421,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     end
     else begin
       if e != no_entry then Telemetry.incr c_cache_inval;
-      let s, fin, res, pre = place ~demand w st v in
+      let s, fin, res, pre = place w st v in
       let l = lane_of v res ~prereserved:pre in
       let e =
         { c_start = s; c_fin = fin; c_res = res; c_pre = pre; c_lane = l;
@@ -546,16 +519,10 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       }
   in
 
-  (* Depth-first exploration emitting, in DFS order, either finished
-     tracks or — in collection mode, once [split] binary forks have
-     been crossed — whole branches (state plus a copy of the arrays) for
-     the parallel pool. A branch whose fault budget is exhausted can
-     never fork again (exactly one leaf below) and is shipped whole as
-     soon as it appears. With [collect = false] every subtree is
-     explored in place and only tracks are emitted. On return, [w] may
-     hold writes of the explored subtree; the caller's fork undoes
-     them. *)
-  let rec walk ~demand ~collect ~split ~sink w st =
+  (* Depth-first exploration adding the finished tracks to [leaves] in
+     DFS order. On return, [w] may hold writes of the explored subtree;
+     the caller's fork undoes them. *)
+  let rec walk w st =
     let next_reveal =
       match Pending.min_elt_opt st.pending with
       | None -> infinity
@@ -569,7 +536,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
     let best = ref no_entry in
     Iset.iter
       (fun vid ->
-        let e = cached_place ~demand w st (vert vid) in
+        let e = cached_place w st (vert vid) in
         let s = e.c_start in
         if s < next_reveal -. eps then
           let better =
@@ -585,7 +552,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
           end)
       st.ready;
     if !best_vid >= 0 then
-      walk ~demand ~collect ~split ~sink w (commit w st (vert !best_vid) !best)
+      walk w (commit w st (vert !best_vid) !best)
     else
       match Pending.min_elt_opt st.pending with
       | Some ((tr, vc) as c) ->
@@ -593,29 +560,22 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
             schedule_bcast w { st with pending = Pending.remove c st.pending }
               (tr, vc)
           in
-          let child b ~split =
-            if collect && (split <= 0 || b.faults >= k) then
-              sink (`Branch (b, copy_arrays w))
-            else walk ~demand ~collect ~split ~sink w b
-          in
           if st.faults < k then begin
             (* The fault subtree runs first in DFS order, so its first
                leaf emits the shared prefix; the no-fault branch then
                starts from the arrays as they were at the fork. *)
             let mark = w.nops in
-            child
+            walk w
               (apply_literal w
                  { st with faults = st.faults + 1 }
-                 { Cond.cond = vc; fault = true })
-              ~split:(split - 1);
+                 { Cond.cond = vc; fault = true });
             undo w mark;
-            child
+            walk w
               (apply_literal w
                  { st with emitted = st.entries }
                  { Cond.cond = vc; fault = false })
-              ~split:(split - 1)
           end
-          else child (apply_literal w st { Cond.cond = vc; fault = false }) ~split
+          else walk w (apply_literal w st { Cond.cond = vc; fault = false })
       | None ->
           (* Leaf: every vertex reachable in this scenario must be
              done. [ggap = 0] is exactly "the track guard implies the
@@ -630,7 +590,8 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
                         v.Ftcpg.name
                         (Cond.to_string ~name:(Ftcpg.cond_name ftcpg) st.guard)))
             done;
-          if Atomic.fetch_and_add leaf_count 1 + 1 > params.max_tracks then
+          incr leaf_count;
+          if !leaf_count > params.max_tracks then
             raise (Too_many_tracks params.max_tracks);
           let rec fresh acc es =
             if es == st.emitted then acc
@@ -639,17 +600,9 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
               | e :: rest -> fresh (e :: acc) rest
               | [] -> acc
           in
-          sink
-            (`Track
-              (fresh [] st.entries, { Table.scenario = st.guard; makespan = st.makespan }))
-  in
-
-  let walk_all ~demand (st, w) =
-    let acc = ref [] in
-    walk ~demand ~collect:false ~split:0
-      ~sink:(fun it -> acc := it :: !acc)
-      w st;
-    List.rev_map (function `Track r -> r | `Branch _ -> assert false) !acc
+          leaves :=
+            (fresh [] st.entries, { Table.scenario = st.guard; makespan = st.makespan })
+            :: !leaves
   in
 
   let initial_state () =
@@ -686,67 +639,35 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
         ready = ready0;
         opened = opened0;
       },
-      make_arrays ~lanes ~finish:(Array.make nverts nan) ~unmet:(Array.copy npreds0) ~ggap:(Array.copy nlits0)
-        ~dead:(Bytes.make (max nverts 1) '\000')
-        ~cache:(Array.make nverts no_entry) )
+      {
+        lanes;
+        finish = Array.make nverts nan;
+        unmet = Array.copy npreds0;
+        ggap = Array.copy nlits0;
+        dead = Bytes.make (max nverts 1) '\000';
+        cache = Array.make nverts no_entry;
+        ops = Array.make 256 0;
+        nops = 0;
+        old_cache = Array.make 64 no_entry;
+        ncache = 0;
+        idx = Array.make 64 0;
+        nidx = 0;
+      } )
   in
 
-  (* One exploration of the scenario tree. Sequentially for [jobs <= 1];
-     otherwise the frontier below [fan_depth] binary forks is collected
-     depth-first, the subtrees run on the pool with task-local demand
-     tables (merged afterwards — max-accumulation is order-independent)
-     and the per-subtree track lists are spliced back in frontier
-     order, reproducing the sequential DFS order exactly. *)
+  (* One exploration of the scenario tree, its tracks in DFS order. *)
   let run_tracks () =
+    leaf_count := 0;
+    leaves := [];
     let st0, w0 = initial_state () in
-    if jobs <= 1 then walk_all ~demand:demand_main (st0, w0)
-    else begin
-      let items = ref [] in
-      walk ~demand:demand_main ~collect:true ~split:params.fan_depth
-        ~sink:(fun it -> items := it :: !items)
-        w0 st0;
-      let items = List.rev !items in
-      let branches =
-        List.filter_map
-          (function `Branch b -> Some b | `Track _ -> None)
-          items
-      in
-      Telemetry.add c_par_forks (List.length branches);
-      let subtree_results =
-        Ftes_util.Par.map ~jobs
-          (fun branch ->
-            let local : (int, float) Hashtbl.t = Hashtbl.create 16 in
-            let demand vid t =
-              let cur =
-                try Hashtbl.find local vid with Not_found -> neg_infinity
-              in
-              if t > cur then Hashtbl.replace local vid t
-            in
-            let tracks = walk_all ~demand branch in
-            (tracks, Hashtbl.fold (fun k v acc -> (k, v) :: acc) local []))
-          branches
-      in
-      List.iter
-        (fun (_, ds) -> List.iter (fun (vid, t) -> demand_main vid t) ds)
-        subtree_results;
-      let rec splice items results =
-        match items with
-        | [] -> []
-        | `Track r :: rest -> r :: splice rest results
-        | `Branch _ :: rest -> (
-            match results with
-            | (tracks, _) :: more -> tracks @ splice rest more
-            | [] -> assert false)
-      in
-      splice items subtree_results
-    end
+    walk w0 st0;
+    List.rev !leaves
   in
 
   let rec iterate iter =
     if iter > params.max_fix_iters then raise (Fixpoint_diverged iter);
     Telemetry.incr c_fix_iterations;
     Hashtbl.reset demands;
-    Atomic.set leaf_count 0;
     let results =
       Events.with_span ~cat:"sched" "sched.fix_iter" run_tracks
     in
@@ -775,7 +696,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
           (float_of_int (List.length entries))
       end;
       Events.with_span ~cat:"sched" "sched.table.assemble" (fun () ->
-          Table.make ~ftcpg ~entries ~tracks)
+          Table.assemble ~jobs ~ftcpg ~entries ~tracks)
     end
   in
   iterate 1

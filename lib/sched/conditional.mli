@@ -19,7 +19,14 @@
     a fixpoint: each iteration raises a frozen vertex's start to the
     worst observed over all tracks, pre-reserving the corresponding
     resource windows so that no other activation may observe the
-    difference (transparency). *)
+    difference (transparency).
+
+    The output is built in two phases: one sequential depth-first walk
+    of the scenario tree emits each committed activation once, under
+    the guard of the track that committed it, and {!Table.assemble}
+    groups those raw entries into slots and collapses each slot's
+    guards. Assembly takes most of the time, so it is the phase that
+    runs in parallel. *)
 
 type params = {
   cond_size : float;
@@ -29,11 +36,6 @@ type params = {
           (default 20_000). *)
   max_fix_iters : int;
       (** Fixpoint iteration cap for frozen start times (default 64). *)
-  fan_depth : int;
-      (** Parallel exploration cuts the scenario tree after this many
-          binary revelation forks; deeper subtrees stay sequential
-          inside one pool task (default 6). Only consulted when
-          [schedule] runs with [jobs > 1]. *)
 }
 
 val default_params : params
@@ -47,14 +49,12 @@ exception Fixpoint_diverged of int
 
 val schedule : ?params:params -> ?jobs:int -> Ftes_ftcpg.Ftcpg.t -> Table.t
 (** Incremental scheduler: guard-aware ready set, memoized tentative
-    placements (invalidated when the {!Lane} they target grows), one
+    placements (invalidated when the {!Lane} they target grows), and one
     mutable track state, lanes included, restored by an undo trail at
     every revelation fork (a fork costs the writes below it, not the
-    vertex count), and — for
-    [jobs > 1] — parallel exploration of independent fault/no-fault
-    subtrees on the {!Ftes_util.Par} pool, each shipped subtree with its
-    own copy of the state, and a deterministic depth-first merge. The
-    produced table is byte-identical for every [jobs] value and to the
-    direct transcription of the paper's algorithm that the tests keep as
-    its digest oracle ([test/conditional_oracle.ml]). [jobs] defaults to
-    1 (sequential). *)
+    vertex count). The scenario tree is walked sequentially, depth
+    first; [jobs] (default 1) is handed to {!Table.assemble}, which
+    collapses the slots of the raw entries on the {!Ftes_util.Par} pool.
+    The produced table is byte-identical for every [jobs] value and to
+    the direct transcription of the paper's algorithm that the tests
+    keep as its digest oracle ([test/conditional_oracle.ml]). *)

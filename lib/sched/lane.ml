@@ -79,13 +79,6 @@ let length t = t.len
 
 let clear t = t.len <- 0
 
-let copy t =
-  {
-    starts = Array.sub t.starts 0 t.len;
-    finishes = Array.sub t.finishes 0 t.len;
-    len = t.len;
-  }
-
 let intervals t = List.init t.len (fun i -> (t.starts.(i), t.finishes.(i)))
 
 (* The reference timeline's earliest gap. The walk over the reservations

@@ -34,8 +34,6 @@ val length : t -> int
 val clear : t -> unit
 (** Remove every reservation, keeping the lane's storage for reuse. *)
 
-val copy : t -> t
-
 val intervals : t -> (float * float) list
 (** Ascending by start. *)
 

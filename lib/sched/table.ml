@@ -205,9 +205,8 @@ end)
 
 type group = { mutable rep : entry; mutable guards : Cond.guard list }
 
-let dedup entries =
-  (* One entry per slot and kept guard; the slot's last raw occurrence
-     supplies [start] and [finish]. *)
+(* The slot groups of [entries], last-opened first. *)
+let group entries =
   let groups = Slots.create 256 in
   let order = ref [] in
   List.iter
@@ -222,9 +221,12 @@ let dedup entries =
           Slots.add groups key grp;
           order := grp :: !order)
     entries;
-  List.concat_map
-    (fun grp -> List.map (fun guard -> { grp.rep with guard }) (collapse grp.guards))
-    !order
+  !order
+
+(* One entry per kept guard; the slot's last raw occurrence supplies
+   [start] and [finish]. *)
+let collapse_group grp =
+  List.map (fun guard -> { grp.rep with guard }) (collapse grp.guards)
 
 let compare_item a b =
   match (a, b) with
@@ -232,15 +234,20 @@ let compare_item a b =
   | Exec _, Bcast _ -> -1
   | Bcast _, Exec _ -> 1
 
-let make ~ftcpg ~entries ~tracks =
+(* Slots are independent, so their collapses fan out; [Par.map] merges
+   them in group order, which keeps the table the same for every
+   [jobs]. *)
+let assemble ~jobs ~ftcpg ~entries ~tracks =
   let entries =
     List.sort
       (fun a b ->
         let c = Float.compare a.start b.start in
         if c <> 0 then c else compare_item a.item b.item)
-      (dedup entries)
+      (List.concat (Ftes_util.Par.map ~jobs collapse_group (group entries)))
   in
   { ftcpg; entries; tracks }
+
+let make ~ftcpg ~entries ~tracks = assemble ~jobs:1 ~ftcpg ~entries ~tracks
 
 let schedule_length t =
   List.fold_left (fun acc tr -> max acc tr.makespan) 0. t.tracks

@@ -54,6 +54,18 @@ val make :
     track sharing it); the table is the same. Entries are sorted by
     [(start, item)], stably. *)
 
+val assemble :
+  jobs:int ->
+  ftcpg:Ftes_ftcpg.Ftcpg.t ->
+  entries:entry list ->
+  tracks:track list ->
+  t
+(** {!make}, with the slots collapsed on up to [jobs] domains of the
+    {!Ftes_util.Par} pool (clamped like every [Par] call, sequential
+    inside a pool worker). Slots are independent and their results are
+    merged in slot order, so the table is the same for every [jobs];
+    [make] is [assemble ~jobs:1]. *)
+
 val schedule_length : t -> float
 (** Worst-case makespan over all fault scenarios — the fault-tolerant
     schedule length used by the FTO metric. *)

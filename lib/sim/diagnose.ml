@@ -1,4 +1,5 @@
 module Cond = Ftes_ftcpg.Cond
+module Events = Ftes_util.Events
 module Condvec = Ftes_ftcpg.Condvec
 module Ftcpg = Ftes_ftcpg.Ftcpg
 module Table = Ftes_sched.Table
@@ -130,12 +131,12 @@ let pp_report ppf r =
 let report_to_json r =
   let group_json g =
     let fields =
-      [ ("kind", Violation.json_string g.kind) ]
+      [ ("kind", Events.json_string g.kind) ]
       @ (match g.vertex with
         | Some vid -> [ ("vertex", string_of_int vid) ]
         | None -> [])
       @ (match g.vertex_name with
-        | Some n -> [ ("vertex_name", Violation.json_string n) ]
+        | Some n -> [ ("vertex_name", Events.json_string n) ]
         | None -> [])
       @ [
           ("count", string_of_int g.count);
@@ -144,7 +145,7 @@ let report_to_json r =
       @ (match (g.shrunk, g.shrunk_label) with
         | Some shrunk, Some label ->
             [
-              ("shrunk_scenario", Violation.json_string label);
+              ("shrunk_scenario", Events.json_string label);
               ("shrunk_faults", string_of_int (Cond.fault_count shrunk));
             ]
         | _ -> [])
@@ -152,7 +153,7 @@ let report_to_json r =
     "{"
     ^ String.concat ", "
         (List.map
-           (fun (k, v) -> Violation.json_string k ^ ": " ^ v)
+           (fun (k, v) -> Events.json_string k ^ ": " ^ v)
            fields)
     ^ "}"
   in

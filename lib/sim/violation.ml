@@ -1,4 +1,5 @@
 module Cond = Ftes_ftcpg.Cond
+module Events = Ftes_util.Events
 
 type kind =
   | Missing_activation of { vid : int; vertex : string }
@@ -158,104 +159,89 @@ let to_string v =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 (* 17 significant digits round-trip any finite double. *)
 let json_float f = Printf.sprintf "%.17g" f
 
 let json_obj fields =
   "{"
   ^ String.concat ", "
-      (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields)
+      (List.map (fun (k, v) -> Events.json_string k ^ ": " ^ v) fields)
   ^ "}"
 
 let kind_fields = function
   | Missing_activation { vid; vertex } ->
-      [ ("vertex", string_of_int vid); ("vertex_name", json_string vertex) ]
+      [
+        ("vertex", string_of_int vid);
+        ("vertex_name", Events.json_string vertex);
+      ]
   | Ambiguous_activation { vid; vertex; start; alt_start } ->
       [
         ("vertex", string_of_int vid);
-        ("vertex_name", json_string vertex);
+        ("vertex_name", Events.json_string vertex);
         ("start", json_float start);
         ("alt_start", json_float alt_start);
       ]
   | Ambiguous_broadcast { vid; cond; start; alt_start } ->
       [
         ("vertex", string_of_int vid);
-        ("condition", json_string cond);
+        ("condition", Events.json_string cond);
         ("start", json_float start);
         ("alt_start", json_float alt_start);
       ]
   | Never_broadcast { vid; cond } ->
-      [ ("vertex", string_of_int vid); ("condition", json_string cond) ]
+      [ ("vertex", string_of_int vid); ("condition", Events.json_string cond) ]
   | Broadcast_before_produced { vid; cond; bcast_start; produced } ->
       [
         ("vertex", string_of_int vid);
-        ("condition", json_string cond);
+        ("condition", Events.json_string cond);
         ("broadcast_start", json_float bcast_start);
         ("produced", json_float produced);
       ]
   | Causality { vid; vertex; start; pred; pred_name; pred_finish } ->
       [
         ("vertex", string_of_int vid);
-        ("vertex_name", json_string vertex);
+        ("vertex_name", Events.json_string vertex);
         ("start", json_float start);
         ("pred", string_of_int pred);
-        ("pred_name", json_string pred_name);
+        ("pred_name", Events.json_string pred_name);
         ("pred_finish", json_float pred_finish);
       ]
   | Distributed_knowledge { vid; vertex; start; cond_vid; cond; learned } ->
       [
         ("vertex", string_of_int vid);
-        ("vertex_name", json_string vertex);
+        ("vertex_name", Events.json_string vertex);
         ("start", json_float start);
         ("condition_vertex", string_of_int cond_vid);
-        ("condition", json_string cond);
+        ("condition", Events.json_string cond);
         ("broadcast_finish", json_float learned);
       ]
   | Release { vid; vertex; start; release } ->
       [
         ("vertex", string_of_int vid);
-        ("vertex_name", json_string vertex);
+        ("vertex_name", Events.json_string vertex);
         ("start", json_float start);
         ("release", json_float release);
       ]
   | Resource_overlap { vid; vertex; other_vid; other } ->
       [
         ("vertex", string_of_int vid);
-        ("vertex_name", json_string vertex);
+        ("vertex_name", Events.json_string vertex);
         ("other_vertex", string_of_int other_vid);
-        ("other_name", json_string other);
+        ("other_name", Events.json_string other);
       ]
   | Deadline_missed { deadline; completion } ->
       [ ("deadline", json_float deadline); ("completion", json_float completion) ]
   | Local_deadline_missed { pid; process; deadline; completion } ->
       [
         ("process", string_of_int pid);
-        ("process_name", json_string process);
+        ("process_name", Events.json_string process);
         ("deadline", json_float deadline);
         ("completion", json_float completion);
       ]
   | Frozen_drift { vid; vertex; starts } ->
       [
         ("vertex", string_of_int vid);
-        ("vertex_name", json_string vertex);
+        ("vertex_name", Events.json_string vertex);
         ( "starts",
           "[" ^ String.concat ", " (List.map json_float starts) ^ "]" );
       ]
@@ -275,15 +261,15 @@ let scenario_fields v =
           (Cond.literals g)
       in
       (match v.scenario_label with
-      | Some lbl -> [ ("scenario", json_string lbl) ]
+      | Some lbl -> [ ("scenario", Events.json_string lbl) ]
       | None -> [])
       @ [ ("scenario_literals", "[" ^ String.concat ", " lits ^ "]") ]
 
 let to_json v =
   json_obj
-    ((("kind", json_string (kind_label v)) :: kind_fields v.kind)
+    ((("kind", Events.json_string (kind_label v)) :: kind_fields v.kind)
     @ scenario_fields v
-    @ [ ("message", json_string (to_string v)) ])
+    @ [ ("message", Events.json_string (to_string v)) ])
 
 let list_to_json vs =
   "[" ^ String.concat ",\n " (List.map to_json vs) ^ "]"

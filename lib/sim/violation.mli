@@ -111,9 +111,5 @@ val to_json : t -> string
 (** One JSON object; floats are rendered with enough digits to
     round-trip through any standard parser. *)
 
-val json_string : string -> string
-(** A JSON string literal (quoted, escaped) — shared with {!Diagnose}'s
-    report rendering. *)
-
 val list_to_json : t list -> string
 (** A JSON array of {!to_json} records. *)

@@ -270,12 +270,6 @@ let map ?jobs f xs =
   if jobs <= 1 then List.map f xs
   else Array.to_list (pool_map_array ~jobs f input)
 
-let concat_map ?jobs f xs =
-  let input = Array.of_list xs in
-  let jobs = effective_jobs ?jobs (Array.length input) in
-  if jobs <= 1 then List.concat_map f xs
-  else List.concat (Array.to_list (pool_map_array ~jobs f input))
-
 let init ?jobs n f =
   let jobs = effective_jobs ?jobs n in
   if jobs <= 1 then List.init n f

@@ -1,8 +1,9 @@
 (** Domain-pool parallel execution with deterministic ordered merge.
 
     The validator replays every fault scenario independently, the tabu
-    search evaluates every candidate move independently, and the
-    experiment sweeps synthesize every workload instance independently —
+    search evaluates every candidate move independently, the
+    experiment sweeps synthesize every workload instance independently,
+    and schedule-table assembly collapses every slot independently —
     all embarrassingly parallel. This module fans such task lists out
     over a persistent pool of OCaml 5 domains and merges the results
     {e by input index}, so the output is byte-identical to the
@@ -43,7 +44,7 @@
     parallel validation without oversubscribing the machine.
 
     One effective domain is the exact sequential code path
-    ([List.map] / [List.concat_map] / [List.init]); omitting [jobs]
+    ([List.map] / [List.init]); omitting [jobs]
     uses {!default_jobs}. *)
 
 val default_jobs : unit -> int
@@ -55,10 +56,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     domains (clamped as above). Results are merged in input order. If any [f x] raises,
     the first exception (in scheduling order) is re-raised in the
     calling domain after the pool drains. *)
-
-val concat_map : ?jobs:int -> ('a -> 'b list) -> 'a list -> 'b list
-(** [concat_map ~jobs f xs] is [List.concat_map f xs]: per-item result
-    lists are concatenated in input order. *)
 
 val init : ?jobs:int -> int -> (int -> 'a) -> 'a list
 (** [init ~jobs n f] is [List.init n f] with [f] applied on the pool. *)

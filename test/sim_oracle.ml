@@ -320,9 +320,10 @@ let scenarios f =
   go Cond.true_ 0 (Ftcpg.conditional_vertices f)
 
 let validate ?jobs (table : Table.t) =
-  Ftes_util.Par.concat_map ?jobs
-    (fun s -> (run table ~scenario:s).Sim.violations)
-    (scenarios table.Table.ftcpg)
+  List.concat
+    (Ftes_util.Par.map ?jobs
+       (fun s -> (run table ~scenario:s).Sim.violations)
+       (scenarios table.Table.ftcpg))
   @ Sim.frozen_start_violations table
 
 (* Greedy literal-dropping shrink over [run], the reference for

@@ -27,13 +27,6 @@ let test_map_ordered () =
         (Par.map ~jobs (fun x -> (x * 7) mod 13) xs))
     [ 1; 2; 4; 7 ]
 
-let test_concat_map_ordered () =
-  let xs = List.init 200 Fun.id in
-  let f x = List.init (x mod 4) (fun i -> (x, i)) in
-  Alcotest.(check (list (pair int int)))
-    "concat in input order" (List.concat_map f xs)
-    (Par.concat_map ~jobs:4 f xs)
-
 let test_init_and_map_array () =
   Alcotest.(check (list int))
     "init" (List.init 57 (fun i -> i * i))
@@ -267,8 +260,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "map ordered merge" `Quick test_map_ordered;
-          Alcotest.test_case "concat_map ordered" `Quick
-            test_concat_map_ordered;
           Alcotest.test_case "init / map_array" `Quick test_init_and_map_array;
           Alcotest.test_case "edge sizes" `Quick test_edge_sizes;
           Alcotest.test_case "exception propagates" `Quick
