@@ -167,18 +167,18 @@ let open_outputs files =
 
 let synthesize path strategy portfolio deadline fto checkpointing no_tables
     matrix validate explain json symbolic jobs no_cache stats trace metrics
-    progress events metrics_json prometheus =
+    progress events metrics_json =
   let module Events = Ftes_util.Events in
   let module Telemetry = Ftes_util.Telemetry in
   let doc = read_doc path in
-  let events_out, trace_out, metrics_json_out, prometheus_out =
-    match open_outputs [ events; trace; metrics_json; prometheus ] with
-    | [ e; t; m; p ] -> (e, t, m, p)
+  let events_out, trace_out, metrics_json_out =
+    match open_outputs [ events; trace; metrics_json ] with
+    | [ e; t; m ] -> (e, t, m)
     | _ -> assert false
   in
   let recording =
     progress || metrics
-    || List.exists Option.is_some [ events; trace; metrics_json; prometheus ]
+    || List.exists Option.is_some [ events; trace; metrics_json ]
   in
   if recording then Events.enable ();
   let sinks =
@@ -214,11 +214,7 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
       Format.printf "@.-- telemetry --@.%a@." Telemetry.pp_summary ();
     write metrics_json_out (fun oc ->
         output_string oc (Telemetry.to_metrics_json ());
-        output_char oc '\n');
-    write prometheus_out (fun oc ->
-        let ppf = Format.formatter_of_out_channel oc in
-        Telemetry.pp_prometheus ppf ();
-        Format.pp_print_flush ppf ())
+        output_char oc '\n')
   in
   let cache =
     if no_cache then None else Some (Ftes_optim.Evalcache.create ())
@@ -396,8 +392,8 @@ let synthesize_cmd =
                  inserts, entries) after synthesis.")
   in
   let recorder = "Turns on the run's one instrumentation recorder, as do \
-                  --events, --progress, --trace, --metrics, \
-                  --metrics-json and --prometheus."
+                  --events, --progress, --trace, --metrics and \
+                  --metrics-json."
   in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -431,18 +427,12 @@ let synthesize_cmd =
                ~doc:("Write the final counters/gauges/histograms \
                       snapshot to FILE as JSON. " ^ recorder))
   in
-  let prometheus =
-    Arg.(value & opt (some string) None
-           & info [ "prometheus" ] ~docv:"FILE"
-               ~doc:("Write the final metrics snapshot to FILE in the \
-                      Prometheus text exposition format. " ^ recorder))
-  in
   let exits =
     Cmd.Exit.info 1 ~doc:"on fault-injection validation failure."
     :: Cmd.Exit.info exit_bad_file
          ~doc:"when FILE cannot be read or parsed, or an output file \
-               (--events, --trace, --metrics-json, --prometheus) cannot \
-               be opened for writing; nothing is synthesized."
+               (--events, --trace, --metrics-json) cannot be opened for \
+               writing; nothing is synthesized."
     :: Cmd.Exit.defaults
   in
   Cmd.v
@@ -451,7 +441,7 @@ let synthesize_cmd =
     Term.(const synthesize $ file $ strategy $ portfolio $ deadline $ fto
           $ checkpointing $ no_tables $ matrix $ validate $ explain $ json
           $ symbolic $ jobs $ no_cache $ stats $ trace $ metrics $ progress
-          $ events $ metrics_json $ prometheus)
+          $ events $ metrics_json)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -569,11 +559,13 @@ let experiment which quick =
         (Ftes_sched.Table.pp_matrix ~max_columns:24)
         t;
       Format.printf "fault-injection validation: %s@."
-        (match Ftes_sim.Sim.validate_messages t with
+        (match Ftes_sim.Sim.validate t with
         | [] ->
             Printf.sprintf "OK (all %d scenarios)"
               (Ftes_ftcpg.Ftcpg.scenario_count t.Ftes_sched.Table.ftcpg)
-        | violations -> String.concat "; " violations)
+        | violations ->
+            String.concat "; "
+              (List.map Ftes_sim.Violation.to_string violations))
   | "fig7" ->
       let sizes = if quick then [ 20; 40 ] else [ 20; 40; 60; 80; 100 ] in
       series ~y_label:"avg % deviation"
@@ -644,7 +636,6 @@ module Corpus_instance = Ftes_corpus.Instance
 module Corpus_registry = Ftes_corpus.Registry
 module Corpus_manifest = Ftes_corpus.Manifest
 module Corpus_runner = Ftes_corpus.Runner
-module Corpus_trajectory = Ftes_corpus.Trajectory
 
 let tier_conv =
   let parse s =
@@ -691,44 +682,7 @@ let corpus_list tiers filter =
     instances;
   Format.printf "%d instance(s)@." (List.length instances)
 
-(* Commit identity for trajectory entries: explicit flag first, then the
-   environment (CI exports GITHUB_SHA; FTES_COMMIT overrides anywhere),
-   then "unknown" — the binary never shells out to git. *)
-let resolve_commit = function
-  | Some c -> c
-  | None -> (
-      match Sys.getenv_opt "FTES_COMMIT" with
-      | Some c when c <> "" -> c
-      | _ -> (
-          match Sys.getenv_opt "GITHUB_SHA" with
-          | Some c when c <> "" -> c
-          | _ -> "unknown"))
-
-let append_trajectory ~trajectory ~commit outcomes =
-  match trajectory with
-  | None -> ()
-  | Some path ->
-      let commit = resolve_commit commit in
-      let entries =
-        List.map
-          (fun (o : Corpus_runner.outcome) ->
-            {
-              Corpus_trajectory.commit;
-              schema = Corpus_trajectory.schema_version;
-              id = o.Corpus_runner.instance.Corpus_instance.id;
-              ok = o.Corpus_runner.ok;
-              length = o.Corpus_runner.length;
-              wall_ms = o.Corpus_runner.wall_ms;
-            })
-          outcomes
-      in
-      Corpus_trajectory.append path entries;
-      Format.printf "appended %d entr%s to %s (commit %s)@."
-        (List.length entries)
-        (if List.length entries = 1 then "y" else "ies")
-        path commit
-
-let corpus_run tiers filter jobs trajectory commit =
+let corpus_run tiers filter jobs =
   let instances = corpus_select tiers filter in
   let outcomes =
     Corpus_runner.run ?jobs ~on_outcome:print_outcome instances
@@ -739,7 +693,6 @@ let corpus_run tiers filter jobs trajectory commit =
   in
   Format.printf "@.%d instance(s), %.1f s total instance time, %d failure(s)@."
     (List.length outcomes) (wall /. 1000.) (List.length failed);
-  append_trajectory ~trajectory ~commit outcomes;
   if failed <> [] then begin
     List.iter
       (fun o ->
@@ -793,43 +746,6 @@ let corpus_pin jobs manifest_path =
   Format.printf "@.pinned %d instance(s) into %s@." (List.length outcomes)
     manifest_path
 
-let corpus_trend trajectory window wall_tolerance wall_floor_ms
-    length_tolerance =
-  let module T = Corpus_trajectory in
-  match T.load trajectory with
-  | Error msg ->
-      Format.eprintf "cannot load trajectory %s: %s@." trajectory msg;
-      exit 2
-  | Ok [] ->
-      Format.printf "trajectory %s has no entries; nothing to compare@."
-        trajectory
-  | Ok entries -> (
-      match
-        T.trend ~window ~wall_tolerance ~wall_floor_ms ~length_tolerance
-          entries
-      with
-      | [] ->
-          Format.printf
-            "no instance has two or more runs in the window yet; nothing to \
-             compare@."
-      | comparisons ->
-          List.iter
-            (fun c -> Format.printf "@[<v>%a@]@." T.pp_comparison c)
-            comparisons;
-          let bad =
-            List.filter (fun c -> c.T.problems <> []) comparisons
-          in
-          if bad = [] then
-            Format.printf
-              "@.corpus trend: OK (%d instance(s) within tolerance over a \
-               window of %d)@."
-              (List.length comparisons) window
-          else begin
-            Format.printf "@.corpus trend FAILED (%d regression(s))@."
-              (List.length bad);
-            exit 1
-          end)
-
 let corpus_cmd =
   let tiers =
     Arg.(value & opt_all tier_conv []
@@ -857,63 +773,11 @@ let corpus_cmd =
       (Cmd.info "list" ~doc:"List corpus instances and their axes.")
       Term.(const corpus_list $ tiers $ filter)
   in
-  let trajectory_opt =
-    Arg.(value & opt (some string) None
-           & info [ "trajectory" ] ~docv:"FILE"
-               ~doc:"Also append one JSONL entry per instance (commit, \
-                     id, ok, length, wall_ms) to this trajectory file.")
-  in
-  let trajectory_path =
-    Arg.(value & opt string "corpus/trajectory.jsonl"
-           & info [ "trajectory" ] ~docv:"FILE" ~doc:"Trajectory file.")
-  in
-  let commit =
-    Arg.(value & opt (some string) None
-           & info [ "commit" ]
-               ~doc:"Commit id recorded in trajectory entries (default: \
-                     \\$FTES_COMMIT, then \\$GITHUB_SHA, then \
-                     'unknown').")
-  in
-  let window =
-    Arg.(value & opt int 5
-           & info [ "window" ]
-               ~doc:"Most recent runs per instance considered by trend.")
-  in
-  let wall_tolerance =
-    Arg.(value & opt float 0.5
-           & info [ "wall-tolerance" ]
-               ~doc:"Allowed relative wall-time growth over the prior \
-                     median before a runtime regression is flagged \
-                     (0.5 = +50%).")
-  in
-  let wall_floor_ms =
-    Arg.(value & opt float 10.
-           & info [ "wall-floor-ms" ]
-               ~doc:"Absolute wall-time floor below which runtime \
-                     regressions are never flagged (sub-millisecond \
-                     instances jitter by whole multiples).")
-  in
-  let length_tolerance =
-    Arg.(value & opt float 1e-6
-           & info [ "length-tolerance" ]
-               ~doc:"Allowed absolute schedule-length growth over the \
-                     prior best before a quality regression is flagged.")
-  in
   let run_cmd =
     Cmd.v
       (Cmd.info "run"
          ~doc:"Execute corpus instances (no manifest comparison).")
-      Term.(const corpus_run $ tiers $ filter $ jobs $ trajectory_opt
-            $ commit)
-  in
-  let trend_cmd =
-    Cmd.v
-      (Cmd.info "trend"
-         ~doc:"Compare the most recent trajectory entries per instance \
-               and fail on runtime or quality regressions beyond the \
-               tolerance band.")
-      Term.(const corpus_trend $ trajectory_path $ window $ wall_tolerance
-            $ wall_floor_ms $ length_tolerance)
+      Term.(const corpus_run $ tiers $ filter $ jobs)
   in
   let verify_cmd =
     Cmd.v
@@ -935,7 +799,7 @@ let corpus_cmd =
              spanning DAG shapes, fault hypotheses up to k=7, both bus \
              models, transparency densities, WCET heterogeneity and \
              soft-goal variants.")
-    [ list_cmd; run_cmd; verify_cmd; pin_cmd; trend_cmd ]
+    [ list_cmd; run_cmd; verify_cmd; pin_cmd ]
 
 (* ------------------------------------------------------------------ *)
 (* reliability                                                         *)

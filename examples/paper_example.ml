@@ -38,7 +38,7 @@ let () =
         (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
         vs);
 
-  match Ftes_sim.Sim.validate_messages table with
+  match Ftes_sim.Sim.validate table with
   | [] ->
       Format.printf
         "fault injection: all %d scenarios execute correctly (worst-case \
@@ -47,5 +47,7 @@ let () =
         (Ftes_sched.Table.schedule_length table)
         (Ftes_sched.Table.no_fault_length table)
   | vs ->
-      List.iter (fun v -> Format.printf "  ! %s@." v) vs;
+      List.iter
+        (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
+        vs;
       exit 1

@@ -39,8 +39,8 @@ val save : string -> t -> unit
 (** {1 Minimal JSON toolkit}
 
     The repo carries no JSON library; the hand-rolled value type and
-    parser behind the manifest are exposed for reuse by {!Trajectory}
-    and the event-stream tests. *)
+    parser behind the manifest are exposed so that the event-stream
+    tests can parse NDJSON lines and Chrome traces with them. *)
 
 type json =
   | Jnull

@@ -264,8 +264,7 @@ let symbolic_block () =
 (* Block F: portfolio-quality instances — the deterministic strategy
    race (jobs = 1, fixed member iteration budget) on mid-size workloads
    over both buses. The digest pins the winner and every member's final
-   length, so any engine's quality drift regresses the manifest; the
-   Smoke ones feed the per-commit trajectory trend gate. *)
+   length, so any engine's quality drift regresses the manifest. *)
 let portfolio_block () =
   let idx = ref 0 in
   List.map

@@ -186,9 +186,6 @@ let validate_sampled ?jobs ~rng ~samples table =
   let chosen = List.sort_uniq Cond.compare (!no_fault @ sampled) in
   check_space ?jobs table (Condvec.of_guards sp.Condvec.u chosen)
 
-let validate_messages ?jobs table =
-  List.map Violation.to_string (validate ?jobs table)
-
 let pp_outcome ppf o =
   Format.fprintf ppf "@[<v>scenario faults=%d makespan=%g%s@,"
     (Cond.fault_count o.scenario)

@@ -30,8 +30,7 @@
     - deadlines: global and local, in every scenario.
 
     Findings are reported as typed {!Violation.t} records (see
-    {!Diagnose} for shrinking and grouping); {!validate_messages}
-    keeps the historical string rendering byte for byte. *)
+    {!Diagnose} for shrinking and grouping). *)
 
 type event = {
   time : float;
@@ -115,9 +114,5 @@ val validate_sampled :
 
 val frozen_start_violations : Ftes_sched.Table.t -> Violation.t list
 (** Only the cross-scenario transparency check. *)
-
-val validate_messages : ?jobs:int -> Ftes_sched.Table.t -> string list
-(** [List.map Violation.to_string (validate ?jobs t)] — the pre-typed
-    string API, byte-identical to the historical renderings. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

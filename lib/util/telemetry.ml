@@ -411,42 +411,3 @@ let to_metrics_json () =
     (sorted_histograms ());
   Buffer.add_string b "}";
   Buffer.contents b
-
-let prom_name name =
-  "ftes_"
-  ^ String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c
-        | _ -> '_')
-      name
-
-let pp_prometheus ppf () =
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Format.fprintf ppf "# TYPE %s counter@\n%s %d@\n" n n v)
-    (counters ());
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Format.fprintf ppf "# TYPE %s gauge@\n%s %g@\n" n n v)
-    (gauges ());
-  List.iter
-    (fun h ->
-      let n = prom_name h.hname in
-      let buckets, total, sum = hist_snapshot h in
-      Format.fprintf ppf "# TYPE %s histogram@\n" n;
-      let cumulative = ref 0 in
-      Array.iteri
-        (fun i c ->
-          cumulative := !cumulative + c;
-          let le =
-            if i < Array.length h.bounds then
-              Printf.sprintf "%g" h.bounds.(i)
-            else "+Inf"
-          in
-          Format.fprintf ppf "%s_bucket{le=\"%s\"} %d@\n" n le !cumulative)
-        buckets;
-      Format.fprintf ppf "%s_sum %g@\n%s_count %d@\n" n sum n total)
-    (sorted_histograms ())

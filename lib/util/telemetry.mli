@@ -100,11 +100,3 @@ val to_metrics_json : unit -> string
     ...], "total": n, "sum": f}, ...}}]. Machine-readable companion to
     {!pp_summary} — no parsing of the human report needed. Counters at
     zero are included so consumers see a stable key set. *)
-
-val pp_prometheus : Format.formatter -> unit -> unit
-(** The same snapshot in the Prometheus text exposition format
-    (version 0.0.4): counters as [counter], gauges as [gauge],
-    histograms as cumulative [histogram] series with [le] labels,
-    [_sum] and [_count]. Metric names are the registered names with
-    every non-alphanumeric character mapped to ['_'] and an [ftes_]
-    prefix. *)

@@ -93,7 +93,7 @@ let test_manifest_parse_errors () =
   bad "{\"version\": \"one\", \"entries\": []}"
 
 (* ------------------------------------------------------------------ *)
-(* Total inputs: mutated manifest and trajectory text                   *)
+(* Total inputs: mutated manifest text                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Character-level damage to a JSON text: truncation, deep nesting,
@@ -170,34 +170,6 @@ let manifest_fuzz =
       match Manifest.of_string text with
       | Ok _ | Error _ -> true
       | exception e ->
-          QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
-
-let trajectory_fuzz =
-  let module T = Ftes_corpus.Trajectory in
-  let line =
-    T.entry_to_json
-      {
-        T.commit = "0123abc";
-        schema = T.schema_version;
-        id = "gen-p8-n2-k2-s3";
-        ok = true;
-        length = 265.;
-        wall_ms = 20.902;
-      }
-  in
-  Helpers.qtest ~count:300 "mutated trajectory lines load or fail, never raise"
-    fuzz_arb (fun seed ->
-      let rng = Ftes_util.Rng.create seed in
-      let text =
-        String.concat "\n" [ line; mutated rng line; line; mutated rng line ]
-      in
-      let path = Filename.temp_file "ftes_trajectory" ".jsonl" in
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
-      let result = try Ok (T.load path) with e -> Error e in
-      Sys.remove path;
-      match result with
-      | Ok (Ok _ | Error _) -> true
-      | Error e ->
           QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
 
 let test_manifest_checked_in () =
@@ -310,30 +282,64 @@ let test_oracle_sample_matches_manifest () =
             (fun (f : Runner.failure) -> f.Runner.id ^ ": " ^ f.Runner.reason)
             failures))
 
+(* One regression per axis on one instance of the smoke sample: a
+   corrupted digest, a manifest length 1.0 below the outcome's, a failed
+   execution and a wall time over [budget_factor] times the tier
+   ceiling. Each is reported once, naming the instance and the axis. *)
 let test_verify_names_offender () =
   let m = load_manifest () in
-  let instances = oracle_sample () in
-  let victim = (List.hd instances).I.id in
-  let corrupted =
+  let outcomes = Runner.run ~jobs:2 (oracle_sample ()) in
+  let victim = List.hd outcomes in
+  let id = victim.Runner.instance.I.id in
+  let with_entry f =
     {
       m with
       Manifest.entries =
         List.map
-          (fun (e : Manifest.entry) ->
-            if e.Manifest.id = victim then
-              { e with Manifest.digest = "deadbeefdeadbeefdeadbeefdeadbeef" }
-            else e)
+          (fun (e : Manifest.entry) -> if e.Manifest.id = id then f e else e)
           m.Manifest.entries;
     }
   in
-  let outcomes = Runner.run ~jobs:2 instances in
-  let failures = Runner.verify ~manifest:corrupted outcomes in
-  Alcotest.(check int) "exactly one regression" 1 (List.length failures);
-  let f = List.hd failures in
-  Alcotest.(check string) "offender named" victim f.Runner.id;
-  Alcotest.(check bool) "reason mentions the digest" true
-    (String.length f.Runner.reason >= 6
-    && String.sub f.Runner.reason 0 6 = "digest")
+  let with_outcome f =
+    List.map (fun o -> if o == victim then f o else o) outcomes
+  in
+  let flags ?budget_factor ~prefix manifest outcomes =
+    match Runner.verify ?budget_factor ~manifest outcomes with
+    | [ f ] ->
+        Alcotest.(check string) (prefix ^ ": offender named") id f.Runner.id;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: reason %S" prefix f.Runner.reason)
+          true
+          (String.starts_with ~prefix f.Runner.reason)
+    | fs ->
+        Alcotest.failf "%s: expected one regression, got %d" prefix
+          (List.length fs)
+  in
+  flags ~prefix:"digest regression"
+    (with_entry (fun e ->
+         { e with Manifest.digest = "deadbeefdeadbeefdeadbeefdeadbeef" }))
+    outcomes;
+  flags ~prefix:"length regression"
+    (with_entry (fun e ->
+         { e with Manifest.length = victim.Runner.length -. 1.0 }))
+    outcomes;
+  flags ~prefix:"execution failed" m
+    (with_outcome (fun o ->
+         {
+           o with
+           Runner.ok = false;
+           error = Some (Runner.Crash "injected");
+           detail = "injected";
+         }));
+  let budget_factor = 4. in
+  flags ~budget_factor ~prefix:"budget regression" m
+    (with_outcome (fun o ->
+         {
+           o with
+           Runner.wall_ms =
+             (budget_factor *. Runner.tier_budget_ms o.Runner.instance.I.tier)
+             +. 1.;
+         }))
 
 let test_evaluate_deterministic () =
   (* Same instance, two evaluations (one inside a pool): identical
@@ -487,7 +493,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_manifest_parse_errors;
           Alcotest.test_case "checked-in file" `Quick test_manifest_checked_in;
         ] );
-      ("total inputs", [ manifest_fuzz; trajectory_fuzz ]);
+      ("total inputs", [ manifest_fuzz ]);
       ( "registry",
         [
           Alcotest.test_case "deterministic" `Quick test_registry_deterministic;

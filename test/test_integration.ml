@@ -45,7 +45,8 @@ let test_fig4_cases () =
 let test_fig6_schedule () =
   let t = Experiments.fig6 () in
   Alcotest.(check bool) "meets deadline" true (Table.meets_deadline t);
-  Alcotest.(check (list string)) "validates" [] (Sim.validate_messages t)
+  Alcotest.(check (list string)) "validates" []
+    (List.map Ftes_sim.Violation.to_string (Sim.validate t))
 
 (* ------------------------------------------------------------------ *)
 (* Synthesis end to end                                                *)

@@ -178,7 +178,8 @@ let test_validate_jobs_identical () =
       let t = small_table ~seed in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d: jobs=4 = jobs=1" seed)
-        (Sim.validate_messages ~jobs:1 t) (Sim.validate_messages ~jobs:4 t))
+        (List.map Ftes_sim.Violation.to_string (Sim.validate ~jobs:1 t))
+        (List.map Ftes_sim.Violation.to_string (Sim.validate ~jobs:4 t)))
     [ 1; 2; 3; 4; 5 ]
 
 (* The whole configuration, printable: policy and copy placement of

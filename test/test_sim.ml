@@ -14,7 +14,7 @@ let fig5_table () = Conditional.schedule (Ftcpg.build (Helpers.fig5_problem ()))
 
 let test_fig5_validates () =
   Alcotest.(check (list string)) "no violations" []
-    (Sim.validate_messages (fig5_table ()))
+    (List.map Violation.to_string (Sim.validate (fig5_table ())))
 
 let test_run_no_fault () =
   let t = fig5_table () in
@@ -86,7 +86,7 @@ let test_detects_missing_activation () =
     (List.exists
        (fun v ->
          Astring_contains.contains v "no applicable activation")
-       (Sim.validate_messages bad));
+       (List.map Violation.to_string (Sim.validate bad)));
   Alcotest.(check bool) "typed kind" true
     (List.exists
        (fun v -> Violation.kind_label v = "missing-activation")
@@ -152,7 +152,7 @@ let test_detects_deadline_miss () =
   Alcotest.(check bool) "deadline miss caught" true
     (List.exists
        (fun v -> Astring_contains.contains v "deadline")
-       (Sim.validate_messages t_tight))
+       (List.map Violation.to_string (Sim.validate t_tight)))
 
 let test_validate_sampled () =
   let t = fig5_table () in

@@ -448,41 +448,6 @@ let test_metrics_json_export () =
           "\"test.metrics_hist\""; "\"+Inf\"";
         ])
 
-let test_prometheus_export () =
-  recording (fun () ->
-      Telemetry.incr (Telemetry.counter "test.metrics");
-      Telemetry.set_gauge "test.metrics_gauge" 2.5;
-      let h = Telemetry.histogram "test.metrics_hist" in
-      Telemetry.observe h 0.01;
-      let text = Format.asprintf "%a" Telemetry.pp_prometheus () in
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S present" needle)
-            true
-            (count_occurrences needle text >= 1))
-        [
-          (* Dots sanitized, ftes_ prefix, the three metric kinds. *)
-          "# TYPE ftes_test_metrics counter";
-          "ftes_test_metrics 1";
-          "# TYPE ftes_test_metrics_gauge gauge";
-          "ftes_test_metrics_gauge 2.5";
-          "# TYPE ftes_test_metrics_hist histogram";
-          "ftes_test_metrics_hist_bucket{le=\"+Inf\"} 1";
-          "ftes_test_metrics_hist_count 1";
-          "ftes_test_metrics_hist_sum 0.01";
-        ];
-      (* Exposition lines are either comments or name[{labels}] value. *)
-      List.iter
-        (fun line ->
-          if line <> "" && line.[0] <> '#' then
-            match String.index_opt line ' ' with
-            | Some _ -> ()
-            | None ->
-                Alcotest.fail
-                  (Printf.sprintf "malformed exposition line %S" line))
-        (String.split_on_char '\n' text))
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -513,8 +478,6 @@ let () =
             test_chrome_export;
           Alcotest.test_case "metrics JSON snapshot parses" `Quick
             test_metrics_json_export;
-          Alcotest.test_case "prometheus exposition shape" `Quick
-            test_prometheus_export;
         ] );
     ];
   Ftes_util.Par.shutdown ()

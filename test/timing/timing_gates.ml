@@ -65,35 +65,43 @@ let test_recording_overhead () =
   in
   Events.disable ();
   ignore (run_once ());
+  (* One search takes a few tens of milliseconds, where a single
+     scheduler hiccup is worth more than the bound, so each timed sample
+     sums searches until it reaches 0.25 s. Within a pair the off and
+     on searches alternate one by one, so a slow stretch of the host
+     lands on both sides alike; both sides then run the same number of
+     searches, and a sample is its side's mean wall time per search. *)
+  let min_sample_s = 0.25 in
   (* Paired off/on samples; the ratio of per-side minima is taken
      below, which is robust to one-sided scheduler noise. *)
   let reps = 7 in
   let dropped = ref 0 in
-  let pairs =
-    List.init reps (fun _ ->
-        Events.disable ();
-        let off = time run_once in
-        incumbents := 0;
-        spans := 0;
-        Telemetry.reset ();
-        Events.enable ();
-        let sink = Events.add_sink capture in
-        let on = time run_once in
-        Events.drain ();
-        dropped := Events.dropped ();
-        Events.remove_sink sink;
-        (off, on))
+  let sink = Events.add_sink capture in
+  let rec pair n off on =
+    Events.disable ();
+    let r_off, w_off = time run_once in
+    Telemetry.reset ();
+    Events.enable ();
+    let r_on, w_on = time run_once in
+    Events.drain ();
+    dropped := !dropped + Events.dropped ();
+    let n = n + 1 and off = off +. w_off and on = on +. w_on in
+    if off < min_sample_s || on < min_sample_s then pair n off on
+    else ((r_off, r_on), off /. float_of_int n, on /. float_of_int n, n)
   in
+  let pairs = List.init reps (fun _ -> pair 0 0. 0.) in
+  Events.remove_sink sink;
   Events.disable ();
   (* Scheduler noise only ever adds time, so the minimum over reps is
      the most stable estimate of each side's true cost — medians of
      paired ratios swing +/-10% on a loaded single-core host, which is
      wider than the bound being asserted. *)
   let minimum = List.fold_left min infinity in
-  let wall_off = minimum (List.map (fun ((_, w), _) -> w) pairs) in
-  let wall_on = minimum (List.map (fun (_, (_, w)) -> w) pairs) in
+  let wall_off = minimum (List.map (fun (_, w, _, _) -> w) pairs) in
+  let wall_on = minimum (List.map (fun (_, _, w, _) -> w) pairs) in
+  let searches = List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 pairs in
   let overhead_pct = ((wall_on /. wall_off) -. 1.) *. 100. in
-  let (off, _), (on, _) = List.hd pairs in
+  let (off, on), _, _, _ = List.hd pairs in
   Alcotest.(check bool) "recording leaves the search unchanged" true
     (off.Strategy.length = on.Strategy.length
     && Evalcache.signature off.Strategy.problem
@@ -106,9 +114,9 @@ let test_recording_overhead () =
      per-record work it should not. *)
   let bound_pct = 5.0 in
   Printf.printf
-    "recording off %.4f s, on %.4f s (%d spans): overhead %+.2f%% (bound \
-     %.1f%%)\n"
-    wall_off wall_on !spans overhead_pct bound_pct;
+    "recording off %.4f s, on %.4f s per search (%d searches per side, \
+     %d spans): overhead %+.2f%% (bound %.1f%%)\n"
+    wall_off wall_on searches !spans overhead_pct bound_pct;
   if overhead_pct > bound_pct then
     Alcotest.failf "recording overhead %+.2f%% exceeds the %.1f%% bound"
       overhead_pct bound_pct
