@@ -23,6 +23,35 @@ let read_doc path =
 let exit_bad_input =
   Cmd.Exit.info exit_bad_file ~doc:"when FILE cannot be read or parsed."
 
+(* Exit status of a run whose instance exceeds one of the limits that
+   bound the table synthesis. *)
+let exit_limit = 3
+
+(* The FT-CPG and schedule table of [path]'s instance, or one line
+   naming the limit it exceeds and [exit_limit]. *)
+let build_table ?jobs path problem =
+  let exceeds fmt =
+    Format.kasprintf
+      (fun what ->
+        Format.eprintf "ftes: %s: %s@." path what;
+        exit exit_limit)
+      fmt
+  in
+  match Ftes_ftcpg.Ftcpg.build problem with
+  | exception Ftes_ftcpg.Ftcpg.Too_large cap ->
+      exceeds "the FT-CPG exceeds the limit of %d vertices" cap
+  | ftcpg -> (
+      let params = Ftes_sched.Conditional.default_params in
+      match Ftes_sched.Conditional.schedule ~params ?jobs ftcpg with
+      | exception Ftes_sched.Conditional.Too_many_tracks cap ->
+          exceeds "the scenario tree exceeds the limit of %d tracks" cap
+      | exception Ftes_sched.Conditional.Fixpoint_diverged _ ->
+          exceeds
+            "the frozen start times did not settle within the limit of %d \
+             iterations"
+            params.max_fix_iters
+      | table -> (ftcpg, table))
+
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -450,10 +479,7 @@ let synthesize_cmd =
 let simulate path faults trace jobs =
   let doc = read_doc path in
   let problem = Ftes_dsl.Dsl.to_problem doc in
-  let ftcpg = Ftes_ftcpg.Ftcpg.build problem in
-  let table =
-    Ftes_sched.Conditional.schedule ?jobs ftcpg
-  in
+  let ftcpg, table = build_table ?jobs path problem in
   (* Select rows of the packed scenario arena by fault count and replay
      them against one compiled table; only failing rows and the one
      whose trace is printed are unpacked to guards. *)
@@ -516,7 +542,16 @@ let simulate_cmd =
            ~doc:"Print the event trace of the worst scenario.")
   in
   Cmd.v
-    (Cmd.info "simulate" ~exits:(exit_bad_input :: Cmd.Exit.defaults)
+    (Cmd.info "simulate"
+       ~exits:
+         (exit_bad_input
+         :: Cmd.Exit.info exit_limit
+              ~doc:
+                "when the instance exceeds a limit of the table synthesis: \
+                 the FT-CPG's vertex cap, the scenario tree's track cap or \
+                 the iteration cap of the frozen start times; one line \
+                 names the limit and nothing is simulated."
+         :: Cmd.Exit.defaults)
        ~doc:"Execute the synthesized tables under injected faults.")
     Term.(const simulate $ file $ faults $ trace $ jobs)
 

@@ -56,6 +56,7 @@ type gnode = {
   hash : int;
   bloom : int;  (* [bit] of every literal *)
   mutable alive : bool;
+  mutable lonely : bool;  (* known to have no live partner *)
 }
 
 (* The subset pre-filter: one of 62 bits per literal. *)
@@ -68,7 +69,7 @@ let gnode_of_codes literals codes =
       hash := !hash + mix c;
       bloom := !bloom lor bit c)
     codes;
-  { literals; codes; hash = !hash; bloom = !bloom; alive = false }
+  { literals; codes; hash = !hash; bloom = !bloom; alive = false; lonely = false }
 
 let gnode g = gnode_of_codes g (Array.of_list (List.map code (Cond.literals g)))
 
@@ -103,13 +104,80 @@ let rec flipped_from a i b j =
   j = Array.length a
   || (b.(j) = (if j = i then a.(j) lxor 1 else a.(j)) && flipped_from a i b (j + 1))
 
-(* Guard hashes are mixed already. *)
-module Index = Hashtbl.Make (struct
-  type t = int
+(* The flip index of one slot: the guards ever live, bucketed by hash.
+   A merge retires at least two guards, so a slot adds fewer guards
+   than it starts with, and two buckets per starting guard hold all of
+   them at a load of at most one. *)
+type index = { buckets : gnode list array; mask : int }
 
-  let equal = Int.equal
-  let hash h = h land max_int
-end)
+let index_for n =
+  let size = ref 1 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  { buckets = Array.make !size []; mask = !size - 1 }
+
+let add index n =
+  n.alive <- true;
+  let b = n.hash land index.mask in
+  index.buckets.(b) <- n :: index.buckets.(b)
+
+(* The hash of [n] with literal [i] flipped. *)
+let flip_hash n i =
+  let c = n.codes.(i) in
+  n.hash - mix c + mix (c lxor 1)
+
+let is_flip n i q =
+  q.alive
+  && Array.length q.codes = Array.length n.codes
+  && flipped_from n.codes i q.codes 0
+
+let rec exists_flip n i = function
+  | [] -> false
+  | q :: rest -> is_flip n i q || exists_flip n i rest
+
+(* Some live guard is [n] with literal [i] flipped. *)
+let has_partner index n i =
+  exists_flip n i index.buckets.(flip_hash n i land index.mask)
+
+(* Position of the least partner of [n], from [i] down; -1 if none.
+   Scanning in order, the first guard with a partner is the least such
+   guard, so every partner sorts after it and flips a no-fault literal
+   of it to a fault; of two such flips, the one at the later position
+   keeps the smaller code longer and sorts first. *)
+let rec least_partner index n i =
+  if i < 0 then -1
+  else if has_partner index n i then i
+  else least_partner index n (i - 1)
+
+(* The first live guard with a partner, and its least partner's
+   position. Guards probed without a hit are flagged lonely and skipped
+   from then on: removing guards never gives one a partner, and
+   [wake] clears the flag of every guard a merge gives one. *)
+let rec first_mergeable index = function
+  | [] -> None
+  | n :: rest ->
+      if n.lonely then first_mergeable index rest
+      else
+        let i = least_partner index n (Array.length n.codes - 1) in
+        if i >= 0 then Some (n, i)
+        else begin
+          n.lonely <- true;
+          first_mergeable index rest
+        end
+
+let rec wake_flips n i = function
+  | [] -> ()
+  | q :: rest ->
+      if is_flip n i q then q.lonely <- false;
+      wake_flips n i rest
+
+(* The new guard [n] is a partner of exactly its live one-literal
+   flips. *)
+let wake index n =
+  for i = 0 to Array.length n.codes - 1 do
+    wake_flips n i index.buckets.(flip_hash n i land index.mask)
+  done
 
 (* The guards one slot keeps, ascending. *)
 let collapse = function
@@ -117,42 +185,11 @@ let collapse = function
   | guards ->
       let by_codes a b = compare_codes a.codes b.codes in
       let live = ref (List.sort_uniq by_codes (List.map gnode guards)) in
-      (* Flip index from guard hash to the guards ever live; retired
-         ones stay and are skipped. *)
-      let index = Index.create (2 * List.length !live) in
-      (* Some live guard is [n] with literal [i] flipped. *)
-      let has_partner n i =
-        let c = n.codes.(i) in
-        let h = n.hash - mix c + mix (c lxor 1) in
-        List.exists
-          (fun q ->
-            q.alive
-            && Array.length q.codes = Array.length n.codes
-            && flipped_from n.codes i q.codes 0)
-          (Index.find_all index h)
-      in
-      let add n =
-        n.alive <- true;
-        Index.add index n.hash n
-      in
-      List.iter add !live;
-      (* Position of the least partner of [n], if it has one. Scanning
-         in order, the first guard with a partner is the least such
-         guard, so every partner sorts after it and flips a no-fault
-         literal of it to a fault; of two such flips, the one at the
-         later position keeps the smaller code longer and sorts first. *)
-      let rec least_partner n i =
-        if i < 0 then None
-        else if has_partner n i then Some i
-        else least_partner n (i - 1)
-      in
+      (* Retired guards stay in the index and are skipped. *)
+      let index = index_for (List.length !live) in
+      List.iter (add index) !live;
       let rec step () =
-        match
-          List.find_map
-            (fun n ->
-              Option.map (fun i -> (n, i)) (least_partner n (Array.length n.codes - 1)))
-            !live
-        with
+        match first_mergeable index !live with
         | Some (g, i) ->
             (* [Cond.remove] shares the guard's tail: merged guards are
                what the table keeps. *)
@@ -165,7 +202,8 @@ let collapse = function
             in
             let implied, kept = List.partition (fun h -> implies h merged) !live in
             List.iter (fun h -> h.alive <- false) implied;
-            add merged;
+            add index merged;
+            wake index merged;
             let rec insert = function
               | h :: rest when by_codes h merged < 0 -> h :: insert rest
               | l -> merged :: l

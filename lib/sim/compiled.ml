@@ -31,7 +31,6 @@ let no_lane = min_int
 
 type centry = {
   c_guard : Condvec.guard;
-  c_node : int;  (* guard trie node of the column guard *)
   c_size : int;  (* [Cond.size] of the column guard: specificity *)
   c_start : float;
   c_finish : float;
@@ -43,21 +42,26 @@ type centry = {
    are sorted by condition id and hence by field index. Equal guards
    end at the same node, so a node id is a guard id. Nodes are laid out
    in pre-order: node [n] tests one literal (the 2-bit field under
-   [tmask.(n)] in word [tword.(n)] equals [tbits.(n)]), its subtree
-   spans [n, tskip.(n)), and the vertices whose existence guard ends
-   at [n] are [tverts.(tvstart.(n)) .. tverts.(tvstart.(n + 1) - 1)],
-   ascending. Node 0 is the root: the true guard, whose zero mask every
-   row matches. A guard with a literal outside the universe is never
-   implied; it gets the node id [never], one past the last node, which
-   no walk reaches. *)
+   [tmask.(n)] in word [tword.(n)] equals [tbits.(n)]) and its subtree
+   spans [n, tskip.(n)). Node 0 is the root: the true guard, whose zero
+   mask every row matches. A guard with a literal outside the universe
+   is never implied and is listed at no node.
+
+   What ends at node [n] is listed as the codes
+   [tcodes.(tstart.(n)) .. tcodes.(tstart.(n + 1) - 1)], each
+   [(vid lsl shift) lor off]: [off = 0] for a vertex whose existence
+   guard ends there, [1 + j] for its activation column [j] and
+   [1 + Array.length exec.(vid) + j] for its broadcast column [j]. So
+   a vertex's ascending offsets give its activation and then its
+   broadcast columns, each in table order. *)
 type index = {
   tword : int array;
   tmask : int array;
   tbits : int array;
   tskip : int array;
-  tvstart : int array;
-  tverts : int array;
-  never : int;
+  tstart : int array;
+  tcodes : int array;
+  shift : int;
 }
 
 type t = {
@@ -83,17 +87,50 @@ type t = {
 
 (* Trie under construction: nodes in insertion order, each with its
    literal [2 * field + fault], its depth (the [Cond.size] of the guard
-   ending there) and its children as a sibling chain. *)
+   ending there) and its children as a sibling chain. The four fields
+   of a node sit side by side in blocks of [block] nodes, added as the
+   trie grows, so no node is ever copied. No cheap bound on the node
+   count holds and is tight: on generated k=4 tables the guards'
+   literals sum to about 9x the nodes, because guards share long
+   prefixes. *)
+let block_bits = 10
+let block = 1 lsl block_bits
+
 type builder = {
   field_of : int array;  (* condition id -> field index, or -1 *)
-  mutable lit : int array;
-  mutable depth : int array;
-  mutable first_kid : int array;
-  mutable next_sib : int array;
+  mutable blocks : int array array;
   mutable size : int;
 }
 
-let builder u ~capacity =
+let f_lit = 0
+let f_depth = 1
+let f_kid = 2
+let f_sib = 3
+
+let get b k f = b.blocks.(k lsr block_bits).((4 * (k land (block - 1))) + f)
+let set b k f x = b.blocks.(k lsr block_bits).((4 * (k land (block - 1))) + f) <- x
+
+(* A fresh node [k] (the next one) with the given literal and depth and
+   no children. *)
+let push b lit depth =
+  let k = b.size in
+  let blk = k lsr block_bits in
+  if k land (block - 1) = 0 then begin
+    if blk = Array.length b.blocks then begin
+      let dir = Array.make (2 * blk) [||] in
+      Array.blit b.blocks 0 dir 0 blk;
+      b.blocks <- dir
+    end;
+    b.blocks.(blk) <- Array.make (4 * block) 0
+  end;
+  set b k f_lit lit;
+  set b k f_depth depth;
+  set b k f_kid (-1);
+  set b k f_sib (-1);
+  b.size <- k + 1;
+  k
+
+let builder u =
   let top = ref 0 in
   for idx = 0 to Condvec.size u - 1 do
     top := max !top (Condvec.cond_of_index u idx + 1)
@@ -102,40 +139,22 @@ let builder u ~capacity =
   for idx = 0 to Condvec.size u - 1 do
     field_of.(Condvec.cond_of_index u idx) <- idx
   done;
-  let none () = Array.make capacity (-1) in
-  {
-    field_of;
-    lit = none ();
-    depth = Array.make capacity 0;
-    first_kid = none ();
-    next_sib = none ();
-    size = 1;
-  }
+  let b = { field_of; blocks = Array.make 8 [||]; size = 0 } in
+  ignore (push b (-1) 0);
+  b
 
 let child b parent lit =
-  let k = ref b.first_kid.(parent) in
-  while !k >= 0 && b.lit.(!k) <> lit do
-    k := b.next_sib.(!k)
+  let k = ref (get b parent f_kid) in
+  let found = ref false in
+  while (not !found) && !k >= 0 do
+    let blk = b.blocks.(!k lsr block_bits) and at = 4 * (!k land (block - 1)) in
+    if blk.(at + f_lit) = lit then found := true else k := blk.(at + f_sib)
   done;
-  if !k >= 0 then !k
+  if !found then !k
   else begin
-    let k = b.size in
-    if k = Array.length b.lit then begin
-      let grow a =
-        let a' = Array.make (2 * k) (-1) in
-        Array.blit a 0 a' 0 k;
-        a'
-      in
-      b.lit <- grow b.lit;
-      b.depth <- grow b.depth;
-      b.first_kid <- grow b.first_kid;
-      b.next_sib <- grow b.next_sib
-    end;
-    b.lit.(k) <- lit;
-    b.depth.(k) <- b.depth.(parent) + 1;
-    b.next_sib.(k) <- b.first_kid.(parent);
-    b.first_kid.(parent) <- k;
-    b.size <- k + 1;
+    let k = push b lit (get b parent f_depth + 1) in
+    set b k f_sib (get b parent f_kid);
+    set b parent f_kid k;
     k
   end
 
@@ -152,10 +171,9 @@ let rec insert b node = function
       if idx < 0 then -1
       else insert b (child b node ((2 * idx) + Bool.to_int l.Cond.fault)) rest
 
-(* Lay the builder out in pre-order. [vnode] maps each vertex to its
-   builder node (-1: never implied); the second result maps builder
-   nodes to trie nodes. *)
-let layout b ~vnode =
+(* Lay the builder's nodes out in pre-order: the trie's tests and skip
+   index, and the map from builder nodes to trie nodes. *)
+let layout b =
   let n = b.size in
   let pre = Array.make n 0 in
   let tword = Array.make n 0 in
@@ -168,39 +186,22 @@ let layout b ~vnode =
     pre.(k) <- id;
     incr next;
     if k > 0 then begin
-      let idx = b.lit.(k) / 2 in
+      let lit = get b k f_lit in
+      let idx = lit / 2 in
       let shift = 2 * (idx mod Condvec.fields_per_word) in
       tword.(id) <- idx / Condvec.fields_per_word;
       tmask.(id) <- 3 lsl shift;
-      tbits.(id) <- (1 + (2 * (b.lit.(k) land 1))) lsl shift
+      tbits.(id) <- (1 + (2 * (lit land 1))) lsl shift
     end;
-    let kid = ref b.first_kid.(k) in
+    let kid = ref (get b k f_kid) in
     while !kid >= 0 do
       visit !kid;
-      kid := b.next_sib.(!kid)
+      kid := get b !kid f_sib
     done;
     tskip.(id) <- !next
   in
   visit 0;
-  let vnode = Array.map (fun k -> if k < 0 then n else pre.(k)) vnode in
-  (* Vertices grouped by node, ascending within each node. *)
-  let tvstart = Array.make (n + 1) 0 in
-  Array.iter
-    (fun id -> if id < n then tvstart.(id + 1) <- tvstart.(id + 1) + 1)
-    vnode;
-  for id = 1 to n do
-    tvstart.(id) <- tvstart.(id) + tvstart.(id - 1)
-  done;
-  let fill = Array.sub tvstart 0 n in
-  let tverts = Array.make tvstart.(n) 0 in
-  Array.iteri
-    (fun vid id ->
-      if id < n then begin
-        tverts.(fill.(id)) <- vid;
-        fill.(id) <- fill.(id) + 1
-      end)
-    vnode;
-  ({ tword; tmask; tbits; tskip; tvstart; tverts; never = n }, pre)
+  (tword, tmask, tbits, tskip, pre)
 
 let compile (table : Table.t) (u : Condvec.universe) =
   let ftcpg = table.Table.ftcpg in
@@ -224,47 +225,100 @@ let compile (table : Table.t) (u : Condvec.universe) =
         else -1
     | Table.Local -> no_lane
   in
-  (* Group the entry list by item in one pass, keeping table order per
-     item, which the selection and ambiguity checks below depend on;
-     every guard goes into the trie on the way (about one node per
-     column on the benchmark's tables). *)
-  let b = builder u ~capacity:(List.length table.Table.entries + n + 1) in
-  let node_of g = insert b 0 (Cond.literals g) in
-  let exec_rev = Array.make n [] in
-  let bcast_rev = Array.make n [] in
-  List.iter
-    (fun (e : Table.entry) ->
-      let k = node_of e.Table.guard in
+  (* Two passes over the entry list. The first puts every guard into
+     the trie and counts the columns of each item; the second fills
+     each item's column array in table order, which the selection and
+     ambiguity checks below depend on, and lists each column's code at
+     the trie node its guard ends at. *)
+  let b = builder u in
+  let entries = table.Table.entries in
+  let enode = Array.make (List.length entries) 0 in
+  let nexec = Array.make n 0 in
+  let nbcast = Array.make n 0 in
+  List.iteri
+    (fun x (e : Table.entry) ->
+      enode.(x) <- insert b 0 (Cond.literals e.Table.guard);
       match e.Table.item with
-      | Table.Exec vid -> exec_rev.(vid) <- (k, e) :: exec_rev.(vid)
-      | Table.Bcast vid -> bcast_rev.(vid) <- (k, e) :: bcast_rev.(vid))
-    table.Table.entries;
-  let vnode = Array.init n (fun vid -> node_of (Ftcpg.vertex ftcpg vid).Ftcpg.guard) in
-  let index, pre = layout b ~vnode in
+      | Table.Exec vid -> nexec.(vid) <- nexec.(vid) + 1
+      | Table.Bcast vid -> nbcast.(vid) <- nbcast.(vid) + 1)
+    entries;
+  let vnode =
+    Array.init n (fun vid -> insert b 0 (Cond.literals (Ftcpg.vertex ftcpg vid).Ftcpg.guard))
+  in
+  let tword, tmask, tbits, tskip, pre = layout b in
+  let nn = b.size in
+  (* Codes per trie node: count them, turn the counts into the end of
+     each node's run, then list each code by moving its node's end
+     down; once every code is listed, [tstart.(id)] is the start of the
+     run of node [id]. A run's order does not matter: the walk sorts
+     each vertex's columns. *)
+  let tstart = Array.make (nn + 1) 0 in
+  let count k = if k >= 0 then tstart.(pre.(k)) <- tstart.(pre.(k)) + 1 in
+  Array.iter count enode;
+  Array.iter count vnode;
+  for id = 1 to nn do
+    tstart.(id) <- tstart.(id) + tstart.(id - 1)
+  done;
+  let tcodes = Array.make tstart.(nn) 0 in
+  let list k code =
+    if k >= 0 then begin
+      let id = pre.(k) in
+      tstart.(id) <- tstart.(id) - 1;
+      tcodes.(tstart.(id)) <- code
+    end
+  in
+  let shift = ref 0 in
+  for vid = 0 to n - 1 do
+    while 1 + nexec.(vid) + nbcast.(vid) > 1 lsl !shift do
+      incr shift
+    done
+  done;
+  let shift = !shift in
+  Array.iteri (fun vid k -> list k (vid lsl shift)) vnode;
   (* Equal guards end at the same node and share one packed form. *)
-  let packed = Array.make b.size None in
+  let unpacked = Condvec.guard_true u in
+  let packed = Array.make nn unpacked in
   let pack_at k g =
     if k < 0 then Condvec.pack_guard u g
-    else
-      match packed.(k) with
-      | Some p -> p
-      | None ->
-          let p = Condvec.pack_guard u g in
-          packed.(k) <- Some p;
-          p
+    else begin
+      if packed.(k) == unpacked then packed.(k) <- Condvec.pack_guard u g;
+      packed.(k)
+    end
   in
-  let pack vid (k, (e : Table.entry)) =
+  let pack vid k (e : Table.entry) =
     {
       c_guard = pack_at k e.Table.guard;
-      c_node = (if k < 0 then index.never else pre.(k));
-      c_size = (if k < 0 then Cond.size e.Table.guard else b.depth.(k));
+      c_size = (if k < 0 then Cond.size e.Table.guard else get b k f_depth);
       c_start = e.Table.start;
       c_finish = e.Table.finish;
       c_lane = lane_of vid e;
     }
   in
-  let of_rev = Array.mapi (fun vid l -> Array.of_list (List.rev_map (pack vid) l)) in
-  let vguard = Array.make n (Condvec.guard_true u) in
+  let placeholder =
+    { c_guard = unpacked; c_size = 0; c_start = 0.; c_finish = 0.; c_lane = no_lane }
+  in
+  let exec = Array.map (fun m -> Array.make m placeholder) nexec in
+  let bcast = Array.map (fun m -> Array.make m placeholder) nbcast in
+  (* The counts become fill cursors. *)
+  Array.fill nexec 0 n 0;
+  Array.fill nbcast 0 n 0;
+  List.iteri
+    (fun x (e : Table.entry) ->
+      let k = enode.(x) in
+      match e.Table.item with
+      | Table.Exec vid ->
+          let j = nexec.(vid) in
+          exec.(vid).(j) <- pack vid k e;
+          nexec.(vid) <- j + 1;
+          list k ((vid lsl shift) + 1 + j)
+      | Table.Bcast vid ->
+          let j = nbcast.(vid) in
+          bcast.(vid).(j) <- pack vid k e;
+          nbcast.(vid) <- j + 1;
+          list k ((vid lsl shift) + 1 + Array.length exec.(vid) + j))
+    entries;
+  let index = { tword; tmask; tbits; tskip; tstart; tcodes; shift } in
+  let vguard = Array.make n unpacked in
   let vconditional = Array.make n false in
   let vname = Array.make n "" in
   let vcond_name = Array.make n "" in
@@ -319,8 +373,8 @@ let compile (table : Table.t) (u : Condvec.universe) =
     nverts = n;
     nnodes = Arch.node_count problem.Problem.arch;
     deadline = app.App.deadline;
-    exec = of_rev exec_rev;
-    bcast = of_rev bcast_rev;
+    exec;
+    bcast;
     vguard;
     vconditional;
     vname;
@@ -333,20 +387,30 @@ let compile (table : Table.t) (u : Condvec.universe) =
   }
 
 (* Per-worker scratch, reused across every scenario of a range. After a
-   replay it holds the columns that replay chose. A replay stamps the
-   trie nodes its row satisfies with a fresh epoch, so a guard holds in
-   the current replay exactly when its node carries the current epoch;
-   nothing has to be cleared between replays, whatever rows or spaces
-   the scratch saw before. [s_exist] lists the vertices of the last
-   replay, ascending: the only entries of [s_chosen]/[s_bchosen] it can
-   have set, and the only ones the next replay resets. *)
+   replay it holds the columns that replay chose. [s_exist] lists the
+   vertices of the last replay, ascending: the only entries of
+   [s_chosen]/[s_bchosen] it can have set, and the only ones the next
+   replay resets. A replay leaves [s_head] all -1, as it found it, and
+   refills the other arrays from the start, so nothing else carries
+   over between replays, whatever rows or spaces the scratch saw
+   before. *)
 type scratch = {
   s_chosen : int array;  (* vid -> column index in exec.(vid); -1 none *)
   s_bchosen : int array;  (* vid -> column index in bcast.(vid); -1 none *)
-  s_stamp : int array;  (* trie node -> epoch of its last satisfying replay *)
-  mutable s_epoch : int;
+  s_codes : int array;  (* the column codes the walk gathers *)
+  s_link : int array;
+      (* s_codes index -> the previous gathered code of the same vertex;
+         -1 none *)
+  s_head : int array;  (* vid -> its last gathered code; -1 none *)
   s_exist : int array;  (* vids existing in the last replay, ascending *)
   mutable s_nexist : int;
+  s_cols : int array;
+      (* the applicable column indexes of each existing vertex, ascending:
+         position a in s_exist has its activation columns at
+         s_xfrom.(a) .. s_bfrom.(a) - 1 and its broadcast columns at
+         s_bfrom.(a) .. s_xfrom.(a + 1) - 1 *)
+  s_xfrom : int array;
+  s_bfrom : int array;
   s_active : int array;  (* vids with nonzero-duration activations *)
   s_makespan : float array;  (* one cell, unboxed: latest chosen finish *)
   (* Built on the first violation of a replay only: *)
@@ -356,14 +420,22 @@ type scratch = {
 }
 
 let make_scratch c =
+  let n = max 1 c.nverts in
+  (* A walk enters a node at most once, so it gathers each code at most
+     once. *)
+  let m = max 1 (Array.length c.index.tcodes) in
   {
     s_chosen = Array.make c.nverts (-1);
     s_bchosen = Array.make c.nverts (-1);
-    s_stamp = Array.make (c.index.never + 1) 0;
-    s_epoch = 0;
-    s_exist = Array.make (max 1 c.nverts) 0;
+    s_codes = Array.make m 0;
+    s_link = Array.make m 0;
+    s_head = Array.make n (-1);
+    s_exist = Array.make n 0;
     s_nexist = 0;
-    s_active = Array.make (max 1 c.nverts) 0;
+    s_cols = Array.make m 0;
+    s_xfrom = Array.make (n + 1) 0;
+    s_bfrom = Array.make n 0;
+    s_active = Array.make n 0;
     s_makespan = [| 0. |];
     s_scenario = None;
     s_label = None;
@@ -402,20 +474,18 @@ let fail c scr sp i kind =
   scr.s_violations <-
     Violation.make ~scenario:s ~scenario_label:label kind :: scr.s_violations
 
-(* Shell sort of [a.(0 .. n-1)] in place: the existing vertices come
-   out of the trie walk in node order, and every check runs in vertex
-   order. *)
-let sort_prefix (a : int array) n =
+(* Shell sort of [a.(lo .. hi-1)] in place. *)
+let sort_range (a : int array) lo hi =
   let gap = ref 1 in
-  while (3 * !gap) + 1 < n do
+  while (3 * !gap) + 1 < hi - lo do
     gap := (3 * !gap) + 1
   done;
   while !gap > 0 do
     let h = !gap in
-    for x = h to n - 1 do
+    for x = lo + h to hi - 1 do
       let v = a.(x) in
       let y = ref x in
-      while !y >= h && a.(!y - h) > v do
+      while !y - h >= lo && a.(!y - h) > v do
         a.(!y) <- a.(!y - h);
         y := !y - h
       done;
@@ -425,8 +495,13 @@ let sort_prefix (a : int array) n =
   done
 
 (* Reset the previous replay's choices, then walk the trie over row
-   [i]: stamp every satisfied node with a fresh epoch and collect the
-   existing vertices, ascending. *)
+   [i], gathering the codes listed at every node whose literal the row
+   satisfies: the existence marks of the vertices that exist and the
+   columns that apply, each column chained to the previous one of its
+   vertex. The existing vertices are sorted; each one's chain gives its
+   applicable activation and broadcast column indexes, which go to its
+   [s_xfrom]/[s_bfrom] spans of [s_cols], ascending. Columns of
+   vertices that do not exist are left out. *)
 let walk c sp i scr =
   let ix = c.index in
   let chosen = scr.s_chosen and bchosen = scr.s_bchosen in
@@ -436,45 +511,86 @@ let walk c sp i scr =
     chosen.(vid) <- -1;
     bchosen.(vid) <- -1
   done;
-  let epoch = scr.s_epoch + 1 in
-  scr.s_epoch <- epoch;
-  let stamp = scr.s_stamp in
+  let shift = ix.shift in
+  let low = (1 lsl shift) - 1 in
+  let codes = scr.s_codes and link = scr.s_link and head = scr.s_head in
   let data = sp.Condvec.data in
   let base = i * sp.Condvec.words in
-  let nn = ix.never in
+  let nn = Array.length ix.tskip in
   let ne = ref 0 in
+  let nb = ref 0 in
   let nd = ref 0 in
   while !nd < nn do
     let n = !nd in
     if data.(base + ix.tword.(n)) land ix.tmask.(n) = ix.tbits.(n) then begin
-      stamp.(n) <- epoch;
-      for v = ix.tvstart.(n) to ix.tvstart.(n + 1) - 1 do
-        exist.(!ne) <- ix.tverts.(v);
-        incr ne
+      for x = ix.tstart.(n) to ix.tstart.(n + 1) - 1 do
+        let code = ix.tcodes.(x) in
+        let vid = code lsr shift in
+        if code land low = 0 then begin
+          exist.(!ne) <- vid;
+          incr ne
+        end
+        else begin
+          codes.(!nb) <- code;
+          link.(!nb) <- head.(vid);
+          head.(vid) <- !nb;
+          incr nb
+        end
       done;
       nd := n + 1
     end
     else nd := ix.tskip.(n)
   done;
-  sort_prefix exist !ne;
+  sort_range exist 0 !ne;
+  let cols = scr.s_cols and xfrom = scr.s_xfrom and bfrom = scr.s_bfrom in
+  let w = ref 0 in
+  for a = 0 to !ne - 1 do
+    let vid = exist.(a) in
+    let from = !w in
+    xfrom.(a) <- from;
+    let p = ref head.(vid) in
+    while !p >= 0 do
+      cols.(!w) <- codes.(!p) land low;
+      incr w;
+      p := link.(!p)
+    done;
+    sort_range cols from !w;
+    (* Offsets 1 .. |exec| are activation columns, the rest broadcast. *)
+    let nx = Array.length c.exec.(vid) in
+    let x = ref from in
+    while !x < !w && cols.(!x) <= nx do
+      cols.(!x) <- cols.(!x) - 1;
+      incr x
+    done;
+    bfrom.(a) <- !x;
+    while !x < !w do
+      cols.(!x) <- cols.(!x) - 1 - nx;
+      incr x
+    done
+  done;
+  xfrom.(!ne) <- !w;
+  for p = 0 to !nb - 1 do
+    head.(codes.(p) lsr shift) <- -1
+  done;
   scr.s_nexist <- !ne
 
 let replay_one c sp i scr =
   walk c sp i scr;
-  let stamp = scr.s_stamp and epoch = scr.s_epoch in
   let exist = scr.s_exist and ne = scr.s_nexist in
+  let cols = scr.s_cols and xfrom = scr.s_xfrom and bfrom = scr.s_bfrom in
   (* Activation selection: most specific applicable column; first one
      in table order wins ties, any equally specific column with a
      different time is an ambiguity. *)
   let chosen = scr.s_chosen in
   for a = 0 to ne - 1 do
     let vid = exist.(a) in
-    let cols = c.exec.(vid) in
+    let ecols = c.exec.(vid) in
     let best = ref (-1) in
     let best_size = ref (-1) in
-    for j = 0 to Array.length cols - 1 do
-      let e = cols.(j) in
-      if e.c_size > !best_size && stamp.(e.c_node) = epoch then begin
+    for x = xfrom.(a) to bfrom.(a) - 1 do
+      let j = cols.(x) in
+      let e = ecols.(j) in
+      if e.c_size > !best_size then begin
         best := j;
         best_size := e.c_size
       end
@@ -482,14 +598,10 @@ let replay_one c sp i scr =
     if !best < 0 then
       fail c scr sp i (Violation.Missing_activation { vid; vertex = c.vname.(vid) })
     else begin
-      let e = cols.(!best) in
-      for j = 0 to Array.length cols - 1 do
-        let e' = cols.(j) in
-        if
-          e'.c_size = e.c_size
-          && Float.abs (e'.c_start -. e.c_start) > eps
-          && stamp.(e'.c_node) = epoch
-        then
+      let e = ecols.(!best) in
+      for x = xfrom.(a) to bfrom.(a) - 1 do
+        let e' = ecols.(cols.(x)) in
+        if e'.c_size = e.c_size && Float.abs (e'.c_start -. e.c_start) > eps then
           fail c scr sp i
             (Violation.Ambiguous_activation
                {
@@ -510,12 +622,13 @@ let replay_one c sp i scr =
       let vid = exist.(a) in
       if c.vconditional.(vid) && chosen.(vid) >= 0 then begin
         let e = c.exec.(vid).(chosen.(vid)) in
-        let cols = c.bcast.(vid) in
+        let bcols = c.bcast.(vid) in
         let best = ref (-1) in
         let best_size = ref (-1) in
-        for j = 0 to Array.length cols - 1 do
-          let b = cols.(j) in
-          if b.c_size > !best_size && stamp.(b.c_node) = epoch then begin
+        for x = bfrom.(a) to xfrom.(a + 1) - 1 do
+          let j = cols.(x) in
+          let b = bcols.(j) in
+          if b.c_size > !best_size then begin
             best := j;
             best_size := b.c_size
           end
@@ -524,14 +637,10 @@ let replay_one c sp i scr =
           fail c scr sp i
             (Violation.Never_broadcast { vid; cond = c.vcond_name.(vid) })
         else begin
-          let b = cols.(!best) in
-          for j = 0 to Array.length cols - 1 do
-            let b' = cols.(j) in
-            if
-              b'.c_size = b.c_size
-              && Float.abs (b'.c_start -. b.c_start) > eps
-              && stamp.(b'.c_node) = epoch
-            then
+          let b = bcols.(!best) in
+          for x = bfrom.(a) to xfrom.(a + 1) - 1 do
+            let b' = bcols.(cols.(x)) in
+            if b'.c_size = b.c_size && Float.abs (b'.c_start -. b.c_start) > eps then
               fail c scr sp i
                 (Violation.Ambiguous_broadcast
                    {

@@ -22,34 +22,36 @@
     scenario, the composition the tests keep as their oracle
     ([test/sim_oracle.ml]).
 
-    {b Guard index.} A replay costs what the scenario touches, not the
+    {b Guard index.} A replay costs what holds in the scenario, not the
     whole table. {!compile} puts every guard of the table (vertex
     existence guards, activation and broadcast columns) into one trie
     over their literals, which are sorted by condition id; equal
     guards end at the same node, so a node id is a guard id, and a
-    guard with a literal outside the universe gets a node no walk
-    reaches. A replay walks the trie once over the scenario's row,
-    entering a child only when the row's 2-bit field equals its
-    literal (an absent field matches none, so partial rows need no
-    special case), and stamps every node it enters with the replay's
-    epoch. The vertices whose existence guard ends at a stamped node
-    form the existing-vertex list, sorted by vertex id; every check then
-    runs over that list only, and a column applies when its node
-    carries the current epoch. On generated k=4 tables of 245–565
-    vertices (10 processes, 2 nodes), 22–27 vertices exist in a
-    scenario on average.
+    guard with a literal outside the universe is listed at no node.
+    Each node lists what ends there: the vertices whose existence
+    guard it is and the columns whose guard it is. A replay walks the
+    trie once over the scenario's row, entering a child only when the
+    row's 2-bit field equals its literal (an absent field matches none,
+    so partial rows need no special case), and gathers the lists of
+    the nodes it enters, chaining each column to the previous one of
+    its vertex. That gives the existing vertices, which are sorted into
+    vertex order, and for each its applicable activation and broadcast
+    columns, sorted into table order; every check runs over those
+    only. On generated k=4 tables of 245–565 vertices (10 processes,
+    2 nodes, about 4,700 columns), 22–27 vertices exist in a scenario
+    on average.
 
-    {b Scratch.} The epoch counter, never the row index, is the stamp,
-    so one scratch can replay row 0 of many one-row spaces
+    {b Scratch.} Each replay refills its gathered lists from the start,
+    unlinks the chains it built and resets only the [chosen] entries
+    the previous one set, so one
+    scratch can replay row 0 of many one-row spaces
     ({!Diagnose.shrink}, and {!Symbolic} confirming its witnesses).
-    Each replay resets only the [chosen] entries the previous one set.
     The scenario, its label and the violation accumulator live in the
     scratch and are built on the first violation, so a clean scenario
     allocates nothing. *)
 
 type centry = {
   c_guard : Ftes_ftcpg.Condvec.guard;
-  c_node : int;  (** Guard trie node of [c_guard]. *)
   c_size : int;  (** [Cond.size] of the column guard: specificity. *)
   c_start : float;
   c_finish : float;
@@ -60,6 +62,7 @@ type centry = {
 
 type index
 (** The guard trie and, per trie node, the vertices whose existence
+    guard ends there and the activation and broadcast columns whose
     guard ends there. *)
 
 type t = {
@@ -109,7 +112,9 @@ val replay_one :
 (** Replay scenario [i] of the space; violations in [Sim_oracle.run]'s
     emission order. The row may be partial: a vertex exists, and a
     column applies, when every literal of its guard is present in the
-    row. *)
+    row. Selection and the ambiguity checks visit only the columns
+    that apply, in table order, so a replay costs the trie walk plus
+    the applicable columns, whatever the columns per vertex. *)
 
 val chosen_exec : t -> scratch -> int -> centry option
 (** The activation column the last replay chose for vertex [vid];

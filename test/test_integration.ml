@@ -373,6 +373,29 @@ let test_cli_simulate_golden () =
        "simulate_faults2_deadline400.out");
     ]
 
+(* An instance beyond a limit of the table synthesis is not a crash:
+   [ftes simulate] prints one line naming the limit and exits 3. *)
+let test_cli_simulate_over_limit () =
+  List.iter
+    (fun (size, limit) ->
+      let code, text, _ =
+        run_ftes ([ "generate"; "-n"; "2"; "--seed"; "1" ] @ size)
+      in
+      Alcotest.(check int) "generate exit code" 0 code;
+      with_temp_instance text (fun path ->
+          let code, out, err = run_ftes [ "simulate"; path; "--faults"; "1" ] in
+          Alcotest.(check int) (limit ^ ": exit code") 3 code;
+          Alcotest.(check string) (limit ^ ": one-line message")
+            (Printf.sprintf "ftes: %s: %s\n" path limit)
+            err;
+          Alcotest.(check string) (limit ^ ": no output") "" out))
+    [
+      ( [ "-p"; "30"; "-k"; "9" ],
+        "the FT-CPG exceeds the limit of 50000 vertices" );
+      ( [ "-p"; "8"; "-k"; "9" ],
+        "the scenario tree exceeds the limit of 20000 tracks" );
+    ]
+
 (* [ftes synthesize --portfolio] on a generated instance: the race's
    winner, its design and its tables, byte for byte at jobs 1 and 2. *)
 let test_cli_portfolio_golden () =
@@ -467,6 +490,8 @@ let () =
             test_cli_jobs_validated;
           Alcotest.test_case "missing file exits 2" `Quick
             test_cli_missing_file;
+          Alcotest.test_case "simulate over a synthesis limit exits 3" `Quick
+            test_cli_simulate_over_limit;
           Alcotest.test_case "portfolio output = golden" `Quick
             test_cli_portfolio_golden;
         ] );
