@@ -27,30 +27,31 @@ let exit_bad_input =
    bound the table synthesis. *)
 let exit_limit = 3
 
-(* The FT-CPG and schedule table of [path]'s instance, or one line
-   naming the limit it exceeds and [exit_limit]. *)
-let build_table ?jobs path problem =
-  let exceeds fmt =
-    Format.kasprintf
-      (fun what ->
-        Format.eprintf "ftes: %s: %s@." path what;
-        exit exit_limit)
-      fmt
+(* A converter for the values [parse] reads and [valid] accepts; any
+   other value is a usage error (exit 124) naming [expected], before
+   any work starts. *)
+let checked parse print ~expected valid =
+  let parse str =
+    match parse str with
+    | Some v when valid v -> Ok v
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" str expected))
   in
-  match Ftes_ftcpg.Ftcpg.build problem with
-  | exception Ftes_ftcpg.Ftcpg.Too_large cap ->
-      exceeds "the FT-CPG exceeds the limit of %d vertices" cap
-  | ftcpg -> (
-      let params = Ftes_sched.Conditional.default_params in
-      match Ftes_sched.Conditional.schedule ~params ?jobs ftcpg with
-      | exception Ftes_sched.Conditional.Too_many_tracks cap ->
-          exceeds "the scenario tree exceeds the limit of %d tracks" cap
-      | exception Ftes_sched.Conditional.Fixpoint_diverged _ ->
-          exceeds
-            "the frozen start times did not settle within the limit of %d \
-             iterations"
-            params.max_fix_iters
-      | table -> (ftcpg, table))
+  Arg.conv (parse, print)
+
+let int_from lo =
+  checked int_of_string_opt Format.pp_print_int
+    ~expected:(Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo)
+
+let float_in ~expected valid =
+  checked float_of_string_opt Format.pp_print_float ~expected (fun x ->
+      Float.is_finite x && valid x)
+
+let probability =
+  float_in ~expected:"a probability in [0,1]" (fun p -> p >= 0. && p <= 1.)
+
+let non_negative = float_in ~expected:"a number >= 0" (fun x -> x >= 0.)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -78,22 +79,24 @@ let generate processes nodes seed frozen_procs frozen_msgs k output =
 
 let generate_cmd =
   let processes =
-    Arg.(value & opt int 10 & info [ "p"; "processes" ] ~doc:"Process count.")
+    Arg.(value & opt (int_from 1) 10
+         & info [ "p"; "processes" ] ~doc:"Process count.")
   in
   let nodes =
-    Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~doc:"Node count.")
+    Arg.(value & opt (int_from 1) 3 & info [ "n"; "nodes" ] ~doc:"Node count.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let fp =
-    Arg.(value & opt float 0. & info [ "frozen-procs" ]
+    Arg.(value & opt probability 0. & info [ "frozen-procs" ]
            ~doc:"Probability a process is frozen.")
   in
   let fm =
-    Arg.(value & opt float 0. & info [ "frozen-msgs" ]
+    Arg.(value & opt probability 0. & info [ "frozen-msgs" ]
            ~doc:"Probability a message is frozen.")
   in
   let k =
-    Arg.(value & opt int 2 & info [ "k" ] ~doc:"Tolerated transient faults.")
+    Arg.(value & opt (int_from 0) 2
+         & info [ "k" ] ~doc:"Tolerated transient faults.")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ]
@@ -144,15 +147,8 @@ let strategy_conv =
 
 (* [-j/--jobs], shared by every command that fans work out. *)
 let jobs =
-  let parse str =
-    match int_of_string_opt str with
-    | Some j when j >= 1 -> Ok j
-    | _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" str))
-  in
   Arg.(value
-       & opt (some (conv (parse, Format.pp_print_int))) None
+       & opt (some (int_from 1)) None
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains for the parallel work: candidate evaluation, \
                  scenario replay, corpus instances and the portfolio \
@@ -259,8 +255,7 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
   in
   let options =
     {
-      Ftes_core.Synthesis.default_options with
-      strategy;
+      Ftes_core.Synthesis.strategy;
       tabu;
       compute_fto = fto;
       checkpointing;
@@ -305,14 +300,14 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
               (Ftes_ftcpg.Mapping.copies problem.Ftes_ftcpg.Problem.mapping
                  ~pid))))
     problem.Ftes_ftcpg.Problem.policies;
-  (match result.Ftes_core.Synthesis.table with
-  | Some table ->
+  (match result.Ftes_core.Synthesis.tables with
+  | Ok table ->
       Format.printf "@.-- schedule tables --@.%a@." Ftes_sched.Table.pp table;
       if matrix then
         Format.printf "@.%a@."
           (Ftes_sched.Table.pp_matrix ~max_columns:24)
           table
-  | None -> ());
+  | Error _ -> ());
   (match (stats, cache) with
   | true, Some c ->
       Format.printf "@.-- evaluation cache --@.  %a@."
@@ -323,25 +318,34 @@ let synthesize path strategy portfolio deadline fto checkpointing no_tables
   | false, _ -> ());
   if validate || explain || json || symbolic then begin
     let mode = if symbolic then `Symbolic else `Explicit in
-    let violations = Ftes_core.Synthesis.validate ?jobs ~mode result in
-    if json then
-      Format.printf "@.%s@." (Ftes_sim.Violation.list_to_json violations);
-    if violations = [] then
-      Format.printf "@.fault-injection validation: OK@."
-    else begin
-      Format.printf "@.fault-injection validation FAILED:@.";
-      List.iter
-        (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
-        violations;
-      if explain then (
-        match Ftes_core.Synthesis.diagnose ?jobs result with
-        | Some report ->
-            Format.printf "@.-- counterexample report --@.%a@."
-              Ftes_sim.Diagnose.pp_report report
-        | None -> ());
-      finish_telemetry ();
-      exit 1
-    end
+    match Ftes_core.Synthesis.validate ?jobs ~mode result with
+    | Error why ->
+        Format.printf "@.fault-injection validation: not run (%s)@."
+          (match why with
+          | Ftes_core.Synthesis.Not_requested ->
+              "tables not requested: --no-tables"
+          | Limit l -> Ftes_core.Synthesis.limit_to_string l);
+        finish_telemetry ();
+        exit exit_limit
+    | Ok violations ->
+        if json then
+          Format.printf "@.%s@." (Ftes_sim.Violation.list_to_json violations);
+        if violations = [] then
+          Format.printf "@.fault-injection validation: OK@."
+        else begin
+          Format.printf "@.fault-injection validation FAILED:@.";
+          List.iter
+            (fun v ->
+              Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
+            violations;
+          if explain then
+            Result.iter
+              (Format.printf "@.-- counterexample report --@.%a@."
+                 Ftes_sim.Diagnose.pp_report)
+              (Ftes_core.Synthesis.diagnose ?jobs result);
+          finish_telemetry ();
+          exit 1
+        end
   end;
   finish_telemetry ()
 
@@ -363,7 +367,7 @@ let synthesize_cmd =
                  to watch the race live.")
   in
   let deadline =
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS"
+    Arg.(value & opt (some non_negative) None & info [ "deadline" ] ~docv:"SECS"
            ~doc:"Wall-clock budget for the portfolio race: every member \
                  stops at the deadline and the best incumbent found so \
                  far wins (anytime mode). Implies --portfolio.")
@@ -458,6 +462,12 @@ let synthesize_cmd =
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"on fault-injection validation failure."
+    :: Cmd.Exit.info exit_limit
+         ~doc:"when validation (--validate, --symbolic, --json or \
+               --explain) was asked for but there are no tables to \
+               validate: the instance exceeds a limit of the table \
+               synthesis, or --no-tables was given. Validation prints \
+               'not run' with the reason."
     :: Cmd.Exit.info exit_bad_file
          ~doc:"when FILE cannot be read or parsed, or an output file \
                (--events, --trace, --metrics-json) cannot be opened for \
@@ -479,7 +489,15 @@ let synthesize_cmd =
 let simulate path faults trace jobs =
   let doc = read_doc path in
   let problem = Ftes_dsl.Dsl.to_problem doc in
-  let ftcpg, table = build_table ?jobs path problem in
+  let table =
+    match Ftes_core.Synthesis.tables ?jobs problem with
+    | Ok table -> table
+    | Error l ->
+        Format.eprintf "ftes: %s: %s@." path
+          (Ftes_core.Synthesis.limit_to_string l);
+        exit exit_limit
+  in
+  let ftcpg = table.Ftes_sched.Table.ftcpg in
   (* Select rows of the packed scenario arena by fault count and replay
      them against one compiled table; only failing rows and the one
      whose trace is printed are unpacked to guards. *)
@@ -842,7 +860,13 @@ let corpus_cmd =
 
 let reliability rate period target hours =
   let module R = Ftes_core.Reliability in
-  let k = R.min_k ~rate ~period ~target () in
+  let k =
+    match R.min_k ~rate ~period ~target () with
+    | k -> k
+    | exception Invalid_argument msg ->
+        Format.eprintf "ftes: %s@." msg;
+        exit exit_limit
+  in
   Format.printf
     "fault rate %g/ms, cycle %g ms: expected faults per cycle %g@." rate
     period (rate *. period);
@@ -860,23 +884,30 @@ let reliability rate period target hours =
 
 let reliability_cmd =
   let rate =
-    Arg.(required & opt (some float) None
+    Arg.(required & opt (some non_negative) None
            & info [ "rate" ] ~doc:"Transient fault rate (faults per ms).")
   in
   let period =
-    Arg.(required & opt (some float) None
-           & info [ "period" ] ~doc:"Cycle length (ms).")
+    Arg.(required
+         & opt (some (float_in ~expected:"a number > 0" (fun x -> x > 0.))) None
+         & info [ "period" ] ~doc:"Cycle length (ms).")
   in
   let target =
-    Arg.(value & opt float 0.999999
-           & info [ "target" ] ~doc:"Per-cycle reliability goal in (0,1).")
+    Arg.(value
+         & opt (float_in ~expected:"a number in (0,1)" (fun t -> t > 0. && t < 1.))
+             0.999999
+         & info [ "target" ] ~doc:"Per-cycle reliability goal in (0,1).")
   in
   let hours =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some non_negative) None
            & info [ "mission-hours" ] ~doc:"Also report mission reliability.")
   in
   Cmd.v
     (Cmd.info "reliability"
+       ~exits:
+         (Cmd.Exit.info exit_limit
+            ~doc:"when even k = 64 faults per cycle do not reach the target."
+         :: Cmd.Exit.defaults)
        ~doc:"Derive the fault hypothesis k from a fault rate and goal.")
     Term.(const reliability $ rate $ period $ target $ hours)
 

@@ -42,11 +42,11 @@ let () =
         Ftes_app.Policy.pp policy)
     problem.Ftes_ftcpg.Problem.policies;
 
-  (match result.Ftes_core.Synthesis.table with
-  | Some table ->
+  (match result.Ftes_core.Synthesis.tables with
+  | Ok table ->
       Format.printf "@.%a@." Ftes_sched.Table.pp table;
       (* Show one recovery in action: the worst double-fault trace. *)
-      let ftcpg = Option.get result.Ftes_core.Synthesis.ftcpg in
+      let ftcpg = table.Ftes_sched.Table.ftcpg in
       let space = Ftes_ftcpg.Ftcpg.scenario_space ftcpg in
       let scenarios =
         List.filter_map
@@ -72,11 +72,15 @@ let () =
           Format.printf "@.worst double-fault trace:@.%a@."
             Ftes_sim.Sim.pp_outcome w
       | None -> ())
-  | None -> Format.printf "tables not produced@.");
+  | Error _ -> Format.printf "tables not produced@.");
 
   match Ftes_core.Synthesis.validate result with
-  | [] -> Format.printf "@.fault-injection validation: OK@."
-  | vs ->
+  | Ok [] -> Format.printf "@.fault-injection validation: OK@."
+  | Error why ->
+      Format.printf "@.fault-injection validation: not run (%s)@."
+        (Ftes_core.Synthesis.no_tables_to_string why);
+      exit 1
+  | Ok vs ->
       List.iter
         (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))
         vs;

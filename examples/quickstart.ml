@@ -25,16 +25,20 @@ let () =
   Format.printf "@.%a@." Ftes_core.Synthesis.pp result;
 
   (* 3. Inspect the schedule tables (Fig. 6 style). *)
-  (match result.Ftes_core.Synthesis.table with
-  | Some table -> Format.printf "@.%a@." Ftes_sched.Table.pp table
-  | None -> Format.printf "no tables produced@.");
+  (match result.Ftes_core.Synthesis.tables with
+  | Ok table -> Format.printf "@.%a@." Ftes_sched.Table.pp table
+  | Error _ -> Format.printf "no tables produced@.");
 
   (* 4. Validate by fault injection: every scenario with at most one
      fault must meet the deadline, and frozen items must keep a single
      start time. *)
   match Ftes_core.Synthesis.validate result with
-  | [] -> Format.printf "@.fault-injection validation: OK@."
-  | violations ->
+  | Ok [] -> Format.printf "@.fault-injection validation: OK@."
+  | Error why ->
+      Format.printf "@.fault-injection validation: not run (%s)@."
+        (Ftes_core.Synthesis.no_tables_to_string why);
+      exit 1
+  | Ok violations ->
       Format.printf "@.validation failed:@.";
       List.iter
         (fun v -> Format.printf "  ! %s@." (Ftes_sim.Violation.to_string v))

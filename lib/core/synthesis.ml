@@ -5,13 +5,31 @@ module Strategy = Ftes_optim.Strategy
 module Tabu = Ftes_optim.Tabu
 module Slack = Ftes_sched.Slack
 module Table = Ftes_sched.Table
+module Conditional = Ftes_sched.Conditional
 module Events = Ftes_util.Events
+
+type limit = Vertices of int | Tracks of int | Fix_iters of int
+type no_tables = Not_requested | Limit of limit
+
+let limit_to_string = function
+  | Vertices cap ->
+      Printf.sprintf "the FT-CPG exceeds the limit of %d vertices" cap
+  | Tracks cap ->
+      Printf.sprintf "the scenario tree exceeds the limit of %d tracks" cap
+  | Fix_iters cap ->
+      Printf.sprintf
+        "the frozen start times did not settle within the limit of %d \
+         iterations"
+        cap
+
+let no_tables_to_string = function
+  | Not_requested -> "tables not requested"
+  | Limit l -> limit_to_string l
 
 type t = {
   problem : Problem.t;
   estimate : Slack.result;
-  ftcpg : Ftcpg.t option;
-  table : Table.t option;
+  tables : (Table.t, no_tables) result;
   fto : float option;
 }
 
@@ -19,7 +37,6 @@ type options = {
   strategy : Strategy.name;
   tabu : Tabu.options;
   conditional : bool;
-  max_vertices : int;
   sched_jobs : int;
   compute_fto : bool;
   checkpointing : bool;
@@ -31,32 +48,22 @@ let default_options =
     strategy = Strategy.MXR;
     tabu = Tabu.default_options;
     conditional = true;
-    max_vertices = 20_000;
     sched_jobs = 1;
     compute_fto = false;
     checkpointing = false;
     portfolio = None;
   }
 
-let try_tables ~conditional ~max_vertices ~jobs problem =
-  if not conditional then (None, None)
-  else
-    Events.with_phase ~cat:"core" "synthesize.tables" @@ fun () ->
-    match Ftcpg.build ~max_vertices problem with
-    | exception Ftcpg.Too_large _ -> (None, None)
-    | ftcpg -> (
-        match Ftes_sched.Conditional.schedule ~jobs ftcpg with
-        | exception Ftes_sched.Conditional.Too_many_tracks _ ->
-            (Some ftcpg, None)
-        | table -> (Some ftcpg, Some table))
+let within_limits build =
+  match build () with
+  | table -> Ok table
+  | exception Ftcpg.Too_large cap -> Error (Vertices cap)
+  | exception Conditional.Too_many_tracks cap -> Error (Tracks cap)
+  | exception Conditional.Fixpoint_diverged cap -> Error (Fix_iters cap)
 
-let of_problem ?(conditional = true) ?(max_vertices = 20_000) ?(sched_jobs = 1)
-    problem =
-  let estimate = Slack.evaluate problem in
-  let ftcpg, table =
-    try_tables ~conditional ~max_vertices ~jobs:sched_jobs problem
-  in
-  { problem; estimate; ftcpg; table; fto = None }
+let tables ?jobs problem =
+  Events.with_phase ~cat:"core" "synthesize.tables" @@ fun () ->
+  within_limits (fun () -> Conditional.schedule ?jobs (Ftcpg.build problem))
 
 let synthesize ?(options = default_options) ~app ~arch ~wcet ~k () =
   let args =
@@ -109,31 +116,31 @@ let synthesize ?(options = default_options) ~app ~arch ~wcet ~k () =
     Events.with_phase ~cat:"core" "synthesize.estimate" (fun () ->
         Slack.evaluate problem)
   in
-  let ftcpg, table =
-    try_tables ~conditional:options.conditional
-      ~max_vertices:options.max_vertices ~jobs:options.sched_jobs problem
+  let tables =
+    if options.conditional then
+      Result.map_error
+        (fun l -> Limit l)
+        (tables ~jobs:options.sched_jobs problem)
+    else Error Not_requested
   in
   let fto =
     Option.map
       (fun n -> Slack.fto ~ft_length:estimate.Slack.length ~nft_length:n)
       nft
   in
-  { problem; estimate; ftcpg; table; fto }
+  { problem; estimate; tables; fto }
 
 let schedulable t =
-  match t.table with
-  | Some table -> Table.meets_deadline table
-  | None ->
+  match t.tables with
+  | Ok table -> Table.meets_deadline table
+  | Error _ ->
       t.estimate.Slack.length
       <= t.problem.Problem.app.App.deadline +. 1e-9
 
 let validate ?jobs ?mode t =
-  match t.table with
-  | Some table -> Ftes_sim.Sim.validate ?jobs ?mode table
-  | None -> []
+  Result.map (Ftes_sim.Sim.validate ?jobs ?mode) t.tables
 
-let diagnose ?jobs t =
-  Option.map (fun table -> Ftes_sim.Diagnose.report ?jobs table) t.table
+let diagnose ?jobs t = Result.map (Ftes_sim.Diagnose.report ?jobs) t.tables
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>synthesis: estimated worst-case length %g%s@,"
@@ -141,15 +148,18 @@ let pp ppf t =
     (match t.fto with
     | Some f -> Printf.sprintf " (FTO %.1f%%)" f
     | None -> "");
-  (match t.ftcpg with
-  | Some f -> Format.fprintf ppf "%a@," Ftcpg.pp_summary f
-  | None -> Format.fprintf ppf "FT-CPG not expanded (over budget)@,");
-  (match t.table with
-  | Some table ->
+  (match t.tables with
+  | Ok table ->
       Format.fprintf ppf
-        "schedule tables: %d entries, worst-case length %g, %d scenarios@,"
+        "%a@,schedule tables: %d entries, worst-case length %g, %d scenarios@,\
+         schedulable: %b"
+        Ftcpg.pp_summary table.Table.ftcpg
         (Table.entry_count table)
         (Table.schedule_length table)
         (List.length table.Table.tracks)
-  | None -> Format.fprintf ppf "no conditional schedule tables@,");
-  Format.fprintf ppf "schedulable: %b@]" (schedulable t)
+        (schedulable t)
+  | Error why ->
+      Format.fprintf ppf
+        "no conditional schedule tables@,schedulable: %b (estimate; %s)"
+        (schedulable t) (no_tables_to_string why));
+  Format.fprintf ppf "@]"

@@ -17,7 +17,42 @@
     scheduling of the FT-CPG, with the estimator's configuration
     retained even when the FT-CPG is too large to expand (the paper's
     own experiments likewise report estimator-driven results for the
-    large benchmarks). *)
+    large benchmarks).
+
+    {!tables} is the one road from a design to its tables: the
+    synthesis flow, [ftes simulate] and the corpus runner all take it,
+    and it alone turns the limits of the table synthesis into values. *)
+
+type limit =
+  | Vertices of int  (** The FT-CPG exceeds {!Ftes_ftcpg.Ftcpg.vertex_cap}. *)
+  | Tracks of int
+      (** The scenario tree exceeds {!Ftes_sched.Conditional.track_cap}. *)
+  | Fix_iters of int
+      (** The frozen start times did not settle within
+          {!Ftes_sched.Conditional.fix_iter_cap} iterations. *)
+(** A limit of the table synthesis, with its cap. *)
+
+val limit_to_string : limit -> string
+(** One line naming the limit, e.g. ["the FT-CPG exceeds the limit of
+    50000 vertices"]. *)
+
+val within_limits : (unit -> 'a) -> ('a, limit) result
+(** Run a step that builds an FT-CPG and schedules it, with the limit
+    exceptions of {!Ftes_ftcpg.Ftcpg.build} and
+    {!Ftes_sched.Conditional.schedule} as [Error]. *)
+
+val tables : ?jobs:int -> Ftes_ftcpg.Problem.t -> (Ftes_sched.Table.t, limit) result
+(** The schedule tables S of a fully specified configuration: the
+    FT-CPG expansion followed by conditional scheduling ([jobs] is
+    handed to {!Ftes_sched.Conditional.schedule}), or the limit that
+    stopped them. The table carries its FT-CPG. *)
+
+type no_tables =
+  | Not_requested  (** [options.conditional] was off. *)
+  | Limit of limit
+(** Why a synthesis result has no schedule tables. *)
+
+val no_tables_to_string : no_tables -> string
 
 type t = {
   problem : Ftes_ftcpg.Problem.t;
@@ -25,11 +60,8 @@ type t = {
           and M (mapping). *)
   estimate : Ftes_sched.Slack.result;
       (** Estimated worst-case schedule length. *)
-  ftcpg : Ftes_ftcpg.Ftcpg.t option;
-      (** The expanded FT-CPG, when within the expansion budget. *)
-  table : Ftes_sched.Table.t option;
-      (** The schedule tables S, when conditional scheduling was
-          feasible. *)
+  tables : (Ftes_sched.Table.t, no_tables) result;
+      (** The schedule tables S, or why there are none. *)
   fto : float option;
       (** Fault-tolerance overhead vs. the fault-free baseline, when
           requested. *)
@@ -40,7 +72,6 @@ type options = {
   tabu : Ftes_optim.Tabu.options;
   conditional : bool;  (** Attempt FT-CPG expansion + conditional
                            scheduling (default true). *)
-  max_vertices : int;  (** FT-CPG expansion budget. *)
   sched_jobs : int;  (** Domains on which the conditional scheduler's
                          table assembly collapses its slots (default
                          1 = sequential; tables are identical for any
@@ -71,31 +102,33 @@ val synthesize :
   k:int ->
   unit ->
   t
-
-val of_problem :
-  ?conditional:bool ->
-  ?max_vertices:int ->
-  ?sched_jobs:int ->
-  Ftes_ftcpg.Problem.t ->
-  t
-(** Schedule a fully specified configuration (no optimization). *)
+(** Optimize the configuration, estimate it, and build its tables with
+    {!tables} when [options.conditional] is on. *)
 
 val schedulable : t -> bool
-(** True when the produced tables (or, failing that, the estimate) meet
-    the application deadline in every scenario. *)
+(** True when the produced tables (or, without tables, the estimate)
+    meet the application deadline in every scenario. *)
 
 val validate :
-  ?jobs:int -> ?mode:Ftes_sim.Sim.mode -> t -> Ftes_sim.Violation.t list
-(** Fault-injection validation of the schedule tables (empty when no
-    tables were produced — the estimate alone cannot be simulated).
-    [jobs] and [mode] are forwarded to {!Ftes_sim.Sim.validate}; the
-    default [`Explicit] is the packed sharded validator, whose result
-    is [jobs]-invariant. [`Symbolic] and [`Auto] trade the full
-    enumeration for cube replay with one confirmed witness per failing
-    cube (see {!Ftes_sim.Sim.mode}). *)
+  ?jobs:int ->
+  ?mode:Ftes_sim.Sim.mode ->
+  t ->
+  (Ftes_sim.Violation.t list, no_tables) result
+(** Fault-injection validation of the schedule tables: [Ok] with the
+    violations found ([Ok []] is a clean verdict), or [Error] when
+    there are no tables to validate — the estimate alone cannot be
+    simulated. [jobs] and [mode] are forwarded to
+    {!Ftes_sim.Sim.validate}; the default [`Explicit] is the packed
+    sharded validator, whose result is [jobs]-invariant. [`Symbolic]
+    and [`Auto] trade the full enumeration for cube replay with one
+    confirmed witness per failing cube (see {!Ftes_sim.Sim.mode}). *)
 
-val diagnose : ?jobs:int -> t -> Ftes_sim.Diagnose.report option
-(** Grouped, shrunk counterexample report of {!validate}; [None] when
+val diagnose :
+  ?jobs:int -> t -> (Ftes_sim.Diagnose.report, no_tables) result
+(** Grouped, shrunk counterexample report of {!validate}; [Error] when
     no tables were produced. *)
 
 val pp : Format.formatter -> t -> unit
+(** The estimate, the FT-CPG and table summary, and the verdict of
+    {!schedulable}; without tables, the verdict is marked as the
+    estimate's and names the reason. *)

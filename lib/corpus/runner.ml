@@ -14,23 +14,19 @@ module Rng = Ftes_util.Rng
 module Par = Ftes_util.Par
 module Telemetry = Ftes_util.Telemetry
 module Events = Ftes_util.Events
+module Synthesis = Ftes_core.Synthesis
 
 let c_instances = Telemetry.counter "corpus.instances"
 let c_failures = Telemetry.counter "corpus.failures"
 
 type error =
-  | No_tables
-  | Expansion_too_large of int
+  | Limit of Synthesis.limit
   | Violations of { count : int; first : string }
   | Invariant_broken of string
   | Crash of string
 
 let error_to_string = function
-  | No_tables ->
-      "synthesis produced no schedule tables (conditional scheduling \
-       infeasible for this instance)"
-  | Expansion_too_large cap ->
-      Printf.sprintf "FT-CPG expansion exceeded %d vertices" cap
+  | Limit l -> Synthesis.limit_to_string l
   | Violations { count; first } ->
       Printf.sprintf "%d violation(s), first: %s" count first
   | Invariant_broken what -> what
@@ -58,22 +54,27 @@ let tier_budget_ms = function
 
 let digest_of_string s = Digest.to_hex (Digest.string s)
 
+let table_or_fail = function
+  | Ok table -> table
+  | Error l -> raise (Instance_error (Limit l))
+
 (* Generated instances pin the deterministic default configuration
    (re-execution policies, fastest mapping). Example instances run
    the full synthesis flow — the paper's examples only meet their
    deadlines after policy/mapping optimization, so their digests
    additionally pin the optimizer's trajectory. *)
 let table_of inst p =
-  match inst.I.source with
-  | I.Generated _ -> Conditional.schedule (Ftcpg.build p)
-  | I.Example _ -> (
-      let s =
-        Ftes_core.Synthesis.synthesize ~app:p.Problem.app ~arch:p.Problem.arch
-          ~wcet:p.Problem.wcet ~k:p.Problem.k ()
-      in
-      match s.Ftes_core.Synthesis.table with
-      | Some t -> t
-      | None -> raise (Instance_error No_tables))
+  let design =
+    match inst.I.source with
+    | I.Generated _ -> p
+    | I.Example _ ->
+        (Synthesis.synthesize
+           ~options:{ Synthesis.default_options with conditional = false }
+           ~app:p.Problem.app ~arch:p.Problem.arch ~wcet:p.Problem.wcet
+           ~k:p.Problem.k ())
+          .Synthesis.problem
+  in
+  table_or_fail (Synthesis.tables design)
 
 let table_outcome table ~verdict ~validate =
   let violations = validate table in
@@ -112,11 +113,14 @@ let evaluate_exn inst =
          scenario enumeration at all); anything else falls back to the
          conditional scheduler. Either way, validation covers the whole
          scenario family symbolically. *)
-      let ftcpg = Ftcpg.build p in
       let table =
-        match Statictable.schedule ftcpg with
-        | t -> t
-        | exception Statictable.Not_transparent _ -> Conditional.schedule ftcpg
+        table_or_fail
+          (Synthesis.within_limits (fun () ->
+               let ftcpg = Ftcpg.build p in
+               match Statictable.schedule ftcpg with
+               | t -> t
+               | exception Statictable.Not_transparent _ ->
+                   Conditional.schedule ftcpg))
       in
       table_outcome table ~verdict:"clean-symbolic" ~validate:(fun table ->
           Sim.validate ~jobs:1 ~mode:`Symbolic table)
@@ -234,8 +238,6 @@ let evaluate inst =
     match evaluate_exn inst with
     | result -> result
     | exception Instance_error e -> (0., "", "error", Some e)
-    | exception Ftcpg.Too_large cap ->
-        (0., "", "error", Some (Expansion_too_large cap))
     | exception exn -> (0., "", "error", Some (Crash (Printexc.to_string exn)))
   in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in

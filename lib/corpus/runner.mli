@@ -10,12 +10,9 @@
     file machine-independent. *)
 
 type error =
-  | No_tables
-      (** Synthesis completed but produced no conditional schedule
-          tables (expansion over budget or scheduling infeasible) —
-          there is nothing to digest or validate. *)
-  | Expansion_too_large of int
-      (** FT-CPG expansion exceeded the vertex budget. *)
+  | Limit of Ftes_core.Synthesis.limit
+      (** The tables exceed a limit of the table synthesis — there is
+          nothing to digest or validate. *)
   | Violations of { count : int; first : string }
       (** Fault-injection validation reported violations. *)
   | Invariant_broken of string

@@ -38,16 +38,17 @@ type t = {
 
 exception Too_large of int
 
+let vertex_cap = 50_000
+
 (* Growable vertex accumulator; succs are patched in at the end. *)
 type builder = {
-  max_vertices : int;
   mutable rev : vertex list;
   mutable count : int;
 }
 
 let add_vertex b ~kind ~name ~guard ~duration ~conditional ~exec_node
     ~src_node ~on_bus ~msg_size ~frozen ~preds =
-  if b.count >= b.max_vertices then raise (Too_large b.max_vertices);
+  if b.count >= vertex_cap then raise (Too_large vertex_cap);
   let vid = b.count in
   b.count <- vid + 1;
   b.rev <-
@@ -69,7 +70,7 @@ let add_vertex b ~kind ~name ~guard ~duration ~conditional ~exec_node
     :: b.rev;
   vid
 
-let build ?(max_vertices = 50_000) (problem : Problem.t) =
+let build (problem : Problem.t) =
   Ftes_util.Events.with_span ~cat:"ftcpg" "ftcpg.build" @@ fun () ->
   let g = Problem.graph problem in
   let app = problem.Problem.app in
@@ -79,7 +80,7 @@ let build ?(max_vertices = 50_000) (problem : Problem.t) =
   let mapping = problem.Problem.mapping in
   let nprocs = Graph.process_count g in
   let nmsgs = Graph.message_count g in
-  let b = { max_vertices; rev = []; count = 0 } in
+  let b = { rev = []; count = 0 } in
   let by_proc = Array.make nprocs [] in
   let by_msg = Array.make nmsgs [] in
   let copy_counter = Hashtbl.create 64 in

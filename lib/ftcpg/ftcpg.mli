@@ -59,15 +59,18 @@ type vertex = private {
 
 type t
 
+val vertex_cap : int
+(** 50_000: the most vertices {!build} expands. *)
+
 exception Too_large of int
-(** Raised by {!build} when the expansion exceeds the vertex cap; the
+(** Raised by {!build} when the expansion exceeds {!vertex_cap}; the
     payload is the cap. The FT-CPG grows exponentially with [k] — the
     paper's motivation for transparency and for slack-based scheduling
     inside optimization loops. *)
 
-val build : ?max_vertices:int -> Problem.t -> t
-(** Expand the problem instance into its FT-CPG. [max_vertices]
-    defaults to 50_000. *)
+val build : Problem.t -> t
+(** Expand the problem instance into its FT-CPG.
+    @raise Too_large beyond {!vertex_cap} vertices. *)
 
 val problem : t -> Problem.t
 val vertex_count : t -> int

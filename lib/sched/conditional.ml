@@ -22,13 +22,9 @@ let c_fix_iterations = Telemetry.counter "sched.fix_iterations"
 let c_ready_hits = Telemetry.counter "sched.ready_hits"
 let c_cache_inval = Telemetry.counter "sched.cache_invalidations"
 
-type params = {
-  cond_size : float;
-  max_tracks : int;
-  max_fix_iters : int;
-}
-
-let default_params = { cond_size = 1.; max_tracks = 20_000; max_fix_iters = 64 }
+let cond_size = 1.
+let track_cap = 20_000
+let fix_iter_cap = 64
 
 exception Blocked of string
 exception Too_many_tracks of int
@@ -245,7 +241,7 @@ let undo w mark =
     end
   done
 
-let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
+let schedule ?(jobs = 1) ftcpg =
   Events.with_span ~cat:"sched" "sched.conditional" @@ fun () ->
   let problem = Ftcpg.problem ftcpg in
   let k = problem.Problem.k in
@@ -504,7 +500,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
       in
       let l = bus_lane src in
       let s, f =
-        Lane.bus_window w.lanes.(l) view ~src ~size:params.cond_size
+        Lane.bus_window w.lanes.(l) view ~src ~size:cond_size
           ~earliest:tr
       in
       reserve w l ~start:s ~finish:f;
@@ -591,8 +587,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
                         (Cond.to_string ~name:(Ftcpg.cond_name ftcpg) st.guard)))
             done;
           incr leaf_count;
-          if !leaf_count > params.max_tracks then
-            raise (Too_many_tracks params.max_tracks);
+          if !leaf_count > track_cap then raise (Too_many_tracks track_cap);
           let rec fresh acc es =
             if es == st.emitted then acc
             else
@@ -665,7 +660,7 @@ let schedule ?(params = default_params) ?(jobs = 1) ftcpg =
   in
 
   let rec iterate iter =
-    if iter > params.max_fix_iters then raise (Fixpoint_diverged iter);
+    if iter > fix_iter_cap then raise (Fixpoint_diverged fix_iter_cap);
     Telemetry.incr c_fix_iterations;
     Hashtbl.reset demands;
     let results =

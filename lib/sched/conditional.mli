@@ -28,26 +28,28 @@
     guards. Assembly takes most of the time, so it is the phase that
     runs in parallel. *)
 
-type params = {
-  cond_size : float;
-      (** Size of a condition broadcast message (default 1.). *)
-  max_tracks : int;
-      (** Abort when the scenario tree exceeds this many leaves
-          (default 20_000). *)
-  max_fix_iters : int;
-      (** Fixpoint iteration cap for frozen start times (default 64). *)
-}
+val cond_size : float
+(** 1.: the size of a condition broadcast message. *)
 
-val default_params : params
+val track_cap : int
+(** 20_000: the most leaves the scenario tree may grow. *)
+
+val fix_iter_cap : int
+(** 64: the most fixpoint iterations for frozen start times. *)
 
 exception Blocked of string
 (** A vertex could never be activated in some scenario (dependency
     deadlock) — indicates an inconsistent FT-CPG. *)
 
 exception Too_many_tracks of int
-exception Fixpoint_diverged of int
+(** Raised by {!schedule} beyond {!track_cap} tracks; the payload is
+    the cap. *)
 
-val schedule : ?params:params -> ?jobs:int -> Ftes_ftcpg.Ftcpg.t -> Table.t
+exception Fixpoint_diverged of int
+(** Raised by {!schedule} when the frozen start times have not settled
+    after {!fix_iter_cap} iterations; the payload is the cap. *)
+
+val schedule : ?jobs:int -> Ftes_ftcpg.Ftcpg.t -> Table.t
 (** Incremental scheduler: guard-aware ready set, memoized tentative
     placements (invalidated when the {!Lane} they target grows), and one
     mutable track state, lanes included, restored by an undo trail at

@@ -9,7 +9,7 @@ module Events = Ftes_util.Events
 
 exception Not_transparent of string
 
-let schedule ?(params = Conditional.default_params) ftcpg =
+let schedule ftcpg =
   Events.with_span ~cat:"sched" "sched.static" @@ fun () ->
   let problem = Ftcpg.problem ftcpg in
   let g = Problem.graph problem in
@@ -120,7 +120,7 @@ let schedule ?(params = Conditional.default_params) ftcpg =
       if v.Ftcpg.conditional && nnodes > 1 then begin
         let src = Option.value v.Ftcpg.exec_node ~default:0 in
         let bs, bf =
-          place_on_bus ~src ~size:params.Conditional.cond_size ~earliest:f
+          place_on_bus ~src ~size:Conditional.cond_size ~earliest:f
         in
         emit (Table.Bcast vid) bs bf Table.Bus
       end)

@@ -2,7 +2,7 @@
 
     The conditional scheduler ({!Conditional}) builds one track per
     complete fault scenario, which caps the scenario spaces it can ever
-    express at [params.max_tracks]. A {e fully transparent} application
+    express at {!Conditional.track_cap}. A {e fully transparent} application
     — every process and message frozen — needs none of that: frozen
     vertices start at the same time in every scenario by definition
     (the paper's Sec. 3.3 trade-off), so the whole table is one
@@ -30,8 +30,8 @@ exception Not_transparent of string
     application is not fully transparent, so a static table would be
     incorrect; use {!Conditional.schedule}. *)
 
-val schedule : ?params:Conditional.params -> Ftes_ftcpg.Ftcpg.t -> Table.t
-(** Compile the static table. [params] only contributes
-    [cond_size] (broadcast slot size). The result has a single
+val schedule : Ftes_ftcpg.Ftcpg.t -> Table.t
+(** Compile the static table; broadcasts take {!Conditional.cond_size}
+    on the bus, as in the conditional scheduler. The result has a single
     pseudo-track carrying the static makespan, so
     {!Table.schedule_length} and the corpus digests work unchanged. *)

@@ -15,7 +15,6 @@ module Ftcpg = Ftes_ftcpg.Ftcpg
 module Problem = Ftes_ftcpg.Problem
 module Graph = Ftes_app.Graph
 module Arch = Ftes_arch.Arch
-module Pqueue = Ftes_util.Pqueue
 module Imap = Map.Make (Int)
 module Conditional = Ftes_sched.Conditional
 module Table = Ftes_sched.Table
@@ -53,8 +52,7 @@ type state = {
   r_makespan : float;
 }
 
-let schedule ?(params = Conditional.default_params) ftcpg =
-  let { Conditional.cond_size; max_tracks; max_fix_iters; _ } = params in
+let schedule ftcpg =
   let problem = Ftcpg.problem ftcpg in
   let k = problem.Problem.k in
   let g = Problem.graph problem in
@@ -224,7 +222,7 @@ let schedule ?(params = Conditional.default_params) ftcpg =
         | None -> 0
       in
       let bus, (s, f) =
-        Busalloc.place st.r_bus ~src ~size:cond_size ~earliest:tr
+        Busalloc.place st.r_bus ~src ~size:Conditional.cond_size ~earliest:tr
       in
       let entry =
         { Table.item = Table.Bcast vc; guard = st.r_guard; start = s;
@@ -307,8 +305,8 @@ let schedule ?(params = Conditional.default_params) ftcpg =
                            st.r_guard)))
             done;
             incr leaf_count;
-            if !leaf_count > max_tracks then
-              raise (Conditional.Too_many_tracks max_tracks);
+            if !leaf_count > Conditional.track_cap then
+              raise (Conditional.Too_many_tracks Conditional.track_cap);
             [
               ( st.r_entries,
                 { Table.scenario = st.r_guard; makespan = st.r_makespan } );
@@ -365,8 +363,8 @@ let schedule ?(params = Conditional.default_params) ftcpg =
   in
 
   let rec iterate iter =
-    if iter > max_fix_iters then
-      raise (Conditional.Fixpoint_diverged iter);
+    if iter > Conditional.fix_iter_cap then
+      raise (Conditional.Fixpoint_diverged Conditional.fix_iter_cap);
     Hashtbl.reset demands;
     leaf_count := 0;
     let results = run (initial_state ()) in

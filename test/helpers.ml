@@ -97,6 +97,13 @@ let transparent_problem ?(processes = 10) ?(nodes = 2) ~k ~seed () =
   in
   Ftes_workload.Gen.problem ~k spec
 
+(* [ftes generate -p P -n 2 -k 9 --seed 1]: at P = 30 the FT-CPG
+   exceeds its vertex cap; at P = 8 it expands, and the scenario tree
+   exceeds the conditional scheduler's track cap. *)
+let over_limit_problem ~processes =
+  Ftes_workload.Gen.problem ~k:9
+    { Ftes_workload.Gen.default with processes; nodes = 2; seed = 1 }
+
 (* Random application graph for structural qcheck properties. *)
 let arbitrary_graph =
   QCheck.make

@@ -1,8 +1,6 @@
-(** Mutable binary-heap priority queue.
-
-    Minimum-first with respect to a user-supplied comparison, used by the
-    list schedulers (ready queues ordered by priority) and the
-    discrete-event simulator (event queues ordered by time). *)
+(** Mutable binary-heap priority queue, minimum-first with respect to a
+    user-supplied comparison: the ready queue of [Slack_oracle] and the
+    pending-condition queue of [Conditional_oracle]. *)
 
 type 'a t
 

@@ -190,12 +190,12 @@ let evaluate ?(ft = true) (problem : Problem.t) =
     (fun (m : Graph.message) -> indeg.(m.Graph.dst) <- indeg.(m.Graph.dst) + 1)
     (Graph.messages g);
   let cmp a b = compare (-.prio.(a), a) (-.prio.(b), b) in
-  let ready = Ftes_util.Pqueue.create ~cmp in
+  let ready = Pqueue.create ~cmp in
   for pid = 0 to nprocs - 1 do
-    if indeg.(pid) = 0 then Ftes_util.Pqueue.push ready pid
+    if indeg.(pid) = 0 then Pqueue.push ready pid
   done;
   let rec drain () =
-    match Ftes_util.Pqueue.pop ready with
+    match Pqueue.pop ready with
     | None -> ()
     | Some pid ->
         place_process pid;
@@ -203,7 +203,7 @@ let evaluate ?(ft = true) (problem : Problem.t) =
           (fun mid ->
             let dst = (Graph.message g mid).Graph.dst in
             indeg.(dst) <- indeg.(dst) - 1;
-            if indeg.(dst) = 0 then Ftes_util.Pqueue.push ready dst)
+            if indeg.(dst) = 0 then Pqueue.push ready dst)
           (Graph.out_messages g pid);
         drain ()
   in

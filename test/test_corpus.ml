@@ -418,14 +418,21 @@ let test_evaluate_typed_errors () =
   in
   let o = Runner.evaluate huge in
   Alcotest.(check bool) "overflow fails" false o.Runner.ok;
-  (match o.Runner.error with
-  | Some (Runner.Expansion_too_large cap) ->
-      Alcotest.(check bool) "cap is positive" true (cap > 0)
-  | other ->
-      Alcotest.failf "expected Expansion_too_large, got %s"
-        (match other with
-        | None -> "ok"
-        | Some e -> Runner.error_to_string e));
+  let expect_limit o limit =
+    Alcotest.(check (option string)) "typed limit"
+      (Some (Runner.error_to_string (Runner.Limit limit)))
+      (Option.map Runner.error_to_string o.Runner.error)
+  in
+  expect_limit o (Ftes_core.Synthesis.Vertices Ftes_ftcpg.Ftcpg.vertex_cap);
+  (* The scenario tree's track cap lands as the same typed error. *)
+  expect_limit
+    (Runner.evaluate
+       (broken ~id:"broken-track-overflow"
+          ~source:
+            (I.Generated
+               { Ftes_workload.Gen.default with processes = 8; nodes = 2 })
+          ~k:9 ~check:I.Exhaustive))
+    (Ftes_core.Synthesis.Tracks Ftes_sched.Conditional.track_cap);
   (* verify reports the failed outcome instead of trusting it. *)
   let failures =
     Runner.verify ~manifest:{ Manifest.version = Manifest.schema_version;

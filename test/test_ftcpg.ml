@@ -260,10 +260,10 @@ let test_fig5_durations () =
   | _ -> Alcotest.fail "expected 3 copies of P1"
 
 let test_too_large () =
-  let p = Helpers.fig5_problem () in
+  let p = Helpers.over_limit_problem ~processes:30 in
   Alcotest.(check bool) "raises Too_large" true
-    (match Ftcpg.build ~max_vertices:5 p with
-    | exception Ftcpg.Too_large 5 -> true
+    (match Ftcpg.build p with
+    | exception Ftcpg.Too_large cap -> cap = Ftcpg.vertex_cap
     | _ -> false)
 
 (* Structural properties over random instances. *)

@@ -69,22 +69,46 @@ let test_synthesize_fig3_all_strategies () =
       Alcotest.(check bool) (name ^ " has fto") true
         (result.Synthesis.fto <> None);
       Alcotest.(check (list string)) (name ^ " validates") []
-        (List.map Ftes_sim.Violation.to_string (Synthesis.validate result)))
+        (List.map Ftes_sim.Violation.to_string
+           (Result.get_ok (Synthesis.validate result))))
     [ Strategy.MXR; Strategy.MX; Strategy.SFX; Strategy.MC_global ]
 
-let test_synthesize_of_problem () =
-  let p = Helpers.fig5_problem () in
-  let r = Synthesis.of_problem p in
-  Alcotest.(check bool) "tables" true (r.Synthesis.table <> None);
-  Alcotest.(check bool) "schedulable" true (Synthesis.schedulable r)
+let test_tables_of_design () =
+  match Synthesis.tables (Helpers.fig5_problem ()) with
+  | Ok table ->
+      Alcotest.(check bool) "meets deadline" true (Table.meets_deadline table)
+  | Error l -> Alcotest.fail (Synthesis.limit_to_string l)
 
+(* Beyond a limit of the table synthesis the result names the limit,
+   the estimate alone decides schedulability, and validation does not
+   run. *)
 let test_synthesize_over_budget () =
-  let p = Helpers.fig5_problem () in
-  let r = Synthesis.of_problem ~max_vertices:3 p in
-  Alcotest.(check bool) "no ftcpg" true (r.Synthesis.ftcpg = None);
-  Alcotest.(check bool) "no tables" true (r.Synthesis.table = None);
-  (* The estimate still drives schedulability. *)
-  Alcotest.(check bool) "estimate used" true (Synthesis.schedulable r)
+  List.iter
+    (fun (processes, limit) ->
+      let p = Helpers.over_limit_problem ~processes in
+      let r =
+        Synthesis.synthesize ~app:p.Problem.app ~arch:p.Problem.arch
+          ~wcet:p.Problem.wcet ~k:p.Problem.k ()
+      in
+      let why = Synthesis.Limit limit in
+      let named = function
+        | Error w -> Synthesis.no_tables_to_string w
+        | Ok _ -> "ok"
+      in
+      let what = Synthesis.no_tables_to_string why in
+      Alcotest.(check string) "no tables" what (named r.Synthesis.tables);
+      Alcotest.(check string) "validation not run" what
+        (named (Synthesis.validate r));
+      Alcotest.(check string) "no diagnosis" what
+        (named (Synthesis.diagnose r));
+      Alcotest.(check bool) "estimate used"
+        (r.Synthesis.estimate.Ftes_sched.Slack.length
+        <= p.Problem.app.Ftes_app.App.deadline)
+        (Synthesis.schedulable r))
+    [
+      (30, Synthesis.Vertices Ftcpg.vertex_cap);
+      (8, Synthesis.Tracks Ftes_sched.Conditional.track_cap);
+    ]
 
 let test_merged_application_synthesis () =
   (* Two periodic applications merged over their hyperperiod, then
@@ -118,7 +142,8 @@ let test_merged_application_synthesis () =
   let result = Synthesis.synthesize ~app ~arch ~wcet ~k:1 () in
   Alcotest.(check bool) "schedulable" true (Synthesis.schedulable result);
   Alcotest.(check (list string)) "validates" []
-    (List.map Ftes_sim.Violation.to_string (Synthesis.validate result));
+    (List.map Ftes_sim.Violation.to_string
+       (Result.get_ok (Synthesis.validate result)));
   (* Local deadlines of the short application's instances are enforced
      by the validation above; check they exist. *)
   let g = app.Ftes_app.App.graph in
@@ -374,8 +399,20 @@ let test_cli_simulate_golden () =
     ]
 
 (* An instance beyond a limit of the table synthesis is not a crash:
-   [ftes simulate] prints one line naming the limit and exits 3. *)
+   [ftes simulate] prints one line naming the limit and exits 3, and
+   [ftes synthesize --validate] reports validation as not run, never
+   as OK, and exits 3 as well; so does [--no-tables --validate]. *)
 let test_cli_simulate_over_limit () =
+  let not_run what args reason =
+    let code, out, _ = run_ftes ("synthesize" :: args) in
+    Alcotest.(check int) (what ^ ": synthesize exit code") 3 code;
+    let verdict = Printf.sprintf "fault-injection validation: not run (%s)" reason in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: prints %S, got %S" what verdict out)
+      true
+      (Astring_contains.contains out verdict
+      && not (Astring_contains.contains out "validation: OK"))
+  in
   List.iter
     (fun (size, limit) ->
       let code, text, _ =
@@ -388,7 +425,11 @@ let test_cli_simulate_over_limit () =
           Alcotest.(check string) (limit ^ ": one-line message")
             (Printf.sprintf "ftes: %s: %s\n" path limit)
             err;
-          Alcotest.(check string) (limit ^ ": no output") "" out))
+          Alcotest.(check string) (limit ^ ": no output") "" out;
+          not_run limit [ path; "--validate"; "--jobs"; "1" ] limit;
+          not_run (limit ^ ", --no-tables")
+            [ path; "--no-tables"; "--validate"; "--jobs"; "1" ]
+            "tables not requested: --no-tables"))
     [
       ( [ "-p"; "30"; "-k"; "9" ],
         "the FT-CPG exceeds the limit of 50000 vertices" );
@@ -416,7 +457,8 @@ let test_cli_portfolio_golden () =
         [ "1"; "2" ])
 
 (* [-j/--jobs] takes a domain count of at least 1: anything else is a
-   usage error (cmdliner's exit 124) before any work starts. *)
+   usage error (cmdliner's exit 124) before any work starts. So are the
+   other numeric arguments out of their range. *)
 let test_cli_jobs_validated () =
   let code, text, _ =
     run_ftes [ "generate"; "-p"; "6"; "-n"; "2"; "-k"; "1"; "--seed"; "5" ]
@@ -424,25 +466,51 @@ let test_cli_jobs_validated () =
   Alcotest.(check int) "generate exit code" 0 code;
   with_temp_instance text (fun path ->
       List.iter
-        (fun (args, value) ->
-          let what = String.concat " " (args @ [ "--jobs"; value ]) in
-          let code, out, err = run_ftes (args @ [ "--jobs"; value ]) in
+        (fun (args, option, value) ->
+          let what = String.concat " " (args @ [ option; value ]) in
+          let sep = if String.starts_with ~prefix:"--" option then "=" else "" in
+          let code, out, err = run_ftes (args @ [ option ^ sep ^ value ]) in
           Alcotest.(check int) (what ^ ": exit code") 124 code;
           Alcotest.(check string) (what ^ ": no output") "" out;
           Alcotest.(check bool)
             (Printf.sprintf "%s: names the option, got %S" what err)
             true
-            (Astring_contains.contains err "'--jobs'"))
+            (Astring_contains.contains err ("'" ^ option ^ "'")))
         (List.concat_map
-           (fun args -> [ (args, "0"); (args, "abc") ])
+           (fun args -> [ (args, "--jobs", "0"); (args, "--jobs", "abc") ])
            [
              [ "synthesize"; path ];
              [ "simulate"; path ];
              [ "corpus"; "run" ];
              [ "corpus"; "verify" ];
-           ]);
+           ]
+        @
+        let reliability = [ "reliability"; "--rate=0.001"; "--period=100" ] in
+        [
+          ([ "synthesize"; path ], "--deadline", "-1");
+          ([ "generate" ], "--processes", "0");
+          ([ "generate" ], "--nodes", "0");
+          ([ "generate" ], "-k", "-1");
+          ([ "generate" ], "--frozen-procs", "2");
+          ([ "generate" ], "--frozen-msgs", "-0.5");
+          ([ "reliability"; "--period=100" ], "--rate", "-1");
+          (reliability, "--target", "1.5");
+          (reliability, "--period", "0");
+          (reliability, "--mission-hours", "-1");
+        ]);
       let code, _, _ = run_ftes [ "synthesize"; path; "-j"; "1" ] in
-      Alcotest.(check int) "synthesize -j 1: exit code" 0 code)
+      Alcotest.(check int) "synthesize -j 1: exit code" 0 code);
+  (* A rate no k reaches is one line and exit 3, not an exception. *)
+  let code, out, err =
+    run_ftes [ "reliability"; "--rate=1"; "--period=1000" ]
+  in
+  Alcotest.(check int) "unreachable target: exit code" 3 code;
+  Alcotest.(check string) "unreachable target: no output" "" out;
+  Alcotest.(check bool)
+    (Printf.sprintf "unreachable target: one line, got %S" err)
+    true
+    (String.starts_with ~prefix:"ftes: " err
+    && String.index err '\n' = String.length err - 1)
 
 let () =
   Alcotest.run "integration"
@@ -458,7 +526,8 @@ let () =
         [
           Alcotest.test_case "fig3 all strategies" `Slow
             test_synthesize_fig3_all_strategies;
-          Alcotest.test_case "of_problem" `Quick test_synthesize_of_problem;
+          Alcotest.test_case "tables of a fixed design" `Quick
+            test_tables_of_design;
           Alcotest.test_case "over budget falls back" `Quick
             test_synthesize_over_budget;
           Alcotest.test_case "merged application" `Quick

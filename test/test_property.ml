@@ -57,19 +57,18 @@ let test_oracle () =
   List.iter
     (fun s ->
       let result = synthesize_one s in
-      match result.Synthesis.table with
-      | None ->
+      match Synthesis.validate result with
+      | Error _ ->
           (* FT-CPG or track budget exceeded: nothing to replay. The
              estimate-only path is still a valid synthesis outcome. *)
           ()
-      | Some _ ->
+      | Ok violations ->
           incr with_tables;
           if not (Synthesis.schedulable result) then
             Alcotest.failf
               "oracle spec %s: tables produced but not schedulable \
                (loose-deadline generator)"
               (describe s);
-          let violations = Synthesis.validate result in
           if violations <> [] then
             Alcotest.failf
               "oracle spec %s: %d violation(s), first: %s" (describe s)

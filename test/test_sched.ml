@@ -435,18 +435,10 @@ let test_conditional_deadline_violation () =
   Alcotest.(check bool) "violations reported" true (Table.violations t <> [])
 
 let test_conditional_track_cap () =
-  let p =
-    Helpers.random_problem ~processes:10 ~nodes:2 ~k:2 ~seed:3
-      ~mixed_policies:false ()
-  in
-  let f = Ftcpg.build p in
+  let f = Ftcpg.build (Helpers.over_limit_problem ~processes:8) in
   Alcotest.(check bool) "raises" true
-    (match
-       Conditional.schedule
-         ~params:{ Conditional.default_params with max_tracks = 2 }
-         f
-     with
-    | exception Conditional.Too_many_tracks 2 -> true
+    (match Conditional.schedule f with
+    | exception Conditional.Too_many_tracks cap -> cap = Conditional.track_cap
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)

@@ -151,7 +151,7 @@ let test_span_well_formedness () =
           let result =
             Synthesis.synthesize ~options ~app ~arch ~wcet ~k:2 ()
           in
-          let violations = Synthesis.validate ~jobs:2 result in
+          let violations = Result.get_ok (Synthesis.validate ~jobs:2 result) in
           Alcotest.(check (list string))
             "tables validate" []
             (List.map Ftes_sim.Violation.to_string violations);

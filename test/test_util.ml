@@ -2,7 +2,6 @@
    statistics, ASCII rendering. *)
 
 module Rng = Ftes_util.Rng
-module Pqueue = Ftes_util.Pqueue
 module Stats = Ftes_util.Stats
 module Chart = Ftes_util.Chart
 
