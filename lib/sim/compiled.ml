@@ -30,7 +30,7 @@ let scenario_name ftcpg scenario =
 let no_lane = min_int
 
 type centry = {
-  c_guard : Condvec.guard;
+  c_node : int;  (* trie node its guard ends at (its guard id); -1 none *)
   c_size : int;  (* [Cond.size] of the column guard: specificity *)
   c_start : float;
   c_finish : float;
@@ -40,7 +40,8 @@ type centry = {
 (* Every guard of the table (vertex existence guards and activation
    and broadcast column guards) as one trie over its literals, which
    are sorted by condition id and hence by field index. Equal guards
-   end at the same node, so a node id is a guard id. Nodes are laid out
+   end at the same node, so a node id is a guard id, which each column
+   and vertex records ([c_node], [vnode]) in place of a packed guard. Nodes are laid out
    in pre-order: node [n] tests one literal (the 2-bit field under
    [tmask.(n)] in word [tword.(n)] equals [tbits.(n)]) and its subtree
    spans [n, tskip.(n)). Node 0 is the root: the true guard, whose zero
@@ -71,7 +72,7 @@ type t = {
   deadline : float;
   exec : centry array array;  (* vid -> activation columns, table order *)
   bcast : centry array array;  (* vid -> broadcast columns, table order *)
-  vguard : Condvec.guard array;
+  vnode : int array;  (* vid -> trie node of its existence guard; -1 none *)
   vconditional : bool array;
   vname : string array;
   vcond_name : string array;
@@ -275,19 +276,10 @@ let compile (table : Table.t) (u : Condvec.universe) =
   done;
   let shift = !shift in
   Array.iteri (fun vid k -> list k (vid lsl shift)) vnode;
-  (* Equal guards end at the same node and share one packed form. *)
-  let unpacked = Condvec.guard_true u in
-  let packed = Array.make nn unpacked in
-  let pack_at k g =
-    if k < 0 then Condvec.pack_guard u g
-    else begin
-      if packed.(k) == unpacked then packed.(k) <- Condvec.pack_guard u g;
-      packed.(k)
-    end
-  in
-  let pack vid k (e : Table.entry) =
+  let node k = if k < 0 then -1 else pre.(k) in
+  let column vid k (e : Table.entry) =
     {
-      c_guard = pack_at k e.Table.guard;
+      c_node = node k;
       c_size = (if k < 0 then Cond.size e.Table.guard else get b k f_depth);
       c_start = e.Table.start;
       c_finish = e.Table.finish;
@@ -295,7 +287,7 @@ let compile (table : Table.t) (u : Condvec.universe) =
     }
   in
   let placeholder =
-    { c_guard = unpacked; c_size = 0; c_start = 0.; c_finish = 0.; c_lane = no_lane }
+    { c_node = -1; c_size = 0; c_start = 0.; c_finish = 0.; c_lane = no_lane }
   in
   let exec = Array.map (fun m -> Array.make m placeholder) nexec in
   let bcast = Array.map (fun m -> Array.make m placeholder) nbcast in
@@ -308,17 +300,16 @@ let compile (table : Table.t) (u : Condvec.universe) =
       match e.Table.item with
       | Table.Exec vid ->
           let j = nexec.(vid) in
-          exec.(vid).(j) <- pack vid k e;
+          exec.(vid).(j) <- column vid k e;
           nexec.(vid) <- j + 1;
           list k ((vid lsl shift) + 1 + j)
       | Table.Bcast vid ->
           let j = nbcast.(vid) in
-          bcast.(vid).(j) <- pack vid k e;
+          bcast.(vid).(j) <- column vid k e;
           nbcast.(vid) <- j + 1;
           list k ((vid lsl shift) + 1 + Array.length exec.(vid) + j))
     entries;
   let index = { tword; tmask; tbits; tskip; tstart; tcodes; shift } in
-  let vguard = Array.make n unpacked in
   let vconditional = Array.make n false in
   let vname = Array.make n "" in
   let vcond_name = Array.make n "" in
@@ -327,7 +318,6 @@ let compile (table : Table.t) (u : Condvec.universe) =
   let vrelease = Array.make n Float.nan in
   for vid = 0 to n - 1 do
     let v = Ftcpg.vertex ftcpg vid in
-    vguard.(vid) <- pack_at vnode.(vid) v.Ftcpg.guard;
     vconditional.(vid) <- v.Ftcpg.conditional;
     vname.(vid) <- v.Ftcpg.name;
     vcond_name.(vid) <- Ftcpg.cond_name ftcpg vid;
@@ -375,7 +365,7 @@ let compile (table : Table.t) (u : Condvec.universe) =
     deadline = app.App.deadline;
     exec;
     bcast;
-    vguard;
+    vnode = Array.map node vnode;
     vconditional;
     vname;
     vcond_name;
@@ -388,7 +378,8 @@ let compile (table : Table.t) (u : Condvec.universe) =
 
 (* Per-worker scratch, reused across every scenario of a range. After a
    replay it holds the columns that replay chose. [s_exist] lists the
-   vertices of the last replay, ascending: the only entries of
+   vertices of the last replay, in gather order (ascending only after a
+   replay that found a violation): the only entries of
    [s_chosen]/[s_bchosen] it can have set, and the only ones the next
    replay resets. A replay leaves [s_head] all -1, as it found it, and
    refills the other arrays from the start, so nothing else carries
@@ -402,16 +393,28 @@ type scratch = {
       (* s_codes index -> the previous gathered code of the same vertex;
          -1 none *)
   s_head : int array;  (* vid -> its last gathered code; -1 none *)
-  s_exist : int array;  (* vids existing in the last replay, ascending *)
+  s_exist : int array;  (* vids existing in the last replay *)
   mutable s_nexist : int;
   s_cols : int array;
-      (* the applicable column indexes of each existing vertex, ascending:
-         position a in s_exist has its activation columns at
-         s_xfrom.(a) .. s_bfrom.(a) - 1 and its broadcast columns at
-         s_bfrom.(a) .. s_xfrom.(a + 1) - 1 *)
+      (* the applicable column indexes of each existing vertex: vertex
+         vid has its activation columns at s_xfrom.(vid) ..
+         s_bfrom.(vid) - 1 and its broadcast columns at s_bfrom.(vid) ..
+         s_bto.(vid) - 1, ascending only after a replay that found a
+         violation *)
   s_xfrom : int array;
   s_bfrom : int array;
+  s_bto : int array;
   s_active : int array;  (* vids with nonzero-duration activations *)
+  (* The exclusivity sweep: the laned active items in gather order
+     (bucket, start, finish), then per bucket sorted by start; bucket
+     [l] holds lane [l - 1] and spans [s_lfrom.(l) .. s_lto.(l) - 1]. *)
+  s_ilane : int array;
+  s_istart : float array;
+  s_ifinish : float array;
+  s_sstart : float array;
+  s_sfinish : float array;
+  s_lfrom : int array;
+  s_lto : int array;
   s_makespan : float array;  (* one cell, unboxed: latest chosen finish *)
   (* Built on the first violation of a replay only: *)
   mutable s_scenario : Cond.guard option;
@@ -424,6 +427,8 @@ let make_scratch c =
   (* A walk enters a node at most once, so it gathers each code at most
      once. *)
   let m = max 1 (Array.length c.index.tcodes) in
+  (* Lanes run from -1 (a non-TDMA bus) to [2 * nnodes - 1]. *)
+  let nl = (2 * c.nnodes) + 1 in
   {
     s_chosen = Array.make c.nverts (-1);
     s_bchosen = Array.make c.nverts (-1);
@@ -433,9 +438,17 @@ let make_scratch c =
     s_exist = Array.make n 0;
     s_nexist = 0;
     s_cols = Array.make m 0;
-    s_xfrom = Array.make (n + 1) 0;
+    s_xfrom = Array.make n 0;
     s_bfrom = Array.make n 0;
+    s_bto = Array.make n 0;
     s_active = Array.make n 0;
+    s_ilane = Array.make n 0;
+    s_istart = Array.make n 0.;
+    s_ifinish = Array.make n 0.;
+    s_sstart = Array.make n 0.;
+    s_sfinish = Array.make n 0.;
+    s_lfrom = Array.make nl 0;
+    s_lto = Array.make nl 0;
     s_makespan = [| 0. |];
     s_scenario = None;
     s_label = None;
@@ -498,9 +511,11 @@ let sort_range (a : int array) lo hi =
    [i], gathering the codes listed at every node whose literal the row
    satisfies: the existence marks of the vertices that exist and the
    columns that apply, each column chained to the previous one of its
-   vertex. The existing vertices are sorted; each one's chain gives its
-   applicable activation and broadcast column indexes, which go to its
-   [s_xfrom]/[s_bfrom] spans of [s_cols], ascending. Columns of
+   vertex. Each existing vertex's chain gives its applicable activation
+   and broadcast column indexes, which go to its [s_xfrom]/[s_bfrom]
+   and [s_bfrom]/[s_bto] spans of [s_cols]. Neither the vertices nor
+   the spans are sorted: selection needs no order, and only a scenario
+   with a violation is put in order ([sort_scenario]). Columns of
    vertices that do not exist are left out. *)
 let walk c sp i scr =
   let ix = c.index in
@@ -541,43 +556,115 @@ let walk c sp i scr =
     end
     else nd := ix.tskip.(n)
   done;
-  sort_range exist 0 !ne;
-  let cols = scr.s_cols and xfrom = scr.s_xfrom and bfrom = scr.s_bfrom in
+  let cols = scr.s_cols in
+  let xfrom = scr.s_xfrom and bfrom = scr.s_bfrom and bto = scr.s_bto in
   let w = ref 0 in
   for a = 0 to !ne - 1 do
     let vid = exist.(a) in
     let from = !w in
-    xfrom.(a) <- from;
     let p = ref head.(vid) in
     while !p >= 0 do
       cols.(!w) <- codes.(!p) land low;
       incr w;
       p := link.(!p)
     done;
-    sort_range cols from !w;
-    (* Offsets 1 .. |exec| are activation columns, the rest broadcast. *)
+    (* Offsets 1 .. |exec| are activation columns, the rest broadcast:
+       partition them, activation first, and turn offsets into column
+       indexes. *)
     let nx = Array.length c.exec.(vid) in
-    let x = ref from in
-    while !x < !w && cols.(!x) <= nx do
-      cols.(!x) <- cols.(!x) - 1;
-      incr x
+    let x = ref from and y = ref (!w - 1) in
+    while !x <= !y do
+      let off = cols.(!x) in
+      if off <= nx then begin
+        cols.(!x) <- off - 1;
+        incr x
+      end
+      else begin
+        cols.(!x) <- cols.(!y);
+        cols.(!y) <- off - 1 - nx;
+        decr y
+      end
     done;
-    bfrom.(a) <- !x;
-    while !x < !w do
-      cols.(!x) <- cols.(!x) - 1 - nx;
-      incr x
-    done
+    xfrom.(vid) <- from;
+    bfrom.(vid) <- !x;
+    bto.(vid) <- !w
   done;
-  xfrom.(!ne) <- !w;
   for p = 0 to !nb - 1 do
     head.(codes.(p) lsr shift) <- -1
   done;
   scr.s_nexist <- !ne
 
-let replay_one c sp i scr =
-  walk c sp i scr;
+(* The order violations are emitted in: existing vertices ascending,
+   each vertex's columns in table order. *)
+let sort_scenario scr =
+  let exist = scr.s_exist in
+  sort_range exist 0 scr.s_nexist;
+  for a = 0 to scr.s_nexist - 1 do
+    let vid = exist.(a) in
+    sort_range scr.s_cols scr.s_xfrom.(vid) scr.s_bfrom.(vid);
+    sort_range scr.s_cols scr.s_bfrom.(vid) scr.s_bto.(vid)
+  done
+
+(* Whether two of the [ni] laned active items staged in [s_ilane]/
+   [s_istart]/[s_ifinish] may overlap. The items are bucketed by lane
+   and sorted by start within each bucket; an item that starts earlier
+   than the latest finish before it in its bucket, minus [eps], flags
+   the scenario. Of an overlapping pair, the later one in its bucket
+   satisfies that test, so no overlap goes unflagged; and since every
+   active item lasts longer than [eps], a flagged item does overlap the
+   item with the latest finish before it, so a clean scenario is not
+   flagged. *)
+let lanes_overlap scr ni =
+  let lfrom = scr.s_lfrom and lto = scr.s_lto in
+  let nl = Array.length lfrom in
+  Array.fill lto 0 nl 0;
+  let ilane = scr.s_ilane in
+  for x = 0 to ni - 1 do
+    lto.(ilane.(x)) <- lto.(ilane.(x)) + 1
+  done;
+  (* Counts to spans; [lto] becomes each bucket's fill cursor. *)
+  let sum = ref 0 in
+  for l = 0 to nl - 1 do
+    let count = lto.(l) in
+    lfrom.(l) <- !sum;
+    lto.(l) <- !sum;
+    sum := !sum + count
+  done;
+  let istart = scr.s_istart and ifinish = scr.s_ifinish in
+  let sstart = scr.s_sstart and sfinish = scr.s_sfinish in
+  for x = 0 to ni - 1 do
+    let l = ilane.(x) in
+    let s = istart.(x) in
+    let p = ref lto.(l) in
+    while !p > lfrom.(l) && sstart.(!p - 1) > s do
+      sstart.(!p) <- sstart.(!p - 1);
+      sfinish.(!p) <- sfinish.(!p - 1);
+      decr p
+    done;
+    sstart.(!p) <- s;
+    sfinish.(!p) <- ifinish.(x);
+    lto.(l) <- lto.(l) + 1
+  done;
+  let flagged = ref false in
+  for l = 0 to nl - 1 do
+    let latest = ref Float.neg_infinity in
+    for p = lfrom.(l) to lto.(l) - 1 do
+      if sstart.(p) < !latest -. eps then flagged := true;
+      if sfinish.(p) > !latest then latest := sfinish.(p)
+    done
+  done;
+  !flagged
+
+(* Every check of one scenario, over the vertices and column spans
+   [walk] left; violations go to the scratch in the order of
+   [s_exist] and of the spans. Selection takes the most specific
+   applicable column and, among equally specific ones, the lowest
+   column index, the first in table order: so the choices do not
+   depend on that order, only the emission order does. *)
+let check c sp i scr =
   let exist = scr.s_exist and ne = scr.s_nexist in
-  let cols = scr.s_cols and xfrom = scr.s_xfrom and bfrom = scr.s_bfrom in
+  let cols = scr.s_cols in
+  let xfrom = scr.s_xfrom and bfrom = scr.s_bfrom and bto = scr.s_bto in
   (* Activation selection: most specific applicable column; first one
      in table order wins ties, any equally specific column with a
      different time is an ambiguity. *)
@@ -587,10 +674,10 @@ let replay_one c sp i scr =
     let ecols = c.exec.(vid) in
     let best = ref (-1) in
     let best_size = ref (-1) in
-    for x = xfrom.(a) to bfrom.(a) - 1 do
+    for x = xfrom.(vid) to bfrom.(vid) - 1 do
       let j = cols.(x) in
       let e = ecols.(j) in
-      if e.c_size > !best_size then begin
+      if e.c_size > !best_size || (e.c_size = !best_size && j < !best) then begin
         best := j;
         best_size := e.c_size
       end
@@ -599,7 +686,7 @@ let replay_one c sp i scr =
       fail c scr sp i (Violation.Missing_activation { vid; vertex = c.vname.(vid) })
     else begin
       let e = ecols.(!best) in
-      for x = xfrom.(a) to bfrom.(a) - 1 do
+      for x = xfrom.(vid) to bfrom.(vid) - 1 do
         let e' = ecols.(cols.(x)) in
         if e'.c_size = e.c_size && Float.abs (e'.c_start -. e.c_start) > eps then
           fail c scr sp i
@@ -625,10 +712,10 @@ let replay_one c sp i scr =
         let bcols = c.bcast.(vid) in
         let best = ref (-1) in
         let best_size = ref (-1) in
-        for x = bfrom.(a) to xfrom.(a + 1) - 1 do
+        for x = bfrom.(vid) to bto.(vid) - 1 do
           let j = cols.(x) in
           let b = bcols.(j) in
-          if b.c_size > !best_size then begin
+          if b.c_size > !best_size || (b.c_size = !best_size && j < !best) then begin
             best := j;
             best_size := b.c_size
           end
@@ -638,7 +725,7 @@ let replay_one c sp i scr =
             (Violation.Never_broadcast { vid; cond = c.vcond_name.(vid) })
         else begin
           let b = bcols.(!best) in
-          for x = bfrom.(a) to xfrom.(a + 1) - 1 do
+          for x = bfrom.(vid) to bto.(vid) - 1 do
             let b' = bcols.(cols.(x)) in
             if b'.c_size = b.c_size && Float.abs (b'.c_start -. b.c_start) > eps then
               fail c scr sp i
@@ -711,42 +798,52 @@ let replay_one c sp i scr =
              { vid; vertex = c.vname.(vid); start = e.c_start; release = r })
     end
   done;
-  (* Resource exclusivity. *)
+  (* Resource exclusivity: the active items go to the lane sweep, and
+     only a flagged scenario runs the pair loop, which emits each
+     overlap in the reference simulator's order. *)
   let active = scr.s_active in
   let na = ref 0 in
+  let ni = ref 0 in
   for a = 0 to ne - 1 do
     let vid = exist.(a) in
     if chosen.(vid) >= 0 then begin
       let e = c.exec.(vid).(chosen.(vid)) in
       if e.c_finish -. e.c_start > eps then begin
         active.(!na) <- vid;
-        incr na
+        incr na;
+        if e.c_lane <> no_lane then begin
+          scr.s_ilane.(!ni) <- e.c_lane + 1;
+          scr.s_istart.(!ni) <- e.c_start;
+          scr.s_ifinish.(!ni) <- e.c_finish;
+          incr ni
+        end
       end
     end
   done;
-  for a = 0 to !na - 1 do
-    let vid = active.(a) in
-    let e = c.exec.(vid).(chosen.(vid)) in
-    let la = e.c_lane in
-    if la <> no_lane then
-      for b = a + 1 to !na - 1 do
-        let vid' = active.(b) in
-        let e' = c.exec.(vid').(chosen.(vid')) in
-        if
-          e'.c_lane = la
-          && e.c_start < e'.c_finish -. eps
-          && e'.c_start < e.c_finish -. eps
-        then
-          fail c scr sp i
-            (Violation.Resource_overlap
-               {
-                 vid;
-                 vertex = c.vname.(vid);
-                 other_vid = vid';
-                 other = c.vname.(vid');
-               })
-      done
-  done;
+  if lanes_overlap scr !ni then
+    for a = 0 to !na - 1 do
+      let vid = active.(a) in
+      let e = c.exec.(vid).(chosen.(vid)) in
+      let la = e.c_lane in
+      if la <> no_lane then
+        for b = a + 1 to !na - 1 do
+          let vid' = active.(b) in
+          let e' = c.exec.(vid').(chosen.(vid')) in
+          if
+            e'.c_lane = la
+            && e.c_start < e'.c_finish -. eps
+            && e'.c_start < e.c_finish -. eps
+          then
+            fail c scr sp i
+              (Violation.Resource_overlap
+                 {
+                   vid;
+                   vertex = c.vname.(vid);
+                   other_vid = vid';
+                   other = c.vname.(vid');
+                 })
+        done
+    done;
   (* Deadlines. *)
   let makespan = ref 0. in
   for a = 0 to ne - 1 do
@@ -775,14 +872,25 @@ let replay_one c sp i scr =
       fail c scr sp i
         (Violation.Local_deadline_missed
            { pid; process = pname; deadline = d; completion = !completion })
-  done;
+  done
+
+(* A clean scenario is checked once, in gather order. A scenario with
+   a violation is put in order and checked again, so that its
+   violations come out in [Sim_oracle.run]'s order. *)
+let replay_one c sp i scr =
+  walk c sp i scr;
+  check c sp i scr;
   match scr.s_violations with
   | [] -> []
-  | vs ->
+  | _ ->
+      scr.s_violations <- [];
+      sort_scenario scr;
+      check c sp i scr;
+      let vs = List.rev scr.s_violations in
       scr.s_violations <- [];
       scr.s_scenario <- None;
       scr.s_label <- None;
-      List.rev vs
+      vs
 
 (* Replay one contiguous arena range with range-local scratch,
    collecting violations in scenario order. *)

@@ -204,12 +204,50 @@ type fam_ctx = {
   words : int;
   budget : int;
   eguards : Condvec.guard array;  (* existence guard per field *)
+  gmask : int array array;
+  gbits : int array array;
+      (* trie node -> the packed (mask, bits) words of its guard *)
 }
+
+(* The packed guard of every node of the compiled table's guard trie:
+   each node's test ORed into its parent's words, in one pre-order
+   pass. A node's parent is the innermost node on the stack whose
+   subtree still spans it. *)
+let node_guards (c : Compiled.t) words =
+  let ix = c.Compiled.index in
+  let nn = Array.length ix.Compiled.tskip in
+  let gmask = Array.make nn [||] and gbits = Array.make nn [||] in
+  gmask.(0) <- Array.make words 0;
+  gbits.(0) <- Array.make words 0;
+  let stack = Array.make nn 0 in
+  let top = ref 0 in
+  for n = 1 to nn - 1 do
+    while ix.Compiled.tskip.(stack.(!top)) <= n do
+      decr top
+    done;
+    let parent = stack.(!top) in
+    let m = Array.copy gmask.(parent) and b = Array.copy gbits.(parent) in
+    let w = ix.Compiled.tword.(n) in
+    m.(w) <- m.(w) lor ix.Compiled.tmask.(n);
+    b.(w) <- b.(w) lor ix.Compiled.tbits.(n);
+    gmask.(n) <- m;
+    gbits.(n) <- b;
+    incr top;
+    stack.(!top) <- n
+  done;
+  (gmask, gbits)
+
+(* [test_col] on the guard of trie node [node]. A column whose guard
+   lies outside the universe (node -1) applies to no member. *)
+let test_node fam support cube vm vb node =
+  if node < 0 then False
+  else test_col support cube vm vb fam.gmask.(node) fam.gbits.(node)
 
 exception Contradiction
 
-(* Is there a complete scenario inside [cube] implying every guard of
-   [extra]? Returns a witness row. Presence of condition [i] is forced
+(* Is there a complete scenario inside [cube] implying the guard of
+   every trie node of [extra]? Node -1 is never implied. Returns a
+   witness row. Presence of condition [i] is forced
    by the prefix (existence guards reference earlier fields only);
    values branch no-fault first under the fault budget, so the witness
    is the minimal-fault member exhibiting the violation. *)
@@ -218,8 +256,9 @@ let member_exists fam cube extra =
   let rm = Array.make words 0 and rb = Array.make words 0 in
   try
     List.iter
-      (fun g ->
-        let gm, gb = Condvec.guard_words g in
+      (fun node ->
+        if node < 0 then raise Contradiction;
+        let gm = fam.gmask.(node) and gb = fam.gbits.(node) in
         for w = 0 to words - 1 do
           let both = rm.(w) land gm.(w) in
           if rb.(w) land both <> gb.(w) land both then raise Contradiction;
@@ -297,27 +336,29 @@ and replay_feasible (c : Compiled.t) fam (cube : cube) =
   let status = Array.make n 1 in
   let chosen = Array.make n (-1) in
   let bfinish = Array.make n Float.nan in
-  let guard vid =
-    let gm, gb = Condvec.guard_words c.Compiled.vguard.(vid) in
-    vm.(vid) <- gm;
-    vb.(vid) <- gb
-  in
   (* The gate: does the potential violation afflict a real member? On
      yes, the witness row aborts the replay; on no, remember that the
      clean verdict leaned on a SAT answer (blocks generalization). *)
   let gate vids =
     incr sats;
-    let extra = List.map (fun v -> c.Compiled.vguard.(v)) vids in
+    let extra = List.map (fun v -> c.Compiled.vnode.(v)) vids in
     match member_exists fam cube extra with
     | Some row -> raise (Bad row)
     | None -> sat_used := true
   in
   try
     for vid = 0 to n - 1 do
-      guard vid;
-      match test_guard support cube vm.(vid) vb.(vid) with
-      | False -> status.(vid) <- st_out
-      | True | Mixed _ -> ()
+      (* A vertex whose guard lies outside the universe exists in no
+         member; the words of an [Out] vertex are never read. *)
+      let node = c.Compiled.vnode.(vid) in
+      if node < 0 then status.(vid) <- st_out
+      else begin
+        vm.(vid) <- fam.gmask.(node);
+        vb.(vid) <- fam.gbits.(node);
+        match test_guard support cube vm.(vid) vb.(vid) with
+        | False -> status.(vid) <- st_out
+        | True | Mixed _ -> ()
+      end
     done;
     (* Activation selection, mirroring the explicit replay: most
        specific applicable column, ties by table order, equal-specific
@@ -327,8 +368,7 @@ and replay_feasible (c : Compiled.t) fam (cube : cube) =
       let best_size = ref (-1) in
       for j = 0 to Array.length cols - 1 do
         let e = cols.(j) in
-        let gm, gb = Condvec.guard_words e.Compiled.c_guard in
-        match test_col support cube vm.(vid) vb.(vid) gm gb with
+        match test_node fam support cube vm.(vid) vb.(vid) e.Compiled.c_node with
         | Mixed f -> raise (Do_split f)
         | False -> ()
         | True ->
@@ -348,8 +388,7 @@ and replay_feasible (c : Compiled.t) fam (cube : cube) =
           e'.Compiled.c_size = e.Compiled.c_size
           && Float.abs (e'.Compiled.c_start -. e.Compiled.c_start) > eps
         then begin
-          let gm, gb = Condvec.guard_words e'.Compiled.c_guard in
-          match test_col support cube vm.(vid) vb.(vid) gm gb with
+          match test_node fam support cube vm.(vid) vb.(vid) e'.Compiled.c_node with
           | Mixed f -> raise (Do_split f)
           | False -> ()
           | True -> clash := true
@@ -479,6 +518,8 @@ let check_table ?jobs (table : Table.t) =
   let ftcpg = table.Table.ftcpg in
   let family = Ftcpg.scenario_family ftcpg in
   let u = family.Ftcpg.funiverse in
+  let c = Compiled.compile table u in
+  let gmask, gbits = node_guards c (Condvec.words u) in
   let fam =
     {
       u;
@@ -486,9 +527,10 @@ let check_table ?jobs (table : Table.t) =
       words = Condvec.words u;
       budget = family.Ftcpg.fbudget;
       eguards = family.Ftcpg.fguards;
+      gmask;
+      gbits;
     }
   in
-  let c = Compiled.compile table u in
   let cubes = ref 0 and splits = ref 0 and subsumed = ref 0 in
   let empties = ref 0 in
   let sat_queries = ref 0 and witnesses = ref 0 and rounds = ref 0 in

@@ -8,11 +8,41 @@
    the ambiguity checks scan every column of each existing vertex in
    table order. The checks that read only the chosen columns
    (causality, knowledge, release, overlap, deadlines) are held to
-   [Sim_oracle] by their own property. *)
+   [Sim_oracle] by their own property. The packed guards come from the
+   table's entries and the FT-CPG's vertices through
+   [Condvec.pack_guard], not from the compiled table's guard trie. *)
 
 module C = Ftes_sim.Compiled
 module Condvec = Ftes_ftcpg.Condvec
+module Ftcpg = Ftes_ftcpg.Ftcpg
+module Table = Ftes_sched.Table
 module Violation = Ftes_sim.Violation
+
+type guards = {
+  vguard : Condvec.guard array;  (* vid -> existence guard *)
+  xguard : Condvec.guard array array;  (* vid -> activation column guards *)
+  bguard : Condvec.guard array array;  (* vid -> broadcast column guards *)
+}
+
+(* The packed guards of [t] over [u]: column [j] of a vertex is its
+   [j]th entry of that kind in table order, as in [C.compile]. *)
+let pack (t : Table.t) u =
+  let f = t.Table.ftcpg in
+  let n = Ftcpg.vertex_count f in
+  let xs = Array.make n [] and bs = Array.make n [] in
+  List.iter
+    (fun (e : Table.entry) ->
+      let g = Condvec.pack_guard u e.Table.guard in
+      match e.Table.item with
+      | Table.Exec vid -> xs.(vid) <- g :: xs.(vid)
+      | Table.Bcast vid -> bs.(vid) <- g :: bs.(vid))
+    t.Table.entries;
+  let columns l = Array.of_list (List.rev l) in
+  {
+    vguard = Array.init n (fun vid -> Condvec.pack_guard u (Ftcpg.vertex f vid).Ftcpg.guard);
+    xguard = Array.map columns xs;
+    bguard = Array.map columns bs;
+  }
 
 type outcome = {
   violations : Violation.t list;
@@ -29,40 +59,40 @@ let is_selection (v : Violation.t) =
       true
   | _ -> false
 
-(* The most specific column of [cols] that applies, the first in table
-   order on ties, or -1; and [ambiguous] called on each equally
-   specific applicable column at another time. *)
+(* The most specific column of [cols] that applies ([applies j]), the
+   first in table order on ties, or -1; and [ambiguous] called on each
+   equally specific applicable column at another time. *)
 let select applies cols ambiguous =
   let best = ref (-1) in
   let best_size = ref (-1) in
   Array.iteri
     (fun j (e : C.centry) ->
-      if e.c_size > !best_size && applies e then begin
+      if e.c_size > !best_size && applies j then begin
         best := j;
         best_size := e.c_size
       end)
     cols;
   if !best >= 0 then begin
     let e = cols.(!best) in
-    Array.iter
-      (fun (e' : C.centry) ->
+    Array.iteri
+      (fun j (e' : C.centry) ->
         if
           e'.c_size = e.c_size
           && Float.abs (e'.c_start -. e.c_start) > C.eps
-          && applies e'
+          && applies j
         then ambiguous e e')
       cols
   end;
   !best
 
-(* Replay row [i] of [sp] against [c]. *)
-let replay (c : C.t) sp i =
+(* Replay row [i] of [sp] against [c], whose guards [g] packs. *)
+let replay (c : C.t) g sp i =
   let exist =
     List.filter
-      (fun vid -> Condvec.implies sp i c.vguard.(vid))
+      (fun vid -> Condvec.implies sp i g.vguard.(vid))
       (List.init c.nverts Fun.id)
   in
-  let applies (e : C.centry) = Condvec.implies sp i e.c_guard in
+  let applies guards j = Condvec.implies sp i guards.(j) in
   let violations = ref [] in
   let fail kind =
     let s = Condvec.guard_at sp i in
@@ -75,7 +105,7 @@ let replay (c : C.t) sp i =
     (fun vid ->
       let vertex = c.vname.(vid) in
       chosen.(vid) <-
-        select applies c.exec.(vid) (fun e e' ->
+        select (applies g.xguard.(vid)) c.exec.(vid) (fun e e' ->
             fail
               (Violation.Ambiguous_activation
                  { vid; vertex; start = e.c_start; alt_start = e'.c_start }));
@@ -90,7 +120,7 @@ let replay (c : C.t) sp i =
         if c.vconditional.(vid) && chosen.(vid) >= 0 then begin
           let cond = c.vcond_name.(vid) in
           bchosen.(vid) <-
-            select applies c.bcast.(vid) (fun b b' ->
+            select (applies g.bguard.(vid)) c.bcast.(vid) (fun b b' ->
                 fail
                   (Violation.Ambiguous_broadcast
                      { vid; cond; start = b.c_start; alt_start = b'.c_start }));

@@ -456,6 +456,15 @@ let test_cli_portfolio_golden () =
             golden out)
         [ "1"; "2" ])
 
+(* [ftes experiment diagnose]: the grouped and shrunk counterexample
+   report of a corrupted Fig. 6 table, byte for byte. *)
+let test_cli_diagnose_golden () =
+  let code, out, _ = run_ftes [ "experiment"; "diagnose" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "diagnose.out"
+    (read_file (Filename.concat "golden" "diagnose.out"))
+    out
+
 (* [-j/--jobs] takes a domain count of at least 1: anything else is a
    usage error (cmdliner's exit 124) before any work starts. So are the
    other numeric arguments out of their range. *)
@@ -563,6 +572,8 @@ let () =
             test_cli_simulate_over_limit;
           Alcotest.test_case "portfolio output = golden" `Quick
             test_cli_portfolio_golden;
+          Alcotest.test_case "experiment diagnose output = golden" `Quick
+            test_cli_diagnose_golden;
         ] );
       ( "reliability",
         [
